@@ -140,7 +140,7 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
 
 def cmd_commutators(cfg: GroupConfig, args, out) -> int:
     sc = structure_constants_subgroup(cfg.spec.generators, tol=cfg.tolerances.closure, strict=False)
-    ok = sc.max_residual() <= cfg.tolerances.closure
+    ok = sc.passed
     if args.format == "machine":
         doc = {
             "schema": SCHEMA_VERSION,

@@ -32,33 +32,27 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    entry: float = 1e-10
     closure: float = 1e-9
     rank: float = 1e-8
     fd_step: float = 1e-4
     fd_agree: float = 1e-6
-    jacobi: float = 1e-10
 
     def as_dict(self) -> dict:
         return {
-            "entry": self.entry,
             "closure": self.closure,
             "rank": self.rank,
             "fd-step": self.fd_step,
             "fd-agree": self.fd_agree,
-            "jacobi": self.jacobi,
         }
 
 
 _TOL_KEYS = {
-    "entry": "entry",
     "closure": "closure",
     "rank": "rank",
     "fd-step": "fd_step",
     "fd_step": "fd_step",
     "fd-agree": "fd_agree",
     "fd_agree": "fd_agree",
-    "jacobi": "jacobi",
 }
 
 
@@ -134,7 +128,7 @@ def _parse_group(value) -> LieGroupSpec:
         raise ConfigError(f"group: {exc}") from exc
 
 
-_EXTENSION_KEYS = ("N", "s", "xi", "alpha0", "delta-alpha0")
+_EXTENSION_KEYS = ("N", "s", "xi", "delta-alpha0")
 
 
 def _parse_extension(value, d: int) -> AntilinearExtension:
@@ -147,9 +141,8 @@ def _parse_extension(value, d: int) -> AntilinearExtension:
     s = value.get("s", 1)
     _expect(s in (1, -1), "extension.s", "expected +1 or -1")
     xi = _parse_real(value.get("xi"), "extension.xi", default=0.0)
-    alpha0 = _parse_real(value.get("alpha0"), "extension.alpha0", default=0.0)
     try:
-        return AntilinearExtension(N=n_matrix, s=int(s), xi=xi, alpha0=alpha0)
+        return AntilinearExtension(N=n_matrix, s=int(s), xi=xi)
     except ValueError as exc:
         raise ConfigError(f"extension: {exc}") from exc
 

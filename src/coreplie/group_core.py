@@ -128,13 +128,11 @@ def exp_curve(spec: LieGroupSpec, alpha) -> GroupElement:
 @dataclass(frozen=True)
 class AntilinearExtension:
     """Data of the antilinear coset: the matrix N of a0, the declared sign s
-    of a0 squared, the phase xi with mu/lambda = exp(i*xi), and the coset
-    parameter alpha0."""
+    of a0 squared, and the phase xi with mu/lambda = exp(i*xi)."""
 
     N: np.ndarray
     s: int = 1
     xi: float = 0.0
-    alpha0: float = 0.0
 
     def __post_init__(self):
         n = as_square_complex(self.N, "N")

@@ -89,12 +89,6 @@ class GeneratorBasis:
     def n(self) -> int:
         return len(self.subgroup)
 
-    def subgroup_fields(self):
-        return [LinearVectorField(m, Frame.X) for m in self.subgroup]
-
-    def coset_fields(self):
-        return [LinearVectorField(m, Frame.X_PRIME) for m in self.coset]
-
 
 def make_operator(x, frame: Frame) -> LinearVectorField:
     """Wrap a coefficient matrix as the operator J = X_ij x_j d/dx_i."""

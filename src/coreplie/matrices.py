@@ -49,10 +49,6 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max(initial=0.0))
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def is_invertible(a: np.ndarray, tol: float = RANK_TOL) -> bool:
     """Smallest singular value above tol * max(1, largest singular value)."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
@@ -79,6 +75,7 @@ def block_antidiag2(upper_right: np.ndarray, lower_left: np.ndarray) -> np.ndarr
 
 
 def real_vectorization(a: np.ndarray) -> np.ndarray:
-    """Stacked real and imaginary parts of vec(a), as one real vector."""
-    a = np.asarray(a, dtype=complex)
-    return np.concatenate([a.real.ravel(), a.imag.ravel()])
+    """Stacked real and imaginary parts of vec(a), as one real vector; a
+    stack of matrices (..., d, d) gives one such vector per matrix."""
+    flat = np.asarray(a, dtype=complex).reshape(*np.shape(a)[:-2], -1)
+    return np.concatenate([flat.real, flat.imag], axis=-1)

@@ -26,7 +26,6 @@ from coreplie import (
     extract_coset_generators,
     extract_subgroup_generators,
     generator_basis,
-    jacobi_check,
     make_operator,
     structure_constants_subgroup,
     transport_map,
@@ -144,7 +143,8 @@ def test_criterion_4_operator_matrix_compatibility():
 
 def test_criterion_5_su2_structure_constants():
     """|c| matches the epsilon pattern below 1e-9 under the documented sign
-    convention (c = -epsilon); the Jacobi residual stays below 1e-10."""
+    convention (c = -epsilon); the Jacobi residual of the fitted tensor c
+    stays below 1e-10."""
     spec, _ = catalog_entry("su2-tr")
     sc = structure_constants_subgroup(spec.generators)
     eps = np.zeros((3, 3, 3))
@@ -153,8 +153,14 @@ def test_criterion_5_su2_structure_constants():
         eps[i, k, j] = -1.0
     pattern_err = float(np.abs(np.abs(sc.c) - np.abs(eps)).max())
     sign_err = float(np.abs(sc.c - (-eps)).max())
-    fields = [make_operator(g, Frame.X) for g in spec.generators]
-    jac = jacobi_check(fields)
+    # c_ab^d c_dc^e + cyclic in (a, b, c): unlike the matrix-bracket
+    # identity, this fails when the expansion fits a wrong tensor
+    cycle = (
+        np.einsum("abd,dce->abce", sc.c, sc.c)
+        + np.einsum("bcd,dae->abce", sc.c, sc.c)
+        + np.einsum("cad,dbe->abce", sc.c, sc.c)
+    )
+    jac = float(np.abs(cycle).max())
     passed = pattern_err < 1e-9 and sign_err < 1e-9 and jac < 1e-10
     verdict(
         5,

@@ -92,6 +92,19 @@ class TestCommutators:
         assert abs(c[0, 1, 2] + 1.0) < 1e-9
         assert doc["passed"] is True
 
+    def test_matches_report_structure_constants(self, capsys):
+        _, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--format", "machine")
+        _, report_out, _ = run(capsys, "report", "--group", "su2-tr")
+        c = np.array(json.loads(out)["c"])
+        ref = np.array(json.loads(report_out)["structure_constants"]["c"])
+        assert c.shape == ref.shape
+        assert np.abs(c - ref).max() < 1e-12
+
+    def test_perturbation_exits_3(self, capsys):
+        code, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--perturb", "1e-2")
+        assert code == 3
+        assert "FAIL" in out
+
 
 class TestVerify:
     def test_so2_conj_passes(self, capsys):
@@ -160,7 +173,7 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--group", "so2-conj")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
 
     def test_report_matches_verify_machine_output(self, capsys):
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")

@@ -10,6 +10,7 @@ from coreplie import (
     parse_machine,
     run_verification,
 )
+from coreplie.cli import main
 from coreplie.config import config_for_catalog, load_config, with_overrides
 from coreplie.report import emit_machine, format_human
 
@@ -79,6 +80,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "block, key", [("tolerances", "entry"), ("tolerances", "jacobi"), ("extension", "alpha0")]
+    )
+    def test_removed_knobs_are_rejected(self, block, key, tmp_path, capsys):
+        doc = so2_document()
+        doc.setdefault(block, {})[key] = 0.5
+        with pytest.raises(ConfigError, match=rf"{block}\.{key}"):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(path)]) == 1
+        assert f"{block}.{key}" in capsys.readouterr().err
+
     def test_complex_entry_errors_name_the_cell(self):
         doc = so2_document()
         doc["extension"]["N"] = [[[1, 0], [0, "x"]], [[0, 0], [1, 0]]]
@@ -126,7 +140,7 @@ class TestRunReport:
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["classification"] == "b"
         assert doc["a0_sign"] == -1
         assert doc["dimension"]["computed"] == 7
