@@ -12,8 +12,8 @@ import time
 
 from .algebra import structure_constants_subgroup
 from .config import ConfigError, GroupConfig, config_for_catalog, load_config, with_overrides
-from .group_core import InconsistentExtensionError, a0_square_sign, classify_coirrep
-from .infinitesimal import DifferentiationError, generator_basis
+from .group_core import CoirrepType, InconsistentExtensionError, a0_square_sign, classify_coirrep
+from .infinitesimal import DifferentiationError, extract_subgroup_generators, generator_basis
 from .report import (
     SCHEMA_VERSION,
     complex_matrix_to_json,
@@ -22,6 +22,7 @@ from .report import (
     format_matrix,
     run_verification,
     _emit_value,
+    _structure_to_dict,
 )
 
 EXIT_OK = 0
@@ -107,9 +108,6 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
         basis = generator_basis(cfg.spec, cfg.extension, mode=args.mode, step=cfg.tolerances.fd_step)
         subgroup, coset = basis.subgroup, basis.coset
     else:
-        from .group_core import CoirrepType
-        from .infinitesimal import extract_subgroup_generators
-
         subgroup = extract_subgroup_generators(
             cfg.spec, CoirrepType.A, mode=args.mode, step=cfg.tolerances.fd_step
         )
@@ -146,9 +144,7 @@ def cmd_commutators(cfg: GroupConfig, args, out) -> int:
             "schema": SCHEMA_VERSION,
             "command": "commutators",
             "group": cfg.spec.name,
-            "c": [[[float(v) for v in row] for row in plane] for plane in sc.c],
-            "residuals": [[float(v) for v in row] for row in sc.residuals],
-            "max_residual": sc.max_residual(),
+            **_structure_to_dict(sc),
             "passed": ok,
         }
         print(_emit_value(doc), file=out)

@@ -37,6 +37,15 @@ class Tolerances:
     fd_step: float = 1e-4
     fd_agree: float = 1e-6
 
+    def __post_init__(self):
+        # every construction, from a config file or a --tol override, lands here
+        for key, value in self.as_dict().items():
+            _expect(
+                np.isfinite(value) and value > 0.0,
+                f"tolerances.{key}",
+                f"expected a finite positive number, got {value}",
+            )
+
     def as_dict(self) -> dict:
         return {
             "closure": self.closure,

@@ -149,41 +149,66 @@ def central_derivative(curve, step: float = 1e-4, tol: float = 1e-4) -> np.ndarr
     """Derivative at 0 of a matrix-valued curve, 4th-order central stencil
     with one Richardson level.
 
-    Divergence between the two stencil widths (beyond tol, scaled) raises
-    DifferentiationError; there is no silent fallback.
+    The curve may return a stack (..., d, d); it is sampled once at each of
+    the six abscissae step * (-2, -1, -1/2, 1/2, 1, 2), which serve both
+    stencil widths. Divergence between the two widths (beyond tol, scaled
+    by each matrix's own magnitude) raises DifferentiationError; there is no
+    silent fallback.
     """
     if not np.isfinite(step) or step <= 0.0:
         raise DifferentiationError(f"invalid differentiation step {step}")
     if 1.0 + step == 1.0:
         raise DifferentiationError(f"differentiation step underflow: {step}")
-
-    def stencil(h: float) -> np.ndarray:
-        return (
-            -curve(2 * h) + 8 * curve(h) - 8 * curve(-h) + curve(-2 * h)
-        ) / (12 * h)
-
-    d1 = stencil(step)
-    d2 = stencil(step / 2)
+    half = step / 2
+    m2, m1, mh, ph, p1, p2 = (
+        np.asarray(curve(t)) for t in (-2 * step, -step, -half, half, step, 2 * step)
+    )
+    d1 = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * step)
+    d2 = (-p1 + 8 * ph - 8 * mh + m1) / (12 * half)
     richardson = (16.0 * d2 - d1) / 15.0
     if not np.isfinite(richardson).all():
         raise DifferentiationError("non-finite values in numerical differentiation")
-    scale = max(1.0, float(np.abs(richardson).max(initial=0.0)))
-    if float(np.abs(d2 - d1).max(initial=0.0)) > tol * scale:
+    scale = np.maximum(1.0, np.abs(richardson).max(axis=(-2, -1), initial=0.0))
+    gap = np.abs(d2 - d1).max(axis=(-2, -1), initial=0.0)
+    diverged = gap[gap > tol * scale]
+    if diverged.size:
         raise DifferentiationError(
             "numerical differentiation did not converge "
-            f"(stencil disagreement {float(np.abs(d2 - d1).max()):.3e} at step {step})"
+            f"(stencil disagreement {float(diverged[0]):.3e} at step {step})"
         )
     return richardson
 
 
-def _subgroup_block_curve(spec: LieGroupSpec, sigma: int):
-    def curve(t: float) -> np.ndarray:
-        alpha = np.zeros(spec.n)
-        alpha[sigma] = t
-        z = sum(a * x for a, x in zip(alpha, spec.generators))
-        return expm(z)
+def _generator_blocks(spec: LieGroupSpec, n_matrix, mode: str, step: float) -> np.ndarray:
+    """Upper blocks [X_1..X_n] and, given N, [X'_0 = i N, X'_sigma = X_sigma N]
+    as one (n [+ n+1], d, d) stack.
 
-    return curve
+    Mode 'fd' differentiates the curves exp(t X_sigma), e^{it} N and
+    exp(t X_sigma) N together: each sample is one expm of the generator stack,
+    which the coset curves reuse.
+    """
+    if mode not in ("exact", "fd"):
+        raise ValueError(f"mode must be 'exact' or 'fd', got {mode!r}")
+    gens = np.array(spec.generators, dtype=complex).reshape(spec.n, spec.d, spec.d)
+
+    def blocks(e: np.ndarray, phase: complex) -> np.ndarray:
+        if n_matrix is None:
+            return e
+        return np.concatenate([e, (phase * n_matrix)[None], e @ n_matrix])
+
+    if mode == "exact":
+        return blocks(gens, 1j)
+    return central_derivative(lambda t: blocks(expm(t * gens), cmath.exp(1j * t)), step)
+
+
+def _coirrep_generators(blocks, n: int, ctype: CoirrepType):
+    """Split a block stack into subgroup and coset generators; type b doubles
+    them to blockdiag(X, X) and blockdiag(X', -X')."""
+    sub, cos = list(blocks[:n]), list(blocks[n:])
+    if ctype is CoirrepType.B:
+        sub = [block_diag2(x, x) for x in sub]
+        cos = [block_diag2(b, -b) for b in cos]
+    return sub, cos
 
 
 def extract_subgroup_generators(
@@ -198,18 +223,8 @@ def extract_subgroup_generators(
     blockdiag(X_sigma, X_sigma). Mode 'fd' differentiates the one-parameter
     curves of exp_curve at the identity instead and must agree with 'exact'.
     """
-    if mode not in ("exact", "fd"):
-        raise ValueError(f"mode must be 'exact' or 'fd', got {mode!r}")
-    out = []
-    for sigma in range(spec.n):
-        if mode == "exact":
-            x = spec.generators[sigma]
-        else:
-            x = central_derivative(_subgroup_block_curve(spec, sigma), step)
-        if ctype is CoirrepType.B:
-            x = block_diag2(x, x)
-        out.append(x)
-    return out
+    sub, _ = _coirrep_generators(_generator_blocks(spec, None, mode, step), spec.n, ctype)
+    return sub
 
 
 def extract_coset_generators(
@@ -225,32 +240,10 @@ def extract_coset_generators(
     upper blocks are X'_0 = i N and X'_sigma = X_sigma N; for type b the
     full matrices are blockdiag(block, -block).
     """
-    if mode not in ("exact", "fd"):
-        raise ValueError(f"mode must be 'exact' or 'fd', got {mode!r}")
     if classify_coirrep(spec, ext) is not ctype:
         raise ValueError(f"extension classifies as the other type, not {ctype.value}")
-    blocks = []
-    for direction in range(spec.n + 1):
-        if mode == "exact":
-            if direction == 0:
-                blk = 1j * ext.N
-            else:
-                blk = spec.generators[direction - 1] @ ext.N
-        else:
-            if direction == 0:
-                def curve(t: float) -> np.ndarray:
-                    return cmath.exp(1j * t) * ext.N
-            else:
-                inner = _subgroup_block_curve(spec, direction - 1)
-
-                def curve(t: float, _inner=inner) -> np.ndarray:
-                    return _inner(t) @ ext.N
-
-            blk = central_derivative(curve, step)
-        blocks.append(blk)
-    if ctype is CoirrepType.A:
-        return blocks
-    return [block_diag2(blk, -blk) for blk in blocks]
+    _, cos = _coirrep_generators(_generator_blocks(spec, ext.N, mode, step), spec.n, ctype)
+    return cos
 
 
 def generator_basis(
@@ -261,6 +254,6 @@ def generator_basis(
 ) -> GeneratorBasis:
     """Extract both generator families for the coirrep of (spec, ext)."""
     ctype = classify_coirrep(spec, ext)
-    sub = extract_subgroup_generators(spec, ctype, mode, step)
-    cos = extract_coset_generators(spec, ext, ctype, mode, step)
+    blocks = _generator_blocks(spec, ext.N, mode, step)
+    sub, cos = _coirrep_generators(blocks, spec.n, ctype)
     return GeneratorBasis(tuple(sub), tuple(cos), ctype)

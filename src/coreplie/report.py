@@ -9,7 +9,7 @@ mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .algebra import (
     verify_mixed_closure,
 )
 from .config import GroupConfig
-from .group_core import a0_square_sign, classify_coirrep
+from .group_core import CoirrepType
 from .infinitesimal import DifferentiationError, generator_basis, transport_map
 from .matrices import max_abs_diff
 
@@ -33,10 +33,6 @@ SCHEMA_VERSION = 2
 def complex_matrix_to_json(m) -> list:
     a = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
-def complex_matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -58,39 +54,11 @@ class RunReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "group": self.group,
-            "mode": self.mode,
-            "xi": self.xi,
-            "delta_alpha0": self.delta_alpha0,
-            "tolerances": self.tolerances,
-            "classification": self.classification,
-            "a0_sign": self.a0_sign,
-            "generators": self.generators,
-            "structure_constants": self.structure_constants,
-            "closures": self.closures,
-            "dimension": self.dimension,
-            "passed": self.passed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            schema=d["schema"],
-            group=d["group"],
-            mode=d["mode"],
-            xi=d["xi"],
-            delta_alpha0=d["delta_alpha0"],
-            tolerances=d["tolerances"],
-            classification=d["classification"],
-            a0_sign=d["a0_sign"],
-            generators=d["generators"],
-            structure_constants=d["structure_constants"],
-            closures=d["closures"],
-            dimension=d["dimension"],
-            passed=d["passed"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _closure_to_dict(rep: ClosureReport) -> dict:
@@ -149,17 +117,15 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         raise ValueError("verification requires an antilinear extension block")
     spec, ext, tol = cfg.spec, cfg.extension, cfg.tolerances
 
-    ctype = classify_coirrep(spec, ext)
-    sign = a0_square_sign(ext)
-
     basis_exact = generator_basis(spec, ext, mode="exact")
     basis_fd = generator_basis(spec, ext, mode="fd", step=tol.fd_step)
-    fd_diff = 0.0
-    for a, b in zip(
-        list(basis_exact.subgroup) + list(basis_exact.coset),
-        list(basis_fd.subgroup) + list(basis_fd.coset),
-    ):
-        fd_diff = max(fd_diff, max_abs_diff(a, b))
+    ctype = basis_exact.ctype
+    # classify_coirrep's definition: type a iff a0^2 carries the declared sign s
+    sign = ext.s if ctype is CoirrepType.A else -ext.s
+    fd_diff = max_abs_diff(
+        np.stack(basis_exact.subgroup + basis_exact.coset),
+        np.stack(basis_fd.subgroup + basis_fd.coset),
+    )
     if fd_diff > tol.fd_agree:
         raise DifferentiationError(
             f"finite-difference and exact generators disagree by {fd_diff:.3e} "

@@ -160,6 +160,11 @@ class TestVerify:
             b = [p["residual"] for p in phased["closures"][fam]["pairs"]]
             assert np.abs(np.array(a) - np.array(b)).max() < 1e-12
 
+    def test_negative_tol_exits_1(self, capsys):
+        code, _, err = run(capsys, "verify", "--group", "so3", "--tol", "-1")
+        assert code == 1
+        assert "tolerances.closure" in err
+
     def test_verify_requires_extension(self, capsys, tmp_path):
         path = tmp_path / "noext.json"
         path.write_text(json.dumps({"group": "so2-conj", "extension": {}}))

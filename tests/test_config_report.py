@@ -93,6 +93,17 @@ class TestParseConfig:
         assert main(["verify", "--config", str(path)]) == 1
         assert f"{block}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["closure", "rank", "fd-step", "fd-agree"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_tolerances_are_rejected(self, key, value, tmp_path, capsys):
+        doc = so2_document(tolerances={key: value})
+        with pytest.raises(ConfigError, match=rf"tolerances\.{key}"):
+            parse_config(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))  # NaN / Infinity literals, which json.load accepts
+        assert main(["verify", "--config", str(path)]) == 1
+        assert f"tolerances.{key}" in capsys.readouterr().err
+
     def test_complex_entry_errors_name_the_cell(self):
         doc = so2_document()
         doc["extension"]["N"] = [[[1, 0], [0, "x"]], [[0, 0], [1, 0]]]

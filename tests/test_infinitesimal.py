@@ -1,13 +1,17 @@
 import cmath
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from coreplie import (
+    AntilinearExtension,
     CoirrepType,
     DifferentiationError,
     Frame,
     FrameMismatchError,
+    LieGroupSpec,
     apply_vf,
     build_b_matrix,
     catalog_entry,
@@ -22,9 +26,13 @@ from coreplie import (
     transport_map,
     vf_commutator,
 )
+from coreplie import group_core, infinitesimal
 from coreplie.coirrep import Side
+from coreplie.config import config_for_catalog
+from coreplie.report import run_verification
 
 from oracle import commutator_on_coordinates
+from test_algebra import su3_gell_mann
 
 
 class TestCentralDerivative:
@@ -51,6 +59,32 @@ class TestCentralDerivative:
 
         with pytest.raises(DifferentiationError, match="converge"):
             central_derivative(curve, step=1e-4)
+
+    def test_curve_sampled_once_per_abscissa(self):
+        ts = []
+        central_derivative(lambda t: ts.append(t) or np.eye(2), step=1e-4)
+        assert sorted(ts) == [-2e-4, -1e-4, -5e-5, 5e-5, 1e-4, 2e-4]
+
+    def test_divergent_member_of_a_stack_detected(self):
+        # the smooth member's scale (1e6) would hide the rough member's
+        # stencil disagreement (about 45) if the stack shared one scale
+        def curve(t):
+            rough = np.sign(t) * np.sqrt(abs(t))
+            return np.array([[[rough]], [[1e6 * np.exp(t)]]])
+
+        with pytest.raises(DifferentiationError, match="converge"):
+            central_derivative(curve, step=1e-4)
+
+    def test_stacked_derivative_equals_per_curve(self, rng):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        curves = (
+            lambda t: expm(t * a),
+            lambda t: np.cos(t) * a + np.sin(2 * t) * np.eye(3),
+            lambda t: 1e6 * expm(-t * a.T),
+        )
+        stacked = central_derivative(lambda t: np.stack([c(t) for c in curves]), step=1e-4)
+        for got, curve in zip(stacked, curves):
+            assert np.array_equal(got, central_derivative(curve, step=1e-4))
 
 
 class TestSubgroupExtraction:
@@ -266,3 +300,75 @@ class TestGeneratorBasis:
         basis = generator_basis(spec, ext)
         assert len(basis.subgroup) == spec.n
         assert len(basis.coset) == spec.n + 1
+
+
+def spin_three_halves():
+    """Spin-3/2 rotations X_k = -i J_k with time reversal N = exp(-i pi J_y):
+    N conj(N) = -E against s = +1, so the coirrep is type b."""
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    jp = np.diag(np.sqrt(15 / 4 - m[1:] * (m[1:] + 1)), k=1).astype(complex)
+    jx, jy, jz = (jp + jp.T) / 2, (jp - jp.T) / 2j, np.diag(m).astype(complex)
+    spec = LieGroupSpec(n=3, d=4, generators=(-1j * jx, -1j * jy, -1j * jz), name="spin-3/2")
+    return spec, AntilinearExtension(expm(-1j * np.pi * jy), s=+1)
+
+
+STENCIL_CASES = ("so2-conj", "su2-tr", "u1", "so3", "su3", "spin-3/2")
+
+
+def stencil_case(name):
+    if name == "su3":
+        return su3_gell_mann()
+    if name == "spin-3/2":
+        return spin_three_halves()
+    return catalog_entry(name)
+
+
+def per_curve_fd_basis(spec, ext, step=1e-4):
+    """One central_derivative call per curve: exp(t X_sigma), e^{it} N and
+    exp(t X_sigma) N, each differentiated on its own, then doubled for type b."""
+    sub = [central_derivative(lambda t, x=x: expm(t * x), step) for x in spec.generators]
+    cos = [central_derivative(lambda t: cmath.exp(1j * t) * ext.N, step)]
+    cos += [central_derivative(lambda t, x=x: expm(t * x) @ ext.N, step) for x in spec.generators]
+    if classify_coirrep(spec, ext) is CoirrepType.B:
+        sub = [np.block([[x, 0 * x], [0 * x, x]]) for x in sub]
+        cos = [np.block([[b, 0 * b], [0 * b, -b]]) for b in cos]
+    return sub, cos
+
+
+class TestStackedExtraction:
+    def test_spin_three_halves_is_type_b(self):
+        spec, ext = spin_three_halves()
+        assert classify_coirrep(spec, ext) is CoirrepType.B
+
+    @pytest.mark.parametrize("name", STENCIL_CASES)
+    def test_fd_basis_equals_per_curve_oracle(self, name):
+        spec, ext = stencil_case(name)
+        basis = generator_basis(spec, ext, mode="fd")
+        sub, cos = per_curve_fd_basis(spec, ext)
+        assert len(basis.subgroup) == len(sub) and len(basis.coset) == len(cos)
+        for got, ref in zip(basis.subgroup + basis.coset, sub + cos):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("name", STENCIL_CASES)
+    def test_fd_basis_makes_six_expm_calls(self, name, monkeypatch):
+        spec, ext = stencil_case(name)
+        calls = []
+        real = infinitesimal.expm
+        monkeypatch.setattr(infinitesimal, "expm", lambda a: calls.append(a.shape) or real(a))
+        generator_basis(spec, ext, mode="fd")
+        assert calls == [(spec.n, spec.d, spec.d)] * 6
+
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    def test_run_verification_classifies_at_most_twice(self, name, monkeypatch):
+        original = group_core.classify_coirrep
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("coreplie") and getattr(mod, "classify_coirrep", None) is original:
+                monkeypatch.setattr(mod, "classify_coirrep", counting)
+        run_verification(config_for_catalog(name))
+        assert 1 <= len(calls) <= 2

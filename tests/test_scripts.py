@@ -1,0 +1,26 @@
+"""Both scripts run in-process against the library they demonstrate."""
+import importlib.util
+from pathlib import Path
+
+from coreplie import CATALOG_NAMES
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_catalog_checks_fails_on_su2_tr_only(capsys):
+    assert load_script("run_catalog_checks").main() == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[0] for row in rows] == list(CATALOG_NAMES)
+    assert [row[0] for row in rows if row[-1] == "FAIL"] == ["su2-tr"]
+
+
+def test_phase_sweep_reports_absorbable_phases(capsys):
+    assert load_script("phase_sweep").main() == 0
+    assert "phases are absorbable" in capsys.readouterr().out
