@@ -12,16 +12,16 @@ import time
 
 from .algebra import structure_constants_subgroup
 from .config import ConfigError, GroupConfig, config_for_catalog, load_config, with_overrides
-from .group_core import CoirrepType, InconsistentExtensionError, a0_square_sign, classify_coirrep
+from .group_core import CoirrepType, InconsistentExtensionError, a0_sign_of_type, classify_coirrep
 from .infinitesimal import DifferentiationError, extract_subgroup_generators, generator_basis
 from .report import (
     SCHEMA_VERSION,
     complex_matrix_to_json,
+    emit_document,
     emit_machine,
     format_human,
     format_matrix,
     run_verification,
-    _emit_value,
     _structure_to_dict,
 )
 
@@ -88,7 +88,7 @@ def _require_extension(cfg: GroupConfig):
 def cmd_classify(cfg: GroupConfig, args, out) -> int:
     _require_extension(cfg)
     ctype = classify_coirrep(cfg.spec, cfg.extension)
-    sign = a0_square_sign(cfg.extension)
+    sign = a0_sign_of_type(ctype, cfg.extension.s)
     if args.format == "machine":
         doc = {
             "schema": SCHEMA_VERSION,
@@ -97,7 +97,7 @@ def cmd_classify(cfg: GroupConfig, args, out) -> int:
             "classification": ctype.value,
             "a0_sign": sign,
         }
-        print(_emit_value(doc), file=out)
+        print(emit_document(doc), file=out)
     else:
         print(f"group {cfg.spec.name}: {ctype.value}-type coirrep, a0^2 sign {sign:+d}", file=out)
     return EXIT_OK
@@ -121,7 +121,7 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
             "subgroup": [complex_matrix_to_json(m) for m in subgroup],
             "coset": None if coset is None else [complex_matrix_to_json(m) for m in coset],
         }
-        print(_emit_value(doc), file=out)
+        print(emit_document(doc), file=out)
     else:
         print(f"group {cfg.spec.name} generators (mode {args.mode})", file=out)
         for i, m in enumerate(subgroup, start=1):
@@ -147,7 +147,7 @@ def cmd_commutators(cfg: GroupConfig, args, out) -> int:
             **_structure_to_dict(sc),
             "passed": ok,
         }
-        print(_emit_value(doc), file=out)
+        print(emit_document(doc), file=out)
     else:
         print(f"group {cfg.spec.name} structure constants", file=out)
         n = sc.n
@@ -192,16 +192,13 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_verify(cfg, args, out, always_machine=True)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InconsistentExtensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except DifferentiationError as exc:
         print(f"numerical differentiation error: {exc}", file=sys.stderr)
         return EXIT_DIFFERENTIATION
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and any other invalid input
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -23,7 +23,7 @@ from .group_core import (
     CoirrepType,
     GroupElement,
     Linearity,
-    a0_square_sign,
+    coirrep_type,
 )
 from .matrices import as_complex_vector, block_antidiag2, block_diag2
 
@@ -87,10 +87,6 @@ class CoirrepMatrix:
         return GroupElement(self.matrix, flag)
 
 
-def _ctype(ext: AntilinearExtension) -> CoirrepType:
-    return CoirrepType.A if a0_square_sign(ext) == ext.s else CoirrepType.B
-
-
 def transform_coords_a(y, ext: AntilinearExtension):
     """Type-a transformed coordinates of an original 2d-vector y.
 
@@ -147,7 +143,7 @@ def act_coset_a(
     """
     if variant not in (Side.COSET_GA0, Side.COSET_A0G):
         raise ValueError(f"variant must be a coset side, got {variant}")
-    if _ctype(ext) is not CoirrepType.A:
+    if coirrep_type(ext) is not CoirrepType.A:
         raise TypeMismatchError("type mismatch: extension is b-type, expected a-type")
     if g.is_antilinear:
         raise ValueError("g must be a linear subgroup element")
@@ -170,7 +166,7 @@ def build_b_matrix(g: GroupElement, ext: AntilinearExtension, side: Side) -> Coi
     coset-ga0:  [[0, Delta(g) N], [-Delta(g) N, 0]]
     coset-a0g:  [[0, N conj(Delta(g))], [-N conj(Delta(g)), 0]]
     """
-    if _ctype(ext) is not CoirrepType.B:
+    if coirrep_type(ext) is not CoirrepType.B:
         raise TypeMismatchError("type mismatch: extension is a-type, expected b-type")
     if g.is_antilinear:
         raise ValueError("g must be a linear subgroup element")

@@ -75,6 +75,12 @@ class GroupConfig:
     delta_alpha0: float = 0.0
     source: str = "catalog"
 
+    def __post_init__(self):
+        # every construction, from a config file or an --xi/--delta-alpha0 override, lands here
+        xi = 0.0 if self.extension is None else self.extension.xi
+        for path, value in (("extension.xi", xi), ("extension.delta-alpha0", self.delta_alpha0)):
+            _expect(np.isfinite(value), path, f"expected a finite number, got {value}")
+
 
 def _expect(cond: bool, path: str, message: str):
     if not cond:
@@ -109,15 +115,15 @@ def _parse_real(value, path: str, default=None) -> float:
     return float(value)
 
 
-def _parse_group(value) -> LieGroupSpec:
+def _parse_group(value):
+    """(spec, catalog extension) for a catalog name, (spec, None) for an object."""
     if isinstance(value, str):
         try:
-            spec, _ = catalog_entry(value)
+            return catalog_entry(value)
         except KeyError:
             raise ConfigError(
                 f"group: unknown catalog name {value!r} (known: {', '.join(CATALOG_NAMES)})"
             ) from None
-        return spec
     _expect(isinstance(value, dict), "group", "expected a catalog name or an object")
     for key in ("n", "d", "generators"):
         _expect(key in value, f"group.{key}", "missing required field")
@@ -132,7 +138,7 @@ def _parse_group(value) -> LieGroupSpec:
     name = value.get("name", "custom")
     _expect(isinstance(name, str), "group.name", "expected a string")
     try:
-        return LieGroupSpec(n=n, d=d, generators=gens, name=name)
+        return LieGroupSpec(n=n, d=d, generators=gens, name=name), None
     except ValueError as exc:
         raise ConfigError(f"group: {exc}") from exc
 
@@ -174,19 +180,17 @@ def parse_config(document: dict) -> GroupConfig:
     known = {"group", "extension", "tolerances"}
     for key in document:
         _expect(key in known, key, "unknown top-level field")
-    spec = _parse_group(document["group"])
+    spec, extension = _parse_group(document["group"])
     source = "catalog" if isinstance(document["group"], str) else "explicit"
 
-    extension = None
     delta_alpha0 = 0.0
     if "extension" in document and document["extension"] is not None:
         ext_block = document["extension"]
         _expect(isinstance(ext_block, dict), "extension", "expected an object")
+        extension = None
         if ext_block:
             delta_alpha0 = _parse_real(ext_block.get("delta-alpha0"), "extension.delta-alpha0", default=0.0)
             extension = _parse_extension(ext_block, spec.d)
-    elif source == "catalog":
-        _, extension = catalog_entry(document["group"])
 
     tolerances = _parse_tolerances(document.get("tolerances"))
     return GroupConfig(
@@ -212,11 +216,7 @@ def load_config(path: str) -> GroupConfig:
 
 def config_for_catalog(name: str) -> GroupConfig:
     """GroupConfig for a builtin catalog entry."""
-    try:
-        spec, ext = catalog_entry(name)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-    return GroupConfig(spec=spec, extension=ext)
+    return parse_config({"group": name})
 
 
 def with_overrides(

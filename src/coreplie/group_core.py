@@ -169,12 +169,21 @@ def a0_square_sign(ext: AntilinearExtension, tol: float = ENTRY_TOL) -> int:
     )
 
 
-def classify_coirrep(spec: LieGroupSpec, ext: AntilinearExtension) -> CoirrepType:
+def coirrep_type(ext: AntilinearExtension) -> CoirrepType:
     """Type a when N * conj(N) = s * E, type b when N * conj(N) = -s * E.
 
     Type a keeps the irrep dimension d; type b doubles it to 2d.
     """
+    return CoirrepType.A if a0_square_sign(ext) == ext.s else CoirrepType.B
+
+
+def a0_sign_of_type(ctype: CoirrepType, s: int) -> int:
+    """Inverse of coirrep_type: the sign of a0 squared given the type and s."""
+    return s if ctype is CoirrepType.A else -s
+
+
+def classify_coirrep(spec: LieGroupSpec, ext: AntilinearExtension) -> CoirrepType:
+    """coirrep_type of an extension checked against the irrep dimension."""
     if ext.d != spec.d:
         raise ValueError(f"N is {ext.d}x{ext.d} but the irrep dimension is {spec.d}")
-    actual = a0_square_sign(ext)
-    return CoirrepType.A if actual == ext.s else CoirrepType.B
+    return coirrep_type(ext)

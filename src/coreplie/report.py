@@ -1,10 +1,10 @@
 """Full verification pipeline and report emission.
 
-The machine format is one JSON document with sorted keys, floats printed
-with 17 significant digits, and complex numbers as [re, im] pairs. Two runs
-on the same configuration produce byte-identical documents, so wall time is
-never part of the machine report; the CLI prints it separately in human
-mode.
+The machine format is one JSON document with sorted keys, floats in their
+shortest round-trip form, integral values as integers, and complex numbers
+as [re, im] pairs. Two runs on the same configuration produce byte-identical
+documents, so wall time is never part of the machine report; the CLI prints
+it separately in human mode.
 """
 from __future__ import annotations
 
@@ -23,16 +23,30 @@ from .algebra import (
     verify_mixed_closure,
 )
 from .config import GroupConfig
-from .group_core import CoirrepType
+from .group_core import a0_sign_of_type
 from .infinitesimal import DifferentiationError, generator_basis, transport_map
 from .matrices import max_abs_diff
 
 SCHEMA_VERSION = 2
 
 
+def json_number(x):
+    """A number as the machine format holds it: an integral float, negative
+    zero included, becomes an int; any other float stays a float."""
+    x = float(x)
+    return int(x) if x.is_integer() and abs(x) < 2**53 else x
+
+
+def _json_numbers(a) -> list:
+    return [json_number(v) for v in np.asarray(a, dtype=float).tolist()]
+
+
+def _json_complexes(a) -> list:
+    return [[json_number(z.real), json_number(z.imag)] for z in np.asarray(a, dtype=complex).tolist()]
+
+
 def complex_matrix_to_json(m) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return [_json_complexes(row) for row in np.asarray(m, dtype=complex)]
 
 
 @dataclass(frozen=True)
@@ -64,18 +78,18 @@ class RunReport:
 def _closure_to_dict(rep: ClosureReport) -> dict:
     return {
         "family": rep.family,
-        "tolerance": rep.tolerance,
+        "tolerance": json_number(rep.tolerance),
         "passed": rep.passed,
-        "max_residual": rep.max_residual(),
-        "max_complex_residual": rep.max_complex_residual(),
+        "max_residual": json_number(rep.max_residual()),
+        "max_complex_residual": json_number(rep.max_complex_residual()),
         "pairs": [
             {
                 "left": p.left,
                 "right": p.right,
-                "coeffs": [float(c) for c in p.coeffs],
-                "residual": float(p.residual),
-                "complex_coeffs": [[float(c.real), float(c.imag)] for c in p.complex_coeffs],
-                "complex_residual": float(p.complex_residual),
+                "coeffs": _json_numbers(p.coeffs),
+                "residual": json_number(p.residual),
+                "complex_coeffs": _json_complexes(p.complex_coeffs),
+                "complex_residual": json_number(p.complex_residual),
             }
             for p in rep.pairs
         ],
@@ -84,9 +98,9 @@ def _closure_to_dict(rep: ClosureReport) -> dict:
 
 def _structure_to_dict(sc: StructureConstants) -> dict:
     return {
-        "c": [[[float(v) for v in row] for row in plane] for plane in sc.c],
-        "residuals": [[float(v) for v in row] for row in sc.residuals],
-        "max_residual": sc.max_residual(),
+        "c": [[_json_numbers(row) for row in plane] for plane in sc.c],
+        "residuals": [_json_numbers(row) for row in sc.residuals],
+        "max_residual": json_number(sc.max_residual()),
     }
 
 
@@ -95,12 +109,10 @@ def _dimension_to_dict(dim: AlgebraDimension) -> dict:
         "computed": dim.computed,
         "expected": dim.expected,
         "classification": dim.classification,
-        "singular_values": [float(s) for s in dim.singular_values],
-        "threshold": float(dim.threshold),
-        "margin": None if not np.isfinite(dim.margin) else float(dim.margin),
-        "certificate": None
-        if dim.certificate is None
-        else [float(v) for v in dim.certificate],
+        "singular_values": _json_numbers(dim.singular_values),
+        "threshold": json_number(dim.threshold),
+        "margin": json_number(dim.margin) if np.isfinite(dim.margin) else None,
+        "certificate": None if dim.certificate is None else _json_numbers(dim.certificate),
     }
 
 
@@ -120,8 +132,6 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
     basis_exact = generator_basis(spec, ext, mode="exact")
     basis_fd = generator_basis(spec, ext, mode="fd", step=tol.fd_step)
     ctype = basis_exact.ctype
-    # classify_coirrep's definition: type a iff a0^2 carries the declared sign s
-    sign = ext.s if ctype is CoirrepType.A else -ext.s
     fd_diff = max_abs_diff(
         np.stack(basis_exact.subgroup + basis_exact.coset),
         np.stack(basis_fd.subgroup + basis_fd.coset),
@@ -148,15 +158,15 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         schema=SCHEMA_VERSION,
         group={"name": spec.name, "n": spec.n, "d": spec.d, "source": cfg.source},
         mode=mode,
-        xi=float(ext.xi),
-        delta_alpha0=float(cfg.delta_alpha0),
-        tolerances=tol.as_dict(),
+        xi=json_number(ext.xi),
+        delta_alpha0=json_number(cfg.delta_alpha0),
+        tolerances={key: json_number(v) for key, v in tol.as_dict().items()},
         classification=ctype.value,
-        a0_sign=sign,
+        a0_sign=a0_sign_of_type(ctype, ext.s),
         generators={
             "subgroup": [complex_matrix_to_json(m) for m in basis.subgroup],
             "coset": [complex_matrix_to_json(m) for m in basis.coset],
-            "fd_max_abs_diff": fd_diff,
+            "fd_max_abs_diff": json_number(fd_diff),
         },
         structure_constants=_structure_to_dict(sc),
         closures={
@@ -169,35 +179,20 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
     )
 
 
-# --- machine serialization (deterministic, 17 significant digits) ---------
+# --- machine serialization (sorted keys, shortest round-trip floats) -------
 
 
-def _emit_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not np.isfinite(value):
-            raise ValueError("machine reports cannot carry non-finite numbers")
-        if value == 0.0:
-            return "0"  # normalize negative zero so emit(parse(.)) is stable
-        return format(value, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return "{" + ",".join(f"{json.dumps(k)}:{_emit_value(v)}" for k, v in items) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def emit_document(doc: dict) -> str:
+    """Byte-deterministic single-line JSON for any machine document.
+
+    Raises ValueError on a non-finite float rather than writing NaN.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def emit_machine(report: RunReport) -> str:
     """Byte-deterministic single-line JSON document for a report."""
-    return _emit_value(report.to_dict())
+    return emit_document(report.to_dict())
 
 
 def parse_machine(text: str) -> RunReport:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coreplie import group_core
 from coreplie.cli import main
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
@@ -50,6 +51,23 @@ class TestClassify:
     def test_unknown_catalog_group_exits_1(self, capsys):
         code, _, err = run(capsys, "classify", "--group", "mystery")
         assert code == 1
+        assert err == (
+            "config error: group: unknown catalog name 'mystery' "
+            "(known: so2-conj, so3, su2-tr, u1)\n"
+        )
+
+    def test_a0_squared_once(self, capsys, monkeypatch):
+        calls = []
+        original = group_core.compose
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(group_core, "compose", counting)
+        code, out, _ = run(capsys, "classify", "--group", "su2-tr")
+        assert (code, out) == (0, "group su2-tr: b-type coirrep, a0^2 sign -1\n")
+        assert len(calls) == 1
 
 
 class TestGenerators:
@@ -171,6 +189,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--config", str(path))
         assert code == 1
         assert "extension" in err
+
+
+class TestMachineDocuments:
+    @pytest.mark.parametrize("group", ["so3", "su2-tr"])
+    @pytest.mark.parametrize(
+        "command", ["classify", "generators", "commutators", "verify", "report"]
+    )
+    def test_output_is_canonical_json(self, capsys, command, group):
+        _, out, _ = run(capsys, command, "--group", group, "--format", "machine")
+        text = out.rstrip("\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
 
 
 class TestReportCommand:

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from coreplie import (
+    CATALOG_NAMES,
     ConfigError,
     Tolerances,
     parse_config,
@@ -104,6 +107,24 @@ class TestParseConfig:
         assert main(["verify", "--config", str(path)]) == 1
         assert f"tolerances.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["xi", "delta-alpha0"])
+    @pytest.mark.parametrize("via", ["file", "flag"])
+    def test_non_finite_phases_are_rejected(self, via, key, value, command, tmp_path, capsys):
+        if via == "file":
+            doc = so2_document()
+            doc["extension"][key] = float(value)
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(doc))  # NaN / Infinity literals, which json.load accepts
+            argv = [command, "--config", str(path)]
+        else:
+            argv = [command, "--group", "so3", f"--{key}", value]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"extension.{key}" in captured.err
+
     def test_complex_entry_errors_name_the_cell(self):
         doc = so2_document()
         doc["extension"]["N"] = [[[1, 0], [0, "x"]], [[0, 0], [1, 0]]]
@@ -141,12 +162,34 @@ class TestOverrides:
 
 
 class TestRunReport:
-    def test_round_trip_identity(self):
-        report = run_verification(config_for_catalog("so2-conj"))
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_round_trip_identity(self, name, mode):
+        report = run_verification(config_for_catalog(name), mode=mode)
         text = emit_machine(report)
         again = parse_machine(text)
         assert again == report
         assert emit_machine(again) == text
+
+    def test_integral_floats_emit_as_integers(self):
+        doc = so2_document()
+        doc["group"]["generators"] = [[[[-0.0, -0.0], [-1.0, 0.0]], [[1.0, -0.0], [0.0, -0.0]]]]
+        report = run_verification(parse_config(doc))
+        float_literals, int_literals = [], []
+        json.loads(
+            emit_machine(report),
+            parse_float=lambda s: float_literals.append(s) or float(s),
+            parse_int=lambda s: int_literals.append(s) or int(s),
+        )
+        assert not [s for s in float_literals if float(s).is_integer()]
+        assert "-0" not in int_literals
+        assert report.generators["subgroup"] == [[[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]]
+        assert all(type(v) is int for row in report.generators["subgroup"][0] for z in row for v in z)
+
+    def test_nan_is_never_written(self):
+        report = replace(run_verification(config_for_catalog("so2-conj")), xi=float("nan"))
+        with pytest.raises(ValueError):
+            emit_machine(report)
 
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
