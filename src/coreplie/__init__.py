@@ -14,8 +14,6 @@ from .algebra import (
     NotClosedError,
     StructureConstants,
     algebra_dimension,
-    project_onto_span,
-    project_onto_span_complex,
     structure_constants_subgroup,
     sub_sub_closure_report,
     verify_coset_coset_closure,
@@ -118,8 +116,6 @@ __all__ = [
     "make_operator",
     "parse_config",
     "parse_machine",
-    "project_onto_span",
-    "project_onto_span_complex",
     "run_verification",
     "structure_constants_subgroup",
     "sub_sub_closure_report",

@@ -53,24 +53,6 @@ def _expand(targets: np.ndarray, span: np.ndarray):
     return real, remainder_norms(real), cplx, remainder_norms(cplx)
 
 
-def project_onto_span(c, basis):
-    """Least-squares expansion of C over the real span of the basis.
-
-    Returns (coeffs, residual): real coefficients c_k minimizing the
-    Frobenius norm of C - sum_k c_k B_k, and that residual norm.
-    """
-    target = np.asarray(c, dtype=complex)[None]
-    coeffs, res, _, _ = _expand(target, np.asarray(basis, dtype=complex))
-    return coeffs[0], float(res[0])
-
-
-def project_onto_span_complex(c, basis):
-    """Complex-coefficient analogue of project_onto_span (fallback route)."""
-    target = np.asarray(c, dtype=complex)[None]
-    _, _, coeffs, res = _expand(target, np.asarray(basis, dtype=complex))
-    return coeffs[0], float(res[0])
-
-
 @dataclass(frozen=True)
 class StructureConstants:
     """Real tensor c[sigma, rho, tau] with [J_sigma, J_rho] = c^tau J_tau.

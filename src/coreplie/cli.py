@@ -16,13 +16,12 @@ from .group_core import CoirrepType, InconsistentExtensionError, a0_sign_of_type
 from .infinitesimal import DifferentiationError, extract_subgroup_generators, generator_basis
 from .report import (
     SCHEMA_VERSION,
-    complex_matrix_to_json,
     emit_document,
     emit_machine,
     format_human,
     format_matrix,
+    json_numbers,
     run_verification,
-    _structure_to_dict,
 )
 
 EXIT_OK = 0
@@ -118,8 +117,8 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
             "command": "generators",
             "group": cfg.spec.name,
             "mode": args.mode,
-            "subgroup": [complex_matrix_to_json(m) for m in subgroup],
-            "coset": None if coset is None else [complex_matrix_to_json(m) for m in coset],
+            "subgroup": json_numbers(subgroup),
+            "coset": None if coset is None else json_numbers(coset),
         }
         print(emit_document(doc), file=out)
     else:
@@ -144,7 +143,9 @@ def cmd_commutators(cfg: GroupConfig, args, out) -> int:
             "schema": SCHEMA_VERSION,
             "command": "commutators",
             "group": cfg.spec.name,
-            **_structure_to_dict(sc),
+            "c": json_numbers(sc.c),
+            "residuals": json_numbers(sc.residuals),
+            "max_residual": json_numbers(sc.max_residual()),
             "passed": ok,
         }
         print(emit_document(doc), file=out)

@@ -228,7 +228,8 @@ def with_overrides(
 ) -> GroupConfig:
     """Apply command-line overrides to a parsed config."""
     spec, ext = cfg.spec, cfg.extension
-    if xi is not None and ext is not None:
+    if xi is not None:
+        _expect(ext is not None, "extension.xi", "cannot be set: the config has no extension block")
         ext = replace(ext, xi=float(xi))
     if perturb:
         gens = [g.copy() for g in spec.generators]

@@ -2,9 +2,10 @@
 
 The machine format is one JSON document with sorted keys, floats in their
 shortest round-trip form, integral values as integers, and complex numbers
-as [re, im] pairs. Two runs on the same configuration produce byte-identical
-documents, so wall time is never part of the machine report; the CLI prints
-it separately in human mode.
+as a trailing [re, im] axis. Each closure family is one block of dense
+arrays with a row per bracket pair. Two runs on the same configuration
+produce byte-identical documents, so wall time is never part of the machine
+report; the CLI prints it separately in human mode.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import numpy as np
 from .algebra import (
     AlgebraDimension,
     ClosureReport,
-    StructureConstants,
     algebra_dimension,
     sub_sub_closure_report,
     verify_coset_coset_closure,
@@ -27,26 +27,25 @@ from .group_core import a0_sign_of_type
 from .infinitesimal import DifferentiationError, generator_basis, transport_map
 from .matrices import max_abs_diff
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
-def json_number(x):
-    """A number as the machine format holds it: an integral float, negative
-    zero included, becomes an int; any other float stays a float."""
-    x = float(x)
-    return int(x) if x.is_integer() and abs(x) < 2**53 else x
-
-
-def _json_numbers(a) -> list:
-    return [json_number(v) for v in np.asarray(a, dtype=float).tolist()]
-
-
-def _json_complexes(a) -> list:
-    return [[json_number(z.real), json_number(z.imag)] for z in np.asarray(a, dtype=complex).tolist()]
-
-
-def complex_matrix_to_json(m) -> list:
-    return [_json_complexes(row) for row in np.asarray(m, dtype=complex)]
+def json_numbers(a):
+    """A number or an array as the machine format holds it: an integral
+    float (negative zero included, within +-2^53) becomes an int, any other
+    float stays a float, and complex entries gain a trailing [re, im] axis.
+    An array is converted in one numpy pass."""
+    if isinstance(a, float):  # a lone number skips numpy's per-call cost
+        return int(a) if a.is_integer() and abs(a) < 2**53 else float(a)
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a, dtype=complex).view(float).reshape(*a.shape, 2)
+    a = a.astype(float, copy=False)
+    integral = np.trunc(a) == a
+    integral &= np.abs(a) < 2.0**53
+    out = a.astype(object)
+    out[integral] = a[integral].astype(np.int64)
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class RunReport:
     classification: str
     a0_sign: int
     generators: dict
-    structure_constants: dict
     closures: dict
     dimension: dict
     passed: bool
@@ -76,31 +74,20 @@ class RunReport:
 
 
 def _closure_to_dict(rep: ClosureReport) -> dict:
+    """One family as dense arrays, one row per pair; the complex fallback
+    coefficients are kept only for the pairs whose real residual fails."""
+    failing = [p.complex_coeffs for p in rep.pairs if p.residual >= rep.tolerance]
     return {
         "family": rep.family,
-        "tolerance": json_number(rep.tolerance),
+        "tolerance": json_numbers(rep.tolerance),
         "passed": rep.passed,
-        "max_residual": json_number(rep.max_residual()),
-        "max_complex_residual": json_number(rep.max_complex_residual()),
-        "pairs": [
-            {
-                "left": p.left,
-                "right": p.right,
-                "coeffs": _json_numbers(p.coeffs),
-                "residual": json_number(p.residual),
-                "complex_coeffs": _json_complexes(p.complex_coeffs),
-                "complex_residual": json_number(p.complex_residual),
-            }
-            for p in rep.pairs
-        ],
-    }
-
-
-def _structure_to_dict(sc: StructureConstants) -> dict:
-    return {
-        "c": [[_json_numbers(row) for row in plane] for plane in sc.c],
-        "residuals": [_json_numbers(row) for row in sc.residuals],
-        "max_residual": json_number(sc.max_residual()),
+        "max_residual": json_numbers(rep.max_residual()),
+        "max_complex_residual": json_numbers(rep.max_complex_residual()),
+        "pairs": [[p.left, p.right] for p in rep.pairs],
+        "coeffs": json_numbers([p.coeffs for p in rep.pairs]),
+        "residuals": json_numbers([p.residual for p in rep.pairs]),
+        "complex_residuals": json_numbers([p.complex_residual for p in rep.pairs]),
+        "complex_coeffs": json_numbers(failing),
     }
 
 
@@ -109,10 +96,10 @@ def _dimension_to_dict(dim: AlgebraDimension) -> dict:
         "computed": dim.computed,
         "expected": dim.expected,
         "classification": dim.classification,
-        "singular_values": _json_numbers(dim.singular_values),
-        "threshold": json_number(dim.threshold),
-        "margin": json_number(dim.margin) if np.isfinite(dim.margin) else None,
-        "certificate": None if dim.certificate is None else _json_numbers(dim.certificate),
+        "singular_values": json_numbers(dim.singular_values),
+        "threshold": json_numbers(dim.threshold),
+        "margin": json_numbers(dim.margin) if np.isfinite(dim.margin) else None,
+        "certificate": None if dim.certificate is None else json_numbers(dim.certificate),
     }
 
 
@@ -120,10 +107,9 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
     """Run the whole analysis chain for one configuration.
 
     Extracts generators in both modes (recording their disagreement),
-    computes the three commutator families (the structure constants are the
-    sub-sub family read as a tensor) and the real algebra dimension. Raises
-    DifferentiationError when the two extraction modes disagree beyond the
-    fd-agree tolerance.
+    computes the three commutator families and the real algebra dimension.
+    Raises DifferentiationError when the two extraction modes disagree
+    beyond the fd-agree tolerance.
     """
     if cfg.extension is None:
         raise ValueError("verification requires an antilinear extension block")
@@ -146,7 +132,6 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
     tmap = transport_map(ext, ctype, cfg.delta_alpha0).inverse()
 
     sub_sub = sub_sub_closure_report(basis, tol=tol.closure)
-    sc = StructureConstants.from_report(sub_sub, basis.n)
     coset_coset = verify_coset_coset_closure(basis, tmap, tol=tol.closure)
     mixed = verify_mixed_closure(basis, tmap, tol=tol.closure)
 
@@ -158,17 +143,16 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         schema=SCHEMA_VERSION,
         group={"name": spec.name, "n": spec.n, "d": spec.d, "source": cfg.source},
         mode=mode,
-        xi=json_number(ext.xi),
-        delta_alpha0=json_number(cfg.delta_alpha0),
-        tolerances={key: json_number(v) for key, v in tol.as_dict().items()},
+        xi=json_numbers(ext.xi),
+        delta_alpha0=json_numbers(cfg.delta_alpha0),
+        tolerances={key: json_numbers(v) for key, v in tol.as_dict().items()},
         classification=ctype.value,
         a0_sign=a0_sign_of_type(ctype, ext.s),
         generators={
-            "subgroup": [complex_matrix_to_json(m) for m in basis.subgroup],
-            "coset": [complex_matrix_to_json(m) for m in basis.coset],
-            "fd_max_abs_diff": json_number(fd_diff),
+            "subgroup": json_numbers(basis.subgroup),
+            "coset": json_numbers(basis.coset),
+            "fd_max_abs_diff": json_numbers(fd_diff),
         },
-        structure_constants=_structure_to_dict(sc),
         closures={
             "sub-sub": _closure_to_dict(sub_sub),
             "coset-coset": _closure_to_dict(coset_coset),
@@ -227,11 +211,13 @@ def _human_closure(rep_dict: dict) -> list:
         f"tolerance {_fmt(rep_dict['tolerance'])}, "
         f"complex fallback max {_fmt(rep_dict['max_complex_residual'])})"
     ]
-    for p in rep_dict["pairs"]:
-        coeffs = ", ".join(_fmt(c) for c in p["coeffs"])
+    for (left, right), coeffs, residual, complex_residual in zip(
+        rep_dict["pairs"], rep_dict["coeffs"], rep_dict["residuals"], rep_dict["complex_residuals"]
+    ):
         lines.append(
-            f"    ({p['left']},{p['right']}): residual {_fmt(p['residual'])}"
-            f"  coeffs [{coeffs}]  complex residual {_fmt(p['complex_residual'])}"
+            f"    ({left},{right}): residual {_fmt(residual)}"
+            f"  coeffs [{', '.join(_fmt(c) for c in coeffs)}]"
+            f"  complex residual {_fmt(complex_residual)}"
         )
     return lines
 
@@ -247,9 +233,6 @@ def format_human(report: RunReport) -> str:
     lines.append(
         "generators: fd vs exact max abs diff "
         f"{_fmt(d['generators']['fd_max_abs_diff'])}"
-    )
-    lines.append(
-        f"structure constants: max residual {_fmt(d['structure_constants']['max_residual'])}"
     )
     lines.append("closure families:")
     for fam in ("sub-sub", "coset-coset", "sub-coset"):

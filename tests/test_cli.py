@@ -11,6 +11,41 @@ EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 BAD_N = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
 
 
+# `verify --group su2-tr` in human form, without its wall-time line
+SU2_TR_HUMAN = """\
+group su2-tr (n=3, d=2, mode=exact)
+classification: b-type, a0^2 sign -1
+xi = 0, delta_alpha0 = 0
+generators: fd vs exact max abs diff 7.89492e-13
+closure families:
+  family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 2.28878e-16)
+    (0,1): residual 0  coeffs [0, 0, -1]  complex residual 0
+    (0,2): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.28878e-16
+    (1,2): residual 0  coeffs [-1, 0, 0]  complex residual 0
+  family coset-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 2.28878e-16)
+    (0,1): residual 2  coeffs [0, 0, 0]  complex residual 0
+    (0,2): residual 0  coeffs [0, 0, 0]  complex residual 0
+    (0,3): residual 2  coeffs [0, 0, 0]  complex residual 0
+    (1,2): residual 0  coeffs [0, 0, 0]  complex residual 0
+    (1,3): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.28878e-16
+    (2,3): residual 0  coeffs [0, 0, 0]  complex residual 0
+  family sub-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 9.15513e-16)
+    (0,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 9.15513e-16
+    (0,1): residual 1  coeffs [0, 0, 0, 0]  complex residual 0
+    (0,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
+    (0,3): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
+    (1,0): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
+    (1,1): residual 0  coeffs [0, 0, 0, 1]  complex residual 2.48253e-16
+    (1,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
+    (1,3): residual 0  coeffs [0, -1, 0, 0]  complex residual 4.57757e-16
+    (2,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 4.96507e-16
+    (2,1): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
+    (2,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
+    (2,3): residual 1  coeffs [0, 0, 0, 0]  complex residual 0
+algebra dimension: 7 (expected 7, b-full)
+overall: FAIL"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -100,6 +135,14 @@ class TestGenerators:
         assert code == 0
         assert "coset section: absent" in out
 
+    @pytest.mark.parametrize("xi", ["0.3", "nan"])
+    def test_xi_without_extension_exits_1(self, capsys, tmp_path, xi):
+        path = tmp_path / "noext.json"
+        path.write_text(json.dumps({"group": "so2-conj", "extension": {}}))
+        code, out, err = run(capsys, "generators", "--config", str(path), "--xi", xi)
+        assert (code, out) == (1, "")
+        assert "extension.xi" in err
+
 
 class TestCommutators:
     def test_su2_structure_constants(self, capsys):
@@ -114,9 +157,11 @@ class TestCommutators:
         _, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--format", "machine")
         _, report_out, _ = run(capsys, "report", "--group", "su2-tr")
         c = np.array(json.loads(out)["c"])
-        ref = np.array(json.loads(report_out)["structure_constants"]["c"])
-        assert c.shape == ref.shape
-        assert np.abs(c - ref).max() < 1e-12
+        sub_sub = json.loads(report_out)["closures"]["sub-sub"]
+        left, right = np.array(sub_sub["pairs"]).T
+        ref = np.array(sub_sub["coeffs"])
+        assert c[left, right].shape == ref.shape
+        assert np.abs(c[left, right] - ref).max() < 1e-12
 
     def test_perturbation_exits_3(self, capsys):
         code, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--perturb", "1e-2")
@@ -148,10 +193,15 @@ class TestVerify:
         )
         assert code == 3
         doc = json.loads(out)
-        all_res = [doc["structure_constants"]["max_residual"]] + [
-            doc["closures"][fam]["max_residual"] for fam in doc["closures"]
-        ]
+        all_res = [doc["closures"][fam]["max_residual"] for fam in doc["closures"]]
         assert max(all_res) > 1e-4
+
+    def test_su2_tr_human_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--group", "su2-tr")
+        lines = out.splitlines()
+        assert code == 3
+        assert lines[-1].startswith("wall time: ")
+        assert "\n".join(lines[:-1]) == SU2_TR_HUMAN
 
     def test_determinism_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "verify", "--group", "su2-tr", "--format", "machine")
@@ -174,8 +224,8 @@ class TestVerify:
         phased = json.loads(phased_out)
         assert phased["delta_alpha0"] == 0.9
         for fam in base["closures"]:
-            a = [p["residual"] for p in base["closures"][fam]["pairs"]]
-            b = [p["residual"] for p in phased["closures"][fam]["pairs"]]
+            a = base["closures"][fam]["residuals"]
+            b = phased["closures"][fam]["residuals"]
             assert np.abs(np.array(a) - np.array(b)).max() < 1e-12
 
     def test_negative_tol_exits_1(self, capsys):
@@ -207,7 +257,7 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--group", "so2-conj")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
 
     def test_report_matches_verify_machine_output(self, capsys):
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")

@@ -9,9 +9,14 @@ from coreplie import (
     CATALOG_NAMES,
     ConfigError,
     Tolerances,
+    generator_basis,
     parse_config,
     parse_machine,
     run_verification,
+    sub_sub_closure_report,
+    transport_map,
+    verify_coset_coset_closure,
+    verify_mixed_closure,
 )
 from coreplie.cli import main
 from coreplie.config import config_for_catalog, load_config, with_overrides
@@ -28,6 +33,18 @@ def so2_document(**extra):
     }
     doc.update(extra)
     return doc
+
+
+def closure_reports(cfg, mode):
+    """The in-memory closure reports that run_verification serializes."""
+    basis = generator_basis(cfg.spec, cfg.extension, mode=mode, step=cfg.tolerances.fd_step)
+    tmap = transport_map(cfg.extension, basis.ctype, cfg.delta_alpha0).inverse()
+    tol = cfg.tolerances.closure
+    return {
+        "sub-sub": sub_sub_closure_report(basis, tol),
+        "coset-coset": verify_coset_coset_closure(basis, tmap, tol),
+        "sub-coset": verify_mixed_closure(basis, tmap, tol),
+    }
 
 
 class TestParseConfig:
@@ -171,6 +188,28 @@ class TestRunReport:
         assert again == report
         assert emit_machine(again) == text
 
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_family_arrays_equal_closure_reports(self, name, mode):
+        cfg = config_for_catalog(name)
+        report = run_verification(cfg, mode=mode)
+        assert "structure_constants" not in json.loads(emit_machine(report))
+        for family, rep in closure_reports(cfg, mode).items():
+            fam = report.closures[family]
+            assert fam["pairs"] == [[p.left, p.right] for p in rep.pairs]
+            assert fam["coeffs"] == [list(p.coeffs) for p in rep.pairs]
+            assert fam["residuals"] == [p.residual for p in rep.pairs]
+            assert fam["complex_residuals"] == [p.complex_residual for p in rep.pairs]
+            failing = [p.complex_coeffs for p in rep.pairs if p.residual >= rep.tolerance]
+            assert fam["complex_coeffs"] == [[[z.real, z.imag] for z in row] for row in failing]
+            assert len(fam["complex_coeffs"]) == sum(r >= fam["tolerance"] for r in fam["residuals"])
+
+    def test_complex_coeffs_kept_for_failing_pairs_only(self):
+        report = run_verification(config_for_catalog("su2-tr"))
+        rows = {family: len(fam["complex_coeffs"]) for family, fam in report.closures.items()}
+        assert rows == {"sub-sub": 0, "coset-coset": 2, "sub-coset": 4}
+        assert np.shape(report.closures["sub-coset"]["complex_coeffs"]) == (4, 4, 2)
+
     def test_integral_floats_emit_as_integers(self):
         doc = so2_document()
         doc["group"]["generators"] = [[[[-0.0, -0.0], [-1.0, 0.0]], [[1.0, -0.0], [0.0, -0.0]]]]
@@ -194,7 +233,7 @@ class TestRunReport:
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["classification"] == "b"
         assert doc["a0_sign"] == -1
         assert doc["dimension"]["computed"] == 7
