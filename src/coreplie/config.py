@@ -228,8 +228,9 @@ def with_overrides(
 ) -> GroupConfig:
     """Apply command-line overrides to a parsed config."""
     spec, ext = cfg.spec, cfg.extension
+    for path, value in (("extension.xi", xi), ("extension.delta-alpha0", delta_alpha0)):
+        _expect(value is None or ext is not None, path, "cannot be set: the config has no extension block")
     if xi is not None:
-        _expect(ext is not None, "extension.xi", "cannot be set: the config has no extension block")
         ext = replace(ext, xi=float(xi))
     if perturb:
         gens = [g.copy() for g in spec.generators]

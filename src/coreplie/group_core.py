@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .matrices import (
     ENTRY_TOL,
     as_square_complex,
     entries_close,
+    expm,
     is_invertible,
     real_vectorization,
 )

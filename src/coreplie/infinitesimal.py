@@ -16,7 +16,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .coirrep import Frame
 from .group_core import (
@@ -25,7 +24,7 @@ from .group_core import (
     LieGroupSpec,
     classify_coirrep,
 )
-from .matrices import as_square_complex, block_diag2, is_invertible
+from .matrices import as_square_complex, block_diag2, expm, is_invertible
 
 
 class FrameMismatchError(ValueError):

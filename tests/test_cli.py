@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,13 +139,20 @@ class TestGenerators:
         assert code == 0
         assert "coset section: absent" in out
 
-    @pytest.mark.parametrize("xi", ["0.3", "nan"])
-    def test_xi_without_extension_exits_1(self, capsys, tmp_path, xi):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            pytest.param("--xi", "0.3", id="0.3"),
+            pytest.param("--xi", "nan", id="nan"),
+            pytest.param("--delta-alpha0", "0.3", id="delta-alpha0-0.3"),
+        ],
+    )
+    def test_xi_without_extension_exits_1(self, capsys, tmp_path, flag, value):
         path = tmp_path / "noext.json"
         path.write_text(json.dumps({"group": "so2-conj", "extension": {}}))
-        code, out, err = run(capsys, "generators", "--config", str(path), "--xi", xi)
+        code, out, err = run(capsys, "generators", "--config", str(path), flag, value)
         assert (code, out) == (1, "")
-        assert "extension.xi" in err
+        assert "extension." + flag[2:] in err
 
 
 class TestCommutators:
@@ -263,3 +274,21 @@ class TestReportCommand:
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")
         _, report_out, _ = run(capsys, "report", "--group", "so3")
         assert verify_out == report_out
+
+
+class TestColdStart:
+    def test_report_loads_no_scipy(self):
+        """The runtime needs numpy only: a full report, fd extraction included,
+        runs in a fresh interpreter without importing scipy."""
+        script = (
+            "import json, sys\n"
+            "import coreplie.cli as cli\n"
+            "code = cli.main(['report', '--group', 'su2-tr'])\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == [3, []]

@@ -29,6 +29,7 @@ from coreplie import (
 from coreplie import group_core, infinitesimal
 from coreplie.coirrep import Side
 from coreplie.config import config_for_catalog
+from coreplie.matrices import expm as pade_expm
 from coreplie.report import run_verification
 
 from oracle import commutator_on_coordinates
@@ -325,10 +326,12 @@ def stencil_case(name):
 
 def per_curve_fd_basis(spec, ext, step=1e-4):
     """One central_derivative call per curve: exp(t X_sigma), e^{it} N and
-    exp(t X_sigma) N, each differentiated on its own, then doubled for type b."""
-    sub = [central_derivative(lambda t, x=x: expm(t * x), step) for x in spec.generators]
+    exp(t X_sigma) N, each differentiated on its own, then doubled for type b.
+    It exponentiates with the package's expm, so equality pins the stacking;
+    expm itself is checked against scipy in test_matrices.py."""
+    sub = [central_derivative(lambda t, x=x: pade_expm(t * x), step) for x in spec.generators]
     cos = [central_derivative(lambda t: cmath.exp(1j * t) * ext.N, step)]
-    cos += [central_derivative(lambda t, x=x: expm(t * x) @ ext.N, step) for x in spec.generators]
+    cos += [central_derivative(lambda t, x=x: pade_expm(t * x) @ ext.N, step) for x in spec.generators]
     if classify_coirrep(spec, ext) is CoirrepType.B:
         sub = [np.block([[x, 0 * x], [0 * x, x]]) for x in sub]
         cos = [np.block([[b, 0 * b], [0 * b, -b]]) for b in cos]
