@@ -11,9 +11,9 @@ from .algebra import (
     AlgebraDimension,
     ClosurePair,
     ClosureReport,
-    NotClosedError,
     StructureConstants,
     algebra_dimension,
+    field_bracket,
     structure_constants_subgroup,
     sub_sub_closure_report,
     verify_coset_coset_closure,
@@ -49,19 +49,11 @@ from .group_core import (
 )
 from .infinitesimal import (
     DifferentiationError,
-    FrameMismatchError,
     GeneratorBasis,
-    LinearVectorField,
     TransportMap,
-    apply_vf,
     central_derivative,
-    extract_coset_generators,
-    extract_subgroup_generators,
     generator_basis,
-    make_operator,
-    transport,
     transport_map,
-    vf_commutator,
 )
 from .report import RunReport, emit_machine, format_human, parse_machine, run_verification
 
@@ -80,15 +72,12 @@ __all__ = [
     "CoordinateVector",
     "DifferentiationError",
     "Frame",
-    "FrameMismatchError",
     "GeneratorBasis",
     "GroupConfig",
     "GroupElement",
     "InconsistentExtensionError",
     "LieGroupSpec",
     "Linearity",
-    "LinearVectorField",
-    "NotClosedError",
     "RunReport",
     "Side",
     "StructureConstants",
@@ -100,7 +89,6 @@ __all__ = [
     "act_coset_a",
     "act_subgroup_a",
     "algebra_dimension",
-    "apply_vf",
     "build_b_matrix",
     "catalog_entry",
     "central_derivative",
@@ -108,12 +96,10 @@ __all__ = [
     "compose",
     "emit_machine",
     "exp_curve",
-    "extract_coset_generators",
-    "extract_subgroup_generators",
+    "field_bracket",
     "format_human",
     "generator_basis",
     "load_config",
-    "make_operator",
     "parse_config",
     "parse_machine",
     "run_verification",
@@ -121,9 +107,7 @@ __all__ = [
     "sub_sub_closure_report",
     "transform_coords_a",
     "transform_coords_b",
-    "transport",
     "transport_map",
     "verify_coset_coset_closure",
     "verify_mixed_closure",
-    "vf_commutator",
 ]

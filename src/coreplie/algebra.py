@@ -6,9 +6,9 @@ vectorized matrices. A complex-coefficient projection is computed alongside
 as a separate fallback diagnostic and is never merged into the real
 results; the pass verdicts always refer to the real residuals.
 
-Every bracket family goes through one kernel: its brackets are formed in
-one broadcast matmul and expanded by one real and one complex least-squares
-solve, with one right-hand side per bracket.
+Every bracket family goes through one kernel: its brackets are formed by
+one broadcast field_bracket and expanded by one real and one complex
+least-squares solve, with one right-hand side per bracket.
 """
 from __future__ import annotations
 
@@ -26,8 +26,10 @@ CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
 
 
-class NotClosedError(ValueError):
-    """A bracket fell outside the target span beyond tolerance."""
+def field_bracket(a, b) -> np.ndarray:
+    """Bracket [J_A, J_B] = J_{BA - AB} of the fields J_A = A_ij x_j d/dx_i:
+    the negative matrix commutator, broadcast over stacks (..., d, d)."""
+    return b @ a - a @ b
 
 
 def _expand(targets: np.ndarray, span: np.ndarray):
@@ -85,22 +87,14 @@ class StructureConstants:
         return float(self.residuals.max(initial=0.0))
 
 
-def structure_constants_subgroup(
-    generators, tol: float = CLOSURE_TOL, strict: bool = True
-) -> StructureConstants:
+def structure_constants_subgroup(generators, tol: float = CLOSURE_TOL) -> StructureConstants:
     """Expand every subgroup bracket over the generator span.
 
-    The bracket follows the field convention: the pair (sigma, rho) expands
-    B A - A B with A = X_sigma, B = X_rho. With strict=True a residual
-    not below tol raises NotClosedError ("subgroup not closed").
+    The pair (sigma, rho) expands field_bracket(X_sigma, X_rho); passed is
+    false when a residual is not below tol.
     """
-    gens = list(generators)
-    sc = StructureConstants.from_report(_sub_sub(gens, tol), len(gens))
-    if strict and not sc.passed:
-        raise NotClosedError(
-            f"subgroup not closed: max bracket residual {sc.max_residual():.3e} >= {tol:.1e}"
-        )
-    return sc
+    gens = np.asarray(generators, dtype=complex)
+    return StructureConstants.from_report(_sub_sub(gens, tol), len(gens))
 
 
 @dataclass(frozen=True)
@@ -136,12 +130,11 @@ class ClosureReport:
 
 
 def _brackets(lefts, rights, pairs) -> np.ndarray:
-    """Stack of the field brackets B A - A B with A = lefts[i], B = rights[j],
-    one per index pair (i, j). A function of its own so that the operand
-    stacks are freed before the solve, which lowers peak memory."""
+    """Stack of the field brackets of lefts[i] with rights[j], one per index
+    pair (i, j). A function of its own so that the operand stacks are freed
+    before the solve, which lowers peak memory."""
     i, j = np.array(pairs).T
-    a, b = lefts[i], rights[j]
-    return b @ a - a @ b
+    return field_bracket(lefts[i], rights[j])
 
 
 def _closure_report(family, lefts, rights, pairs, span, tol) -> ClosureReport:
@@ -157,14 +150,14 @@ def _closure_report(family, lefts, rights, pairs, span, tol) -> ClosureReport:
     return ClosureReport(family, out, tol, bool((res < tol).all()))
 
 
-def _conjugate(m: np.ndarray, mats) -> np.ndarray:
-    """Stack of M A M^{-1}, one per matrix A. Conjugation is an automorphism,
-    so transporting the generators once transports every bracket of them."""
-    return m @ np.asarray(mats, dtype=complex).reshape(-1, *m.shape) @ np.linalg.inv(m)
+def _conjugate(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """M A M^{-1} for a matrix or for each member of a stack A. Conjugation
+    is an automorphism, so transporting the generators once transports every
+    bracket of them."""
+    return m @ mats @ np.linalg.inv(m)
 
 
-def _sub_sub(generators, tol: float) -> ClosureReport:
-    gens = np.asarray(generators, dtype=complex)
+def _sub_sub(gens: np.ndarray, tol: float) -> ClosureReport:
     pairs = list(combinations(range(len(gens)), 2))
     return _closure_report("sub-sub", gens, gens, pairs, gens, tol)
 
@@ -187,8 +180,7 @@ def verify_coset_coset_closure(
     _require_xprime_to_x(tmap)
     coset = _conjugate(tmap.matrix, basis.coset)
     pairs = list(combinations(range(len(coset)), 2))
-    span = np.asarray(basis.subgroup, dtype=complex)
-    return _closure_report("coset-coset", coset, coset, pairs, span, tol)
+    return _closure_report("coset-coset", coset, coset, pairs, basis.subgroup, tol)
 
 
 def verify_mixed_closure(
@@ -199,9 +191,8 @@ def verify_mixed_closure(
     of the coset generators."""
     _require_xprime_to_x(tmap)
     moved = _conjugate(tmap.inverse().matrix, basis.subgroup)
-    coset = np.asarray(basis.coset, dtype=complex)
-    pairs = list(product(range(basis.n), range(len(coset))))
-    return _closure_report("sub-coset", moved, coset, pairs, coset, tol)
+    pairs = list(product(range(basis.n), range(len(basis.coset))))
+    return _closure_report("sub-coset", moved, basis.coset, pairs, basis.coset, tol)
 
 
 @dataclass(frozen=True)
@@ -233,10 +224,7 @@ def algebra_dimension(
     with threshold rank_tol * sigma_max.
     """
     _require_xprime_to_x(tmap)
-    stack = np.concatenate([
-        np.reshape(basis.subgroup, (-1, *tmap.matrix.shape)),
-        _conjugate(tmap.matrix, basis.coset),
-    ])
+    stack = np.concatenate([basis.subgroup, _conjugate(tmap.matrix, basis.coset)])
     expected = basis.n + 1 if basis.ctype is CoirrepType.A else 2 * basis.n + 1
     if not len(stack):
         return AlgebraDimension(0, expected, "other", np.zeros(0), 0.0, 0.0)

@@ -12,8 +12,8 @@ import time
 
 from .algebra import structure_constants_subgroup
 from .config import ConfigError, GroupConfig, config_for_catalog, load_config, with_overrides
-from .group_core import CoirrepType, InconsistentExtensionError, a0_sign_of_type, classify_coirrep
-from .infinitesimal import DifferentiationError, extract_subgroup_generators, generator_basis
+from .group_core import InconsistentExtensionError, a0_sign_of_type, classify_coirrep
+from .infinitesimal import DifferentiationError, generator_basis
 from .report import (
     SCHEMA_VERSION,
     emit_document,
@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "classify coirreps, extract infinitesimal generators, and verify "
             "commutator closure numerically."
         ),
-        epilog="COREP_LIE_SEED fixes the RNG seed used by random-point property checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -103,27 +102,21 @@ def cmd_classify(cfg: GroupConfig, args, out) -> int:
 
 
 def cmd_generators(cfg: GroupConfig, args, out) -> int:
-    if cfg.extension is not None:
-        basis = generator_basis(cfg.spec, cfg.extension, mode=args.mode, step=cfg.tolerances.fd_step)
-        subgroup, coset = basis.subgroup, basis.coset
-    else:
-        subgroup = extract_subgroup_generators(
-            cfg.spec, CoirrepType.A, mode=args.mode, step=cfg.tolerances.fd_step
-        )
-        coset = None
+    basis = generator_basis(cfg.spec, cfg.extension, mode=args.mode, step=cfg.tolerances.fd_step)
+    coset = None if cfg.extension is None else basis.coset
     if args.format == "machine":
         doc = {
             "schema": SCHEMA_VERSION,
             "command": "generators",
             "group": cfg.spec.name,
             "mode": args.mode,
-            "subgroup": json_numbers(subgroup),
+            "subgroup": json_numbers(basis.subgroup),
             "coset": None if coset is None else json_numbers(coset),
         }
         print(emit_document(doc), file=out)
     else:
         print(f"group {cfg.spec.name} generators (mode {args.mode})", file=out)
-        for i, m in enumerate(subgroup, start=1):
+        for i, m in enumerate(basis.subgroup, start=1):
             print(f"  X_{i}:", file=out)
             print(format_matrix(m), file=out)
         if coset is None:
@@ -136,7 +129,7 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
 
 
 def cmd_commutators(cfg: GroupConfig, args, out) -> int:
-    sc = structure_constants_subgroup(cfg.spec.generators, tol=cfg.tolerances.closure, strict=False)
+    sc = structure_constants_subgroup(cfg.spec.generators, tol=cfg.tolerances.closure)
     ok = sc.passed
     if args.format == "machine":
         doc = {

@@ -119,6 +119,8 @@ def exp_curve(spec: LieGroupSpec, alpha) -> GroupElement:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (spec.n,):
         raise ValueError(f"alpha must have length {spec.n}, got shape {alpha.shape}")
+    if not np.isfinite(alpha).all():
+        raise ValueError(f"alpha has non-finite entries: {alpha}")
     z = np.zeros((spec.d, spec.d), dtype=complex)
     for a, x in zip(alpha, spec.generators):
         z = z + a * x

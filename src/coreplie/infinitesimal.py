@@ -1,14 +1,12 @@
-"""Generator extraction, linear vector fields, and frame transport.
+"""Generator extraction and the transport between the two base points.
 
-A linear vector field with coefficient matrix A denotes the first-order
-operator J = A_ij x_j d/dx_i. Subgroup generators live at the base point x,
-coset generators at the coset base point x'; commuting two fields is legal
-only within one frame, and the transport x' = N^{-1} x (blockdiag(N^{-1},
--N^{-1}) for type b) conjugates coefficients between frames.
-
-The bracket convention: [J_A, J_B] = J_{BA - AB}, i.e. the vector-field
-bracket equals the negative matrix commutator. This is enforced by an
-operator-level oracle in the test suite rather than assumed.
+A generator with coefficient matrix A stands for the linear vector field
+J = A_ij x_j d/dx_i. Subgroup generators live at the base point x, coset
+generators at the coset base point x'; the transport x' = N^{-1} x
+(blockdiag(N^{-1}, -N^{-1}) for type b) conjugates coefficients between the
+two, and a TransportMap carries the frame tags that fix its direction.
+Generators stay complex stacks from extraction to emission; their bracket
+is algebra.field_bracket.
 """
 from __future__ import annotations
 
@@ -27,27 +25,8 @@ from .group_core import (
 from .matrices import as_square_complex, block_diag2, expm, is_invertible
 
 
-class FrameMismatchError(ValueError):
-    """Raised when operators in a bracket are referred to different points."""
-
-
 class DifferentiationError(ArithmeticError):
     """Numerical differentiation failed to converge."""
-
-
-@dataclass(frozen=True)
-class LinearVectorField:
-    """Coefficient matrix A plus the frame tag of its base point."""
-
-    coeff: np.ndarray
-    frame: Frame
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", as_square_complex(self.coeff, "coefficient matrix"))
-
-    @property
-    def dim(self) -> int:
-        return self.coeff.shape[0]
 
 
 @dataclass(frozen=True)
@@ -70,49 +49,21 @@ class TransportMap:
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Subgroup generators (n) and coset generators (n+1) of one coirrep."""
+    """Subgroup generators (n, D, D) and coset generators (n+1, D, D) of one
+    coirrep, each a read-only complex stack copied from its input."""
 
-    subgroup: tuple
-    coset: tuple
+    subgroup: np.ndarray
+    coset: np.ndarray
     ctype: CoirrepType
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "subgroup", tuple(as_square_complex(m, "subgroup generator") for m in self.subgroup)
-        )
-        object.__setattr__(
-            self, "coset", tuple(as_square_complex(m, "coset generator") for m in self.coset)
-        )
+        for name in ("subgroup", "coset"):
+            stack = as_square_complex(getattr(self, name), f"{name} generators", ndim=3)
+            object.__setattr__(self, name, stack)
 
     @property
     def n(self) -> int:
         return len(self.subgroup)
-
-
-def make_operator(x, frame: Frame) -> LinearVectorField:
-    """Wrap a coefficient matrix as the operator J = X_ij x_j d/dx_i."""
-    return LinearVectorField(x, frame)
-
-
-def apply_vf(vf: LinearVectorField, point) -> np.ndarray:
-    """Coefficient vector A @ x of the operator at a point."""
-    x = np.asarray(point, dtype=complex)
-    if x.shape != (vf.dim,):
-        raise ValueError(f"dimension mismatch: field is {vf.dim}, point has shape {x.shape}")
-    return vf.coeff @ x
-
-
-def vf_commutator(u: LinearVectorField, v: LinearVectorField) -> LinearVectorField:
-    """Bracket [J_A, J_B] = J_{BA - AB} of two fields in a common frame."""
-    if u.frame is not v.frame:
-        raise FrameMismatchError(
-            "operators are referred to different points "
-            f"({u.frame.value} vs {v.frame.value}); transport one of them first"
-        )
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} vs {v.dim}")
-    a, b = u.coeff, v.coeff
-    return LinearVectorField(b @ a - a @ b, u.frame)
 
 
 def transport_map(
@@ -132,16 +83,6 @@ def transport_map(
     else:
         m = block_diag2(n_inv, -n_inv)
     return TransportMap(cmath.exp(-1j * delta_alpha0) * m, Frame.X, Frame.X_PRIME)
-
-
-def transport(vf: LinearVectorField, tmap: TransportMap) -> LinearVectorField:
-    """Express a field in the target frame: coefficient M A M^{-1}."""
-    if vf.frame is not tmap.from_frame:
-        raise FrameMismatchError(
-            f"field lives in {vf.frame.value} but the map starts at {tmap.from_frame.value}"
-        )
-    m = tmap.matrix
-    return LinearVectorField(m @ vf.coeff @ np.linalg.inv(m), tmap.to_frame)
 
 
 def central_derivative(curve, step: float = 1e-4, tol: float = 1e-4) -> np.ndarray:
@@ -200,59 +141,37 @@ def _generator_blocks(spec: LieGroupSpec, n_matrix, mode: str, step: float) -> n
     return central_derivative(lambda t: blocks(expm(t * gens), cmath.exp(1j * t)), step)
 
 
-def _coirrep_generators(blocks, n: int, ctype: CoirrepType):
-    """Split a block stack into subgroup and coset generators; type b doubles
+def _coirrep_generators(blocks: np.ndarray, n: int, ctype: CoirrepType):
+    """Split a block stack into the subgroup and coset stacks; type b doubles
     them to blockdiag(X, X) and blockdiag(X', -X')."""
-    sub, cos = list(blocks[:n]), list(blocks[n:])
-    if ctype is CoirrepType.B:
-        sub = [block_diag2(x, x) for x in sub]
-        cos = [block_diag2(b, -b) for b in cos]
-    return sub, cos
-
-
-def extract_subgroup_generators(
-    spec: LieGroupSpec,
-    ctype: CoirrepType,
-    mode: str = "exact",
-    step: float = 1e-4,
-):
-    """Subgroup generators of the coirrep.
-
-    Type a returns the X_sigma as supplied; type b returns the doubled
-    blockdiag(X_sigma, X_sigma). Mode 'fd' differentiates the one-parameter
-    curves of exp_curve at the identity instead and must agree with 'exact'.
-    """
-    sub, _ = _coirrep_generators(_generator_blocks(spec, None, mode, step), spec.n, ctype)
-    return sub
-
-
-def extract_coset_generators(
-    spec: LieGroupSpec,
-    ext: AntilinearExtension,
-    ctype: CoirrepType,
-    mode: str = "exact",
-    step: float = 1e-4,
-):
-    """Coset generators: derivatives of exp(i da0) Delta(g(da)) N at zero.
-
-    Returns n+1 matrices indexed by (alpha0, alpha_1, ..., alpha_n). The
-    upper blocks are X'_0 = i N and X'_sigma = X_sigma N; for type b the
-    full matrices are blockdiag(block, -block).
-    """
-    if classify_coirrep(spec, ext) is not ctype:
-        raise ValueError(f"extension classifies as the other type, not {ctype.value}")
-    _, cos = _coirrep_generators(_generator_blocks(spec, ext.N, mode, step), spec.n, ctype)
-    return cos
+    if ctype is CoirrepType.A:
+        return blocks[:n], blocks[n:]
+    k, d, _ = blocks.shape
+    doubled = np.zeros((k, 2 * d, 2 * d), dtype=complex)
+    doubled[:, :d, :d] = blocks
+    doubled[:n, d:, d:] = blocks[:n]
+    doubled[n:, d:, d:] = -blocks[n:]
+    return doubled[:n], doubled[n:]
 
 
 def generator_basis(
     spec: LieGroupSpec,
-    ext: AntilinearExtension,
+    ext: AntilinearExtension | None,
     mode: str = "exact",
     step: float = 1e-4,
 ) -> GeneratorBasis:
-    """Extract both generator families for the coirrep of (spec, ext)."""
-    ctype = classify_coirrep(spec, ext)
-    blocks = _generator_blocks(spec, ext.N, mode, step)
-    sub, cos = _coirrep_generators(blocks, spec.n, ctype)
-    return GeneratorBasis(tuple(sub), tuple(cos), ctype)
+    """Extract both generator stacks for the coirrep of (spec, ext).
+
+    Type a keeps the X_sigma as supplied; the n+1 coset generators, indexed
+    by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
+    X'_sigma = X_sigma N, and type b doubles every generator (see
+    _coirrep_generators). Mode 'fd' differentiates the one-parameter curves
+    instead and must agree with 'exact'. Without an extension the basis is
+    type a with an empty coset stack.
+    """
+    if ext is None:
+        ctype, n_matrix = CoirrepType.A, None
+    else:
+        ctype, n_matrix = classify_coirrep(spec, ext), ext.N
+    sub, coset = _coirrep_generators(_generator_blocks(spec, n_matrix, mode, step), spec.n, ctype)
+    return GeneratorBasis(sub, coset, ctype)

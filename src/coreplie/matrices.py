@@ -16,10 +16,11 @@ ENTRY_TOL = 1e-10
 RANK_TOL = 1e-10
 
 
-def as_square_complex(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square complex array (read-only copy)."""
+def as_square_complex(m, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Coerce to a finite square complex matrix, or with ndim=3 to a stack
+    (k, d, d) of them (read-only copy)."""
     a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from coreplie.sampling import default_rng
+from sampling import default_rng
 
 settings.register_profile(
     "coreplie",

@@ -1,12 +1,15 @@
 """Independent numerical oracles used by the tests.
 
 These deliberately avoid the library's bracket and projection code paths:
-operators are applied to functions through finite differences, and span
-membership is exercised by generating combinations forward. All functions
-involved are linear, so the central differences are exact up to roundoff
-for any step size.
+operators are applied to functions through finite differences, span
+membership is exercised by generating combinations forward, and the closure
+families are rebuilt one bracket and one solve at a time in plain numpy.
+All functions involved are linear, so the central differences are exact up
+to roundoff for any step size.
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -46,4 +49,49 @@ def commutator_on_coordinates(a: np.ndarray, b: np.ndarray, points) -> np.ndarra
             ab = operator_apply(a, operator_apply(b, phi))(p)
             ba = operator_apply(b, operator_apply(a, phi))(p)
             out[ip, k] = ab - ba
+    return out
+
+
+def bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[J_A, J_B] = J_{BA - AB} of one pair of matrices."""
+    return b @ a - a @ b
+
+
+def conjugate(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coefficient matrix of one field after the coordinate change m."""
+    return m @ x @ np.linalg.inv(m)
+
+
+def expand(target: np.ndarray, span) -> tuple:
+    """One matrix over a list of matrices: a real and a complex lstsq of its
+    own, with the remainder norms summed back term by term."""
+    def vec(m):
+        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+    coeffs = np.linalg.lstsq(np.stack([vec(b) for b in span], axis=1), vec(target), rcond=None)[0]
+    ccoeffs = np.linalg.lstsq(
+        np.stack([b.ravel() for b in span], axis=1), target.ravel(), rcond=None
+    )[0]
+    res = np.linalg.norm(target - sum(c * b for c, b in zip(coeffs, span)))
+    cres = np.linalg.norm(target - sum(c * b for c, b in zip(ccoeffs, span)))
+    return coeffs, res, ccoeffs, cres
+
+
+def closure_families(subgroup, coset, to_x: np.ndarray) -> dict:
+    """The three closure families, pair by pair: family -> {(i, j): expand}.
+
+    to_x carries coefficients from the x' frame to the x frame. Coset-coset
+    brackets are moved to x after they are formed; subgroup fields are moved
+    to x' by the inverse before they meet a coset field.
+    """
+    out = {"sub-sub": {}, "coset-coset": {}, "sub-coset": {}}
+    for s, r in combinations(range(len(subgroup)), 2):
+        out["sub-sub"][(s, r)] = expand(bracket(subgroup[s], subgroup[r]), subgroup)
+    for p, q in combinations(range(len(coset)), 2):
+        moved = conjugate(to_x, bracket(coset[p], coset[q]))
+        out["coset-coset"][(p, q)] = expand(moved, subgroup)
+    to_xprime = np.linalg.inv(to_x)
+    for s, x in enumerate(subgroup):
+        for p, c in enumerate(coset):
+            out["sub-coset"][(s, p)] = expand(bracket(conjugate(to_xprime, x), c), coset)
     return out

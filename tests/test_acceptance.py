@@ -16,29 +16,25 @@ import numpy as np
 
 from coreplie import (
     CoirrepType,
-    Frame,
     GroupElement,
     Linearity,
     catalog_entry,
     classify_coirrep,
     compose,
     exp_curve,
-    extract_coset_generators,
-    extract_subgroup_generators,
+    field_bracket,
     generator_basis,
-    make_operator,
     structure_constants_subgroup,
     transport_map,
     verify_coset_coset_closure,
     verify_mixed_closure,
-    vf_commutator,
 )
 from coreplie.algebra import algebra_dimension
 from coreplie.cli import main
 from coreplie.coirrep import Side, build_b_matrix
-from coreplie.sampling import default_rng
 
 from oracle import commutator_on_coordinates
+from sampling import default_rng
 
 CATALOG = ("so2-conj", "su2-tr", "u1", "so3")
 
@@ -102,10 +98,10 @@ def test_criterion_3_generator_extraction():
     for name in CATALOG:
         spec, ext = catalog_entry(name)
         ctype = classify_coirrep(spec, ext)
-        sub_exact = extract_subgroup_generators(spec, ctype, mode="exact")
-        sub_fd = extract_subgroup_generators(spec, ctype, mode="fd")
-        cos_exact = extract_coset_generators(spec, ext, ctype, mode="exact")
-        cos_fd = extract_coset_generators(spec, ext, ctype, mode="fd")
+        exact = generator_basis(spec, ext, mode="exact")
+        fd = generator_basis(spec, ext, mode="fd")
+        sub_exact, cos_exact = exact.subgroup, exact.coset
+        sub_fd, cos_fd = fd.subgroup, fd.coset
         worst = max(
             max(np.abs(a - b).max() for a, b in zip(sub_exact, sub_fd)),
             max(np.abs(a - b).max() for a, b in zip(cos_exact, cos_fd)),
@@ -133,7 +129,7 @@ def test_criterion_4_operator_matrix_compatibility():
         b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         points = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(100)]
         oracle = commutator_on_coordinates(a, b, points)
-        coeff = vf_commutator(make_operator(a, Frame.X), make_operator(b, Frame.X)).coeff
+        coeff = field_bracket(a, b)
         direct = np.stack([coeff @ p for p in points])
         worst = max(worst, float(np.abs(oracle - direct).max()))
     passed = worst < 1e-10

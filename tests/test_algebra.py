@@ -1,29 +1,24 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 
 from coreplie import (
     AntilinearExtension,
     CoirrepType,
-    Frame,
     GeneratorBasis,
     LieGroupSpec,
-    NotClosedError,
     algebra_dimension,
     catalog_entry,
     classify_coirrep,
     generator_basis,
-    make_operator,
     structure_constants_subgroup,
     sub_sub_closure_report,
-    transport,
     transport_map,
     verify_coset_coset_closure,
     verify_mixed_closure,
-    vf_commutator,
 )
 from coreplie.algebra import _expand
+
+from oracle import closure_families
 
 EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -107,15 +102,14 @@ class TestStructureConstants:
         sc2 = structure_constants_subgroup(doubled)
         assert np.abs(sc2.c - 2 * sc1.c).max() < 1e-9
 
-    def test_not_closed_raises(self):
+    def test_not_closed_reported(self):
         gens = (
             np.array([[0, 1], [0, 0]], dtype=complex),
             np.array([[0, 0], [1, 0]], dtype=complex),
         )
-        with pytest.raises(NotClosedError, match="subgroup not closed"):
-            structure_constants_subgroup(gens, strict=True)
-        sc = structure_constants_subgroup(gens, strict=False)
+        sc = structure_constants_subgroup(gens)
         assert sc.max_residual() > 1e-4
+        assert not sc.passed
 
 
 class TestClosureFamilies:
@@ -198,41 +192,6 @@ def su3_gell_mann():
     return spec, AntilinearExtension(np.eye(3), s=+1)
 
 
-def oracle_expand(bracket, span):
-    """One bracket, one real and one complex lstsq, remainders summed."""
-    def vec(m):
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-    coeffs = np.linalg.lstsq(np.stack([vec(b) for b in span], axis=1), vec(bracket), rcond=None)[0]
-    ccoeffs = np.linalg.lstsq(
-        np.stack([b.ravel() for b in span], axis=1), bracket.ravel(), rcond=None
-    )[0]
-    res = np.linalg.norm(bracket - sum(c * b for c, b in zip(coeffs, span)))
-    cres = np.linalg.norm(bracket - sum(c * b for c, b in zip(ccoeffs, span)))
-    return coeffs, res, ccoeffs, cres
-
-
-def oracle_families(basis, tmap):
-    """Per-pair brackets from vf_commutator, coset-coset brackets transported
-    one by one, each expanded by its own solve."""
-    sub = [make_operator(m, Frame.X) for m in basis.subgroup]
-    cos = [make_operator(m, Frame.X_PRIME) for m in basis.coset]
-    out = {"sub-sub": {}, "coset-coset": {}, "sub-coset": {}}
-    for s, r in combinations(range(len(sub)), 2):
-        bracket = vf_commutator(sub[s], sub[r]).coeff
-        out["sub-sub"][(s, r)] = oracle_expand(bracket, basis.subgroup)
-    for m, n in combinations(range(len(cos)), 2):
-        bracket = transport(vf_commutator(cos[m], cos[n]), tmap).coeff
-        out["coset-coset"][(m, n)] = oracle_expand(bracket, basis.subgroup)
-    inv = tmap.inverse()
-    for s, field in enumerate(sub):
-        moved = transport(field, inv)
-        for m, coset_field in enumerate(cos):
-            bracket = vf_commutator(moved, coset_field).coeff
-            out["sub-coset"][(s, m)] = oracle_expand(bracket, basis.coset)
-    return out
-
-
 def close(got, ref):
     return np.all(np.abs(np.asarray(got) - ref) <= 1e-12 * (1 + np.abs(ref)))
 
@@ -254,7 +213,7 @@ def kernel_case(name):
     ctype = classify_coirrep(spec, ext)
     basis = generator_basis(spec, ext)
     if name.endswith("-no-coset"):
-        basis = GeneratorBasis(basis.subgroup, coset=(), ctype=ctype)
+        basis = GeneratorBasis(basis.subgroup, coset=basis.coset[:0], ctype=ctype)
     return basis, transport_map(ext, ctype).inverse()
 
 
@@ -262,7 +221,7 @@ class TestKernelAgainstPerPairOracle:
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_families_match_oracle(self, name):
         basis, tmap = kernel_case(name)
-        oracle = oracle_families(basis, tmap)
+        oracle = closure_families(basis.subgroup, basis.coset, tmap.matrix)
         for rep in (
             sub_sub_closure_report(basis),
             verify_coset_coset_closure(basis, tmap),
@@ -281,10 +240,11 @@ class TestKernelAgainstPerPairOracle:
         basis, tmap = kernel_case(name)
         n = basis.n
         c, residuals = np.zeros((n, n, n)), np.zeros((n, n))
-        for (s, r), (coeffs, res, _, _) in oracle_families(basis, tmap)["sub-sub"].items():
+        sub_sub = closure_families(basis.subgroup, basis.coset, tmap.matrix)["sub-sub"]
+        for (s, r), (coeffs, res, _, _) in sub_sub.items():
             c[s, r], c[r, s] = coeffs, -coeffs
             residuals[s, r] = residuals[r, s] = res
-        sc = structure_constants_subgroup(basis.subgroup, strict=False)
+        sc = structure_constants_subgroup(basis.subgroup)
         assert sc.c.shape == (n, n, n)
         assert close(sc.c, c) and close(sc.residuals, residuals)
 
@@ -320,7 +280,7 @@ class TestAlgebraDimension:
 
     def test_empty_coset_reports_other(self):
         spec, ext = catalog_entry("so2-conj")
-        basis = GeneratorBasis(subgroup=spec.generators, coset=(), ctype=CoirrepType.A)
+        basis = GeneratorBasis(spec.generators, np.zeros((0, 2, 2)), CoirrepType.A)
         tmap = transport_map(ext, CoirrepType.A).inverse()
         dim = algebra_dimension(basis, tmap)
         assert dim.computed == spec.n

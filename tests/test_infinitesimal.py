@@ -10,29 +10,27 @@ from coreplie import (
     CoirrepType,
     DifferentiationError,
     Frame,
-    FrameMismatchError,
+    GeneratorBasis,
     LieGroupSpec,
-    apply_vf,
     build_b_matrix,
     catalog_entry,
     central_derivative,
     classify_coirrep,
     exp_curve,
-    extract_coset_generators,
-    extract_subgroup_generators,
+    field_bracket,
     generator_basis,
-    make_operator,
-    transport,
     transport_map,
-    vf_commutator,
+    verify_mixed_closure,
 )
 from coreplie import group_core, infinitesimal
+from coreplie.algebra import _conjugate, algebra_dimension
 from coreplie.coirrep import Side
 from coreplie.config import config_for_catalog
+from coreplie.matrices import block_diag2
 from coreplie.matrices import expm as pade_expm
 from coreplie.report import run_verification
 
-from oracle import commutator_on_coordinates
+from oracle import commutator_on_coordinates, operator_apply
 from test_algebra import su3_gell_mann
 
 
@@ -90,14 +88,14 @@ class TestCentralDerivative:
 
 class TestSubgroupExtraction:
     def test_so2_fd_recovers_generator(self):
-        spec, _ = catalog_entry("so2-conj")
-        fd = extract_subgroup_generators(spec, CoirrepType.A, mode="fd")
+        spec, ext = catalog_entry("so2-conj")
+        fd = generator_basis(spec, ext, mode="fd").subgroup
         assert np.abs(fd[0] - spec.generators[0]).max() < 1e-8
 
     def test_b_type_blocks_identical(self):
         spec, ext = catalog_entry("su2-tr")
         for mode in ("exact", "fd"):
-            for x in extract_subgroup_generators(spec, CoirrepType.B, mode=mode):
+            for x in generator_basis(spec, ext, mode=mode).subgroup:
                 assert x.shape == (4, 4)
                 assert np.allclose(x[:2, 2:], 0)
                 assert np.allclose(x[2:, :2], 0)
@@ -106,9 +104,8 @@ class TestSubgroupExtraction:
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
     def test_fd_agrees_with_exact(self, name):
         spec, ext = catalog_entry(name)
-        ctype = classify_coirrep(spec, ext)
-        exact = extract_subgroup_generators(spec, ctype, mode="exact")
-        fd = extract_subgroup_generators(spec, ctype, mode="fd")
+        exact = generator_basis(spec, ext, mode="exact").subgroup
+        fd = generator_basis(spec, ext, mode="fd").subgroup
         for a, b in zip(exact, fd):
             assert np.abs(a - b).max() < 1e-6
 
@@ -118,20 +115,20 @@ class TestCosetExtraction:
     def test_alpha0_direction_is_i_times_n(self, name):
         spec, ext = catalog_entry(name)
         ctype = classify_coirrep(spec, ext)
-        gens = extract_coset_generators(spec, ext, ctype, mode="exact")
+        gens = generator_basis(spec, ext, mode="exact").coset
         d = spec.d
         upper = gens[0][:d, :d] if ctype is CoirrepType.B else gens[0]
         assert np.abs(upper - 1j * ext.N).max() < 1e-14
 
     def test_so2_coset_generator_equals_subgroup_generator(self):
         spec, ext = catalog_entry("so2-conj")
-        gens = extract_coset_generators(spec, ext, CoirrepType.A, mode="exact")
+        gens = generator_basis(spec, ext, mode="exact").coset
         assert np.abs(gens[1] - spec.generators[0]).max() < 1e-14
 
     def test_b_type_lower_blocks_are_negated(self):
         spec, ext = catalog_entry("su2-tr")
         for mode in ("exact", "fd"):
-            gens = extract_coset_generators(spec, ext, CoirrepType.B, mode=mode)
+            gens = generator_basis(spec, ext, mode=mode).coset
             for x in gens:
                 assert np.allclose(x[:2, 2:], 0)
                 assert np.allclose(x[2:, :2], 0)
@@ -139,15 +136,10 @@ class TestCosetExtraction:
 
     def test_upper_block_identities(self):
         spec, ext = catalog_entry("su2-tr")
-        gens = extract_coset_generators(spec, ext, CoirrepType.B, mode="exact")
+        gens = generator_basis(spec, ext, mode="exact").coset
         assert np.abs(gens[0][:2, :2] - 1j * ext.N).max() < 1e-10
         for sigma in range(3):
             assert np.abs(gens[sigma + 1][:2, :2] - spec.generators[sigma] @ ext.N).max() < 1e-10
-
-    def test_wrong_ctype_rejected(self):
-        spec, ext = catalog_entry("so2-conj")
-        with pytest.raises(ValueError, match="type"):
-            extract_coset_generators(spec, ext, CoirrepType.B)
 
     def test_full_matrix_differentiation_cross_check(self):
         # independent route: differentiate the natural-order action of the
@@ -164,7 +156,7 @@ class TestCosetExtraction:
             full = build_b_matrix(g, ext, Side.COSET_GA0).matrix
             return cmath.exp(1j * alpha0) * (full @ swap)
 
-        gens = extract_coset_generators(spec, ext, CoirrepType.B, mode="exact")
+        gens = generator_basis(spec, ext, mode="exact").coset
         fd0 = central_derivative(lambda t: coset_action(t, np.zeros(3)), step=1e-4)
         assert np.abs(fd0 - gens[0]).max() < 1e-8
         for sigma in range(3):
@@ -176,53 +168,59 @@ class TestCosetExtraction:
             assert np.abs(central_derivative(curve, step=1e-4) - gens[sigma + 1]).max() < 1e-8
 
 
+def coordinate_field(a, point):
+    """The field J_A applied to each coordinate function x_k at a point, by
+    the finite-difference operator oracle."""
+    return np.array([operator_apply(a, lambda x, k=k: x[k])(point) for k in range(len(point))])
+
+
 class TestVectorFields:
+    """J_A = A_ij x_j d/dx_i takes the coordinate functions to A x."""
+
     def test_zero_matrix_annihilates(self):
-        vf = make_operator(np.zeros((3, 3)), Frame.X)
-        assert np.abs(apply_vf(vf, np.array([1.0, 2.0, 3.0]))).max() == 0.0
+        assert np.abs(coordinate_field(np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))).max() == 0.0
 
     def test_euler_operator(self):
-        vf = make_operator(np.eye(2), Frame.X)
         x = np.array([1.0 + 2j, -0.5])
-        assert np.allclose(apply_vf(vf, x), x)
+        assert np.allclose(coordinate_field(np.eye(2), x), x)
 
     def test_nilpotent_example(self):
-        vf = make_operator(np.array([[0, 1], [0, 0]], dtype=complex), Frame.X)
-        assert np.allclose(apply_vf(vf, np.array([0.0, 1.0])), np.array([1.0, 0.0]))
+        a = np.array([[0, 1], [0, 0]], dtype=complex)
+        assert np.allclose(coordinate_field(a, np.array([0.0, 1.0])), np.array([1.0, 0.0]))
 
     def test_linearity(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        vf = make_operator(a, Frame.X)
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         lam, mu = 1.3 - 0.2j, -0.7 + 1j
-        lhs = apply_vf(vf, lam * x + mu * y)
-        rhs = lam * apply_vf(vf, x) + mu * apply_vf(vf, y)
+        lhs = coordinate_field(a, lam * x + mu * y)
+        rhs = lam * coordinate_field(a, x) + mu * coordinate_field(a, y)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_matvec_oracle(self, rng):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.allclose(apply_vf(make_operator(a, Frame.X), x), a @ x)
+        assert np.allclose(coordinate_field(a, x), a @ x)
 
 
 class TestCommutator:
     def test_self_bracket_is_zero(self, rng):
         a = rng.standard_normal((3, 3))
-        vf = make_operator(a, Frame.X)
-        assert np.abs(vf_commutator(vf, vf).coeff).max() == 0.0
+        assert np.abs(field_bracket(a, a)).max() == 0.0
 
     def test_hand_computed_2x2(self):
-        u = make_operator(np.diag([1.0, 0.0]), Frame.X)
-        v = make_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), Frame.X)
+        u = np.diag([1.0, 0.0])
+        v = np.array([[0.0, 1.0], [0.0, 0.0]])
         expected = np.array([[0.0, -1.0], [0.0, 0.0]])
-        assert np.allclose(vf_commutator(u, v).coeff, expected)
+        assert np.allclose(field_bracket(u, v), expected)
 
-    def test_frame_mismatch_rejected(self):
-        u = make_operator(np.eye(2), Frame.X)
-        v = make_operator(np.eye(2), Frame.X_PRIME)
-        with pytest.raises(FrameMismatchError, match="different points"):
-            vf_commutator(u, v)
+    def test_stack_equals_per_matrix_brackets(self, rng):
+        a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        b = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        stacked = field_bracket(a, b)
+        assert stacked.shape == (5, 3, 3)
+        for k in range(5):
+            assert np.array_equal(stacked[k], field_bracket(a[k], b[k]))
 
     def test_operator_level_correspondence(self, rng):
         # apply [J_A, J_B] to every coordinate function at random points and
@@ -232,7 +230,7 @@ class TestCommutator:
             b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             points = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(20)]
             oracle = commutator_on_coordinates(a, b, points)
-            coeff = vf_commutator(make_operator(a, Frame.X), make_operator(b, Frame.X)).coeff
+            coeff = field_bracket(a, b)
             direct = np.stack([coeff @ p for p in points])
             assert np.abs(oracle - direct).max() < 1e-10
 
@@ -243,10 +241,8 @@ class TestTransport:
         tmap = transport_map(ext, CoirrepType.A)
         assert np.allclose(tmap.matrix, np.eye(2))
         a = rng.standard_normal((2, 2))
-        vf = make_operator(a, Frame.X)
-        moved = transport(vf, tmap)
-        assert np.allclose(moved.coeff, a)
-        assert moved.frame is Frame.X_PRIME
+        assert np.allclose(_conjugate(tmap.matrix, a), a)
+        assert tmap.from_frame is Frame.X and tmap.to_frame is Frame.X_PRIME
 
     def test_b_type_block_pattern(self):
         _, ext = catalog_entry("su2-tr")
@@ -259,29 +255,30 @@ class TestTransport:
     def test_round_trip(self, rng):
         _, ext = catalog_entry("su2-tr")
         tmap = transport_map(ext, CoirrepType.B, delta_alpha0=0.4)
+        back_map = tmap.inverse()
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        vf = make_operator(a, Frame.X)
-        back = transport(transport(vf, tmap), tmap.inverse())
-        assert np.abs(back.coeff - a).max() < 1e-12
-        assert back.frame is Frame.X
+        back = _conjugate(back_map.matrix, _conjugate(tmap.matrix, a))
+        assert np.abs(back - a).max() < 1e-12
+        assert back_map.from_frame is Frame.X_PRIME and back_map.to_frame is Frame.X
 
     def test_bracket_morphism(self, rng):
         _, ext = catalog_entry("su2-tr")
-        tmap = transport_map(ext, CoirrepType.B)
+        m = transport_map(ext, CoirrepType.B).matrix
         for _ in range(10):
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            u, v = make_operator(a, Frame.X), make_operator(b, Frame.X)
-            lhs = transport(vf_commutator(u, v), tmap).coeff
-            rhs = vf_commutator(transport(u, tmap), transport(v, tmap)).coeff
+            lhs = _conjugate(m, field_bracket(a, b))
+            rhs = field_bracket(_conjugate(m, a), _conjugate(m, b))
             assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_frame_mismatch(self):
-        _, ext = catalog_entry("so2-conj")
+        # the families and the dimension take the x' -> x map only
+        spec, ext = catalog_entry("so2-conj")
+        basis = generator_basis(spec, ext)
         tmap = transport_map(ext, CoirrepType.A)
-        vf = make_operator(np.eye(2), Frame.X_PRIME)
-        with pytest.raises(FrameMismatchError):
-            transport(vf, tmap)
+        for check in (verify_mixed_closure, algebra_dimension):
+            with pytest.raises(ValueError, match="x' frame to the x frame"):
+                check(basis, tmap)
 
     def test_delta_alpha0_is_pure_phase(self, rng):
         # the nonzero coset phase changes the map but never any conjugation
@@ -290,8 +287,7 @@ class TestTransport:
         phased = transport_map(ext, CoirrepType.B, delta_alpha0=1.234)
         assert not np.allclose(plain.matrix, phased.matrix)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        vf = make_operator(a, Frame.X)
-        assert np.abs(transport(vf, plain).coeff - transport(vf, phased).coeff).max() < 1e-12
+        assert np.abs(_conjugate(plain.matrix, a) - _conjugate(phased.matrix, a)).max() < 1e-12
 
 
 class TestGeneratorBasis:
@@ -301,6 +297,53 @@ class TestGeneratorBasis:
         basis = generator_basis(spec, ext)
         assert len(basis.subgroup) == spec.n
         assert len(basis.coset) == spec.n + 1
+
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr"])
+    def test_read_only_stacks(self, name):
+        spec, ext = catalog_entry(name)
+        basis = generator_basis(spec, ext)
+        dim = basis.subgroup.shape[-1]
+        assert basis.subgroup.shape == (spec.n, dim, dim)
+        assert basis.coset.shape == (spec.n + 1, dim, dim)
+        for stack in (basis.subgroup, basis.coset):
+            assert stack.dtype == complex and not stack.flags.writeable
+
+    def test_stacks_are_copies(self):
+        gens = np.zeros((2, 2, 2), dtype=complex)
+        basis = GeneratorBasis(gens, gens, CoirrepType.A)
+        gens[0, 0, 0] = 1.0
+        assert basis.subgroup[0, 0, 0] == 0 and basis.coset[0, 0, 0] == 0
+
+    def test_without_extension_is_type_a_with_empty_coset(self):
+        spec, _ = catalog_entry("so3")
+        basis = generator_basis(spec, None)
+        assert basis.ctype is CoirrepType.A
+        assert basis.coset.shape == (0, spec.d, spec.d)
+        assert np.array_equal(basis.subgroup, np.array(spec.generators))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.zeros((1, 2, 3))])
+    def test_non_stack_rejected(self, bad):
+        with pytest.raises(ValueError, match="square"):
+            GeneratorBasis(bad, np.zeros((0, 2, 2)), CoirrepType.A)
+
+    def test_non_finite_rejected(self):
+        gens = np.zeros((1, 2, 2), dtype=complex)
+        bad = gens.copy()
+        bad[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="coset generators has non-finite"):
+            GeneratorBasis(gens, bad, CoirrepType.A)
+
+    def test_b_type_doubling_keeps_signed_zeros(self):
+        # one slice assignment per block builds what block_diag2 built per
+        # matrix, down to the sign bit of every zero
+        spec, ext = catalog_entry("su2-tr")
+        basis = generator_basis(spec, ext)
+        d = spec.d
+        expected = [block_diag2(x[:d, :d], x[:d, :d]) for x in basis.subgroup]
+        expected += [block_diag2(b[:d, :d], -b[:d, :d]) for b in basis.coset]
+        got = np.concatenate([basis.subgroup, basis.coset])
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(np.array(expected).view(float)))
 
 
 def spin_three_halves():
@@ -349,7 +392,7 @@ class TestStackedExtraction:
         basis = generator_basis(spec, ext, mode="fd")
         sub, cos = per_curve_fd_basis(spec, ext)
         assert len(basis.subgroup) == len(sub) and len(basis.coset) == len(cos)
-        for got, ref in zip(basis.subgroup + basis.coset, sub + cos):
+        for got, ref in zip([*basis.subgroup, *basis.coset], sub + cos):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("name", STENCIL_CASES)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
@@ -57,9 +59,10 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm(a)
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_exp_curve_rejects_non_finite_alpha(self, bad):
         spec, _ = catalog_entry("so3")
-        with pytest.raises(ValueError):
-            exp_curve(spec, [bad, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha"):
+                exp_curve(spec, [bad, 0.0, 0.0])
