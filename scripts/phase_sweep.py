@@ -25,7 +25,7 @@ def residual_profile(name: str, xi: float, delta_alpha0: float):
     tmap = transport_map(ext, ctype, delta_alpha0).inverse()
     cc = verify_coset_coset_closure(basis, tmap)
     mixed = verify_mixed_closure(basis, tmap)
-    return np.array([p.residual for p in cc.pairs] + [p.residual for p in mixed.pairs])
+    return np.concatenate([cc.pairs["residual"], mixed.pairs["residual"]])
 
 
 def main() -> int:

@@ -9,7 +9,6 @@ algebra dimension is.
 
 from .algebra import (
     AlgebraDimension,
-    ClosurePair,
     ClosureReport,
     StructureConstants,
     algebra_dimension,
@@ -64,7 +63,6 @@ __all__ = [
     "AntilinearExtension",
     "BlockOrder",
     "CATALOG_NAMES",
-    "ClosurePair",
     "ClosureReport",
     "CoirrepMatrix",
     "CoirrepType",

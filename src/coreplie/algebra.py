@@ -71,12 +71,13 @@ class StructureConstants:
 
     @classmethod
     def from_report(cls, rep: ClosureReport, n: int) -> "StructureConstants":
+        pairs = rep.pairs
+        left, right = pairs["left"], pairs["right"]
         c = np.zeros((n, n, n))
+        c[left, right] = pairs["coeffs"]
+        c[right, left] = -pairs["coeffs"]
         residuals = np.zeros((n, n))
-        for p in rep.pairs:
-            c[p.left, p.right] = p.coeffs
-            c[p.right, p.left] = -p.coeffs
-            residuals[p.left, p.right] = residuals[p.right, p.left] = p.residual
+        residuals[left, right] = residuals[right, left] = pairs["residual"]
         return cls(c, residuals, rep.passed)
 
     @property
@@ -97,57 +98,47 @@ def structure_constants_subgroup(generators, tol: float = CLOSURE_TOL) -> Struct
     return StructureConstants.from_report(_sub_sub(gens, tol), len(gens))
 
 
-@dataclass(frozen=True)
-class ClosurePair:
-    """One commutator pair: real expansion plus the complex fallback."""
-
-    left: int
-    right: int
-    coeffs: np.ndarray
-    residual: float
-    complex_coeffs: np.ndarray
-    complex_residual: float
+def _pair_dtype(m: int) -> np.dtype:
+    """Record layout of one bracket pair expanded over a span of m generators."""
+    return np.dtype((np.record, [
+        ("left", np.intp), ("right", np.intp), ("coeffs", float, (m,)), ("residual", float),
+        ("complex_coeffs", complex, (m,)), ("complex_residual", float),
+    ]))
 
 
 @dataclass(frozen=True)
 class ClosureReport:
     """Residual report for one commutator family.
 
-    passed is true iff every real residual is below the tolerance; the
-    complex fallback never enters the verdict.
+    pairs is a read-only record array, one row per bracket pair (see
+    _pair_dtype). passed is true iff every real residual is below the
+    tolerance; the complex fallback never enters the verdict.
     """
 
     family: str
-    pairs: tuple
+    pairs: np.ndarray
     tolerance: float
     passed: bool
 
     def max_residual(self) -> float:
-        return max((p.residual for p in self.pairs), default=0.0)
+        return float(self.pairs["residual"].max(initial=0.0))
 
     def max_complex_residual(self) -> float:
-        return max((p.complex_residual for p in self.pairs), default=0.0)
+        return float(self.pairs["complex_residual"].max(initial=0.0))
 
 
-def _brackets(lefts, rights, pairs) -> np.ndarray:
-    """Stack of the field brackets of lefts[i] with rights[j], one per index
-    pair (i, j). A function of its own so that the operand stacks are freed
-    before the solve, which lowers peak memory."""
-    i, j = np.array(pairs).T
-    return field_bracket(lefts[i], rights[j])
-
-
-def _closure_report(family, lefts, rights, pairs, span, tol) -> ClosureReport:
-    """Report of one family: the brackets of its index pairs expanded over
-    the span; passed uses the same strict < predicate for every family."""
-    if not pairs:
-        return ClosureReport(family, (), tol, True)
-    coeffs, res, ccoeffs, cres = _expand(_brackets(lefts, rights, pairs), span)
-    out = tuple(
-        ClosurePair(left, right, coeffs[k], float(res[k]), ccoeffs[k], float(cres[k]))
-        for k, (left, right) in enumerate(pairs)
-    )
-    return ClosureReport(family, out, tol, bool((res < tol).all()))
+def _closure_report(family, lefts, rights, index_pairs, span, tol) -> ClosureReport:
+    """Report of one family: the brackets of lefts[i] with rights[j], one per
+    index pair (i, j), expanded over the span and stored column by column;
+    passed uses the same strict < predicate for every family."""
+    left, right = np.array(list(index_pairs), dtype=np.intp).reshape(-1, 2).T
+    pairs = np.empty(len(left), _pair_dtype(len(span)))
+    pairs["left"], pairs["right"] = left, right
+    if len(pairs):
+        (pairs["coeffs"], pairs["residual"], pairs["complex_coeffs"],
+         pairs["complex_residual"]) = _expand(field_bracket(lefts[left], rights[right]), span)
+    pairs.flags.writeable = False
+    return ClosureReport(family, pairs, tol, bool((pairs["residual"] < tol).all()))
 
 
 def _conjugate(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -158,8 +149,7 @@ def _conjugate(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _sub_sub(gens: np.ndarray, tol: float) -> ClosureReport:
-    pairs = list(combinations(range(len(gens)), 2))
-    return _closure_report("sub-sub", gens, gens, pairs, gens, tol)
+    return _closure_report("sub-sub", gens, gens, combinations(range(len(gens)), 2), gens, tol)
 
 
 def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
@@ -179,7 +169,7 @@ def verify_coset_coset_closure(
     the real span of the subgroup generators."""
     _require_xprime_to_x(tmap)
     coset = _conjugate(tmap.matrix, basis.coset)
-    pairs = list(combinations(range(len(coset)), 2))
+    pairs = combinations(range(len(coset)), 2)
     return _closure_report("coset-coset", coset, coset, pairs, basis.subgroup, tol)
 
 
@@ -191,7 +181,7 @@ def verify_mixed_closure(
     of the coset generators."""
     _require_xprime_to_x(tmap)
     moved = _conjugate(tmap.inverse().matrix, basis.subgroup)
-    pairs = list(product(range(basis.n), range(len(basis.coset))))
+    pairs = product(range(basis.n), range(len(basis.coset)))
     return _closure_report("sub-coset", moved, basis.coset, pairs, basis.coset, tol)
 
 

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: classify, generators, commutators, verify, report. Exit codes:
-0 success, 1 malformed configuration, 2 inconsistent extension, 3 closure
-failure, 4 numerical-differentiation failure.
+0 success, 1 malformed configuration or command line, 2 inconsistent
+extension, 3 closure failure, 4 numerical-differentiation failure.
 """
 from __future__ import annotations
 
@@ -41,27 +41,32 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("classify", "report the coirrep type and the sign of a0 squared"),
-        ("generators", "list subgroup and coset generators"),
-        ("commutators", "list structure constants of the subgroup algebra"),
-        ("verify", "run the full closure and dimension verification"),
-        ("report", "run the full verification and emit the machine report"),
+    # name, help, takes --mode, takes --format
+    for name, help_text, has_mode, has_format in (
+        ("classify", "report the coirrep type and the sign of a0 squared", False, True),
+        ("generators", "list subgroup and coset generators", True, True),
+        ("commutators", "list structure constants of the subgroup algebra", False, True),
+        ("verify", "run the full closure and dimension verification", True, True),
+        ("report", "run the full verification and emit the machine report", True, False),
     ):
         p = sub.add_parser(name, help=help_text)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", metavar="PATH", help="JSON configuration file")
         src.add_argument("--group", metavar="NAME", help="builtin catalog group name")
-        p.add_argument("--mode", choices=("exact", "fd"), default="exact",
-                       help="generator extraction mode used for the analysis")
+        if has_mode:
+            p.add_argument("--mode", choices=("exact", "fd"), default="exact",
+                           help="generator extraction mode used for the analysis")
         p.add_argument("--xi", type=float, default=None,
                        help="override the phase xi of the extension")
         p.add_argument("--delta-alpha0", type=float, default=None,
                        help="coset phase parameter of the transport map")
         p.add_argument("--tol", type=float, default=None,
                        help="override the closure tolerance")
-        p.add_argument("--format", choices=("human", "machine"), default="human",
-                       help="output format")
+        if has_format:
+            p.add_argument("--format", choices=("human", "machine"), default="human",
+                           help="output format")
+        else:
+            p.set_defaults(format="machine")
         p.add_argument("--perturb", type=float, default=None,
                        help="testing aid: add this value to one generator entry")
     return parser
@@ -157,12 +162,12 @@ def cmd_commutators(cfg: GroupConfig, args, out) -> int:
     return EXIT_OK if ok else EXIT_CLOSURE
 
 
-def cmd_verify(cfg: GroupConfig, args, out, always_machine: bool = False) -> int:
+def cmd_verify(cfg: GroupConfig, args, out) -> int:
     _require_extension(cfg)
     start = time.perf_counter()
     report = run_verification(cfg, mode=args.mode)
     elapsed = time.perf_counter() - start
-    if always_machine or args.format == "machine":
+    if args.format == "machine":
         print(emit_machine(report), file=out)
     else:
         print(format_human(report), file=out)
@@ -170,22 +175,23 @@ def cmd_verify(cfg: GroupConfig, args, out, always_machine: bool = False) -> int
     return EXIT_OK if report.passed else EXIT_CLOSURE
 
 
+COMMANDS = {
+    "classify": cmd_classify,
+    "generators": cmd_generators,
+    "commutators": cmd_commutators,
+    "verify": cmd_verify,
+    "report": cmd_verify,  # its parser fixes --format to machine
+}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     out = sys.stdout
     try:
-        cfg = _load(args)
-        if args.command == "classify":
-            return cmd_classify(cfg, args, out)
-        if args.command == "generators":
-            return cmd_generators(cfg, args, out)
-        if args.command == "commutators":
-            return cmd_commutators(cfg, args, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args, out)
-        if args.command == "report":
-            return cmd_verify(cfg, args, out, always_machine=True)
-        raise AssertionError(f"unhandled command {args.command}")
+        return COMMANDS[args.command](_load(args), args, out)
     except InconsistentExtensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

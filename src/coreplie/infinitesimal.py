@@ -60,6 +60,9 @@ class GeneratorBasis:
         for name in ("subgroup", "coset"):
             stack = as_square_complex(getattr(self, name), f"{name} generators", ndim=3)
             object.__setattr__(self, name, stack)
+        if self.subgroup.shape[1:] != self.coset.shape[1:]:
+            raise ValueError(f"subgroup generators {self.subgroup.shape} and coset "
+                             f"generators {self.coset.shape} differ in matrix size")
 
     @property
     def n(self) -> int:

@@ -74,20 +74,21 @@ class RunReport:
 
 
 def _closure_to_dict(rep: ClosureReport) -> dict:
-    """One family as dense arrays, one row per pair; the complex fallback
-    coefficients are kept only for the pairs whose real residual fails."""
-    failing = [p.complex_coeffs for p in rep.pairs if p.residual >= rep.tolerance]
+    """One family as dense arrays, one row per pair, converted by column; the
+    complex fallback coefficients are kept only for the failing pairs."""
+    pairs = rep.pairs
+    failing = pairs["residual"] >= rep.tolerance
     return {
         "family": rep.family,
         "tolerance": json_numbers(rep.tolerance),
         "passed": rep.passed,
         "max_residual": json_numbers(rep.max_residual()),
         "max_complex_residual": json_numbers(rep.max_complex_residual()),
-        "pairs": [[p.left, p.right] for p in rep.pairs],
-        "coeffs": json_numbers([p.coeffs for p in rep.pairs]),
-        "residuals": json_numbers([p.residual for p in rep.pairs]),
-        "complex_residuals": json_numbers([p.complex_residual for p in rep.pairs]),
-        "complex_coeffs": json_numbers(failing),
+        "pairs": list(map(list, zip(pairs["left"].tolist(), pairs["right"].tolist()))),
+        "coeffs": json_numbers(pairs["coeffs"]),
+        "residuals": json_numbers(pairs["residual"]),
+        "complex_residuals": json_numbers(pairs["complex_residual"]),
+        "complex_coeffs": json_numbers(pairs["complex_coeffs"][failing]),
     }
 
 

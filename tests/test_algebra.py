@@ -222,12 +222,16 @@ class TestKernelAgainstPerPairOracle:
     def test_families_match_oracle(self, name):
         basis, tmap = kernel_case(name)
         oracle = closure_families(basis.subgroup, basis.coset, tmap.matrix)
+        span_sizes = {"sub-sub": basis.n, "coset-coset": basis.n, "sub-coset": len(basis.coset)}
         for rep in (
             sub_sub_closure_report(basis),
             verify_coset_coset_closure(basis, tmap),
             verify_mixed_closure(basis, tmap),
         ):
             expected = oracle[rep.family]
+            assert rep.pairs["coeffs"].shape == (len(expected), span_sizes[rep.family])
+            with pytest.raises(ValueError, match="read-only"):
+                rep.pairs["residual"][...] = 0.0
             assert [(p.left, p.right) for p in rep.pairs] == list(expected)
             for p in rep.pairs:
                 coeffs, res, ccoeffs, cres = expected[(p.left, p.right)]
@@ -250,11 +254,11 @@ class TestKernelAgainstPerPairOracle:
 
     def test_empty_families(self):
         basis, _ = kernel_case("u1")
-        assert sub_sub_closure_report(basis).pairs == ()
+        assert len(sub_sub_closure_report(basis).pairs) == 0
         assert np.array_equal(structure_constants_subgroup(basis.subgroup).c, np.zeros((1, 1, 1)))
         basis, tmap = kernel_case("so3-no-coset")
         for rep in (verify_coset_coset_closure(basis, tmap), verify_mixed_closure(basis, tmap)):
-            assert rep.pairs == () and rep.passed
+            assert len(rep.pairs) == 0 and rep.passed
 
 
 class TestAlgebraDimension:

@@ -3,7 +3,8 @@
 Every name in coreplie.__all__ must resolve, once, so `from coreplie import *`
 cannot break on a stale export. The per-operator vector-field layer, the
 extract_* wrappers and NotClosedError were removed in favour of the stacked
-kernel (algebra.field_bracket, generator_basis); their names must stay gone.
+kernel (algebra.field_bracket, generator_basis), and the per-pair ClosurePair
+in favour of ClosureReport.pairs, one record array; their names must stay gone.
 """
 import importlib
 
@@ -21,6 +22,7 @@ REMOVED = (
     "extract_subgroup_generators",
     "extract_coset_generators",
     "NotClosedError",
+    "ClosurePair",
 )
 
 

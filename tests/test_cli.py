@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from coreplie import group_core
-from coreplie.cli import main
+from coreplie.cli import _build_parser, main
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
 EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -258,7 +259,8 @@ class TestMachineDocuments:
         "command", ["classify", "generators", "commutators", "verify", "report"]
     )
     def test_output_is_canonical_json(self, capsys, command, group):
-        _, out, _ = run(capsys, command, "--group", group, "--format", "machine")
+        fmt = () if command == "report" else ("--format", "machine")
+        _, out, _ = run(capsys, command, "--group", group, *fmt)
         text = out.rstrip("\n")
         assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
 
@@ -274,6 +276,51 @@ class TestReportCommand:
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")
         _, report_out, _ = run(capsys, "report", "--group", "so3")
         assert verify_out == report_out
+
+
+class TestCommandLine:
+    COMMON = {"-h", "--help", "--config", "--group", "--xi", "--delta-alpha0", "--tol", "--perturb"}
+
+    def test_each_subcommand_takes_only_the_options_it_uses(self):
+        # --mode only where an extraction feeds the output, --format only
+        # where there is a human form; the config overrides are everywhere
+        subparsers = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: {s for a in p._actions for s in a.option_strings}
+            for name, p in subparsers.choices.items()
+        }
+        assert options == {
+            "classify": self.COMMON | {"--format"},
+            "generators": self.COMMON | {"--mode", "--format"},
+            "commutators": self.COMMON | {"--format"},
+            "verify": self.COMMON | {"--mode", "--format"},
+            "report": self.COMMON | {"--mode"},
+        }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("classify", "--group", "u1", "--bogus"), "unrecognized arguments: --bogus"),
+            (("classify", "--group", "u1", "--mode", "fd"), "unrecognized arguments: --mode fd"),
+            (("commutators", "--group", "u1", "--mode", "fd"), "unrecognized arguments: --mode"),
+            (("report", "--group", "u1", "--format", "human"), "unrecognized arguments: --format"),
+            (("verify", "--group", "u1", "--mode", "slow"), "invalid choice: 'slow'"),
+            (("verify",), "one of the arguments --config --group is required"),
+            (("frobnicate",), "invalid choice: 'frobnicate'"),
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "error: " in err and message in err
+        assert err.startswith("usage: coreplie")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("report", "--help")])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: coreplie")
 
 
 class TestColdStart:

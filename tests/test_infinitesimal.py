@@ -333,6 +333,18 @@ class TestGeneratorBasis:
         with pytest.raises(ValueError, match="coset generators has non-finite"):
             GeneratorBasis(gens, bad, CoirrepType.A)
 
+    def test_mismatched_matrix_sizes_rejected(self):
+        # used to construct, and algebra_dimension then failed inside numpy
+        with pytest.raises(
+            ValueError,
+            match=r"subgroup generators \(1, 2, 2\) and coset generators \(2, 3, 3\) differ",
+        ):
+            GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((2, 3, 3)), CoirrepType.A)
+        with pytest.raises(ValueError, match="differ in matrix size"):
+            GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 3, 3)), CoirrepType.A)
+        empty = GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 2, 2)), CoirrepType.A)
+        assert empty.coset.shape == (0, 2, 2)
+
     def test_b_type_doubling_keeps_signed_zeros(self):
         # one slice assignment per block builds what block_diag2 built per
         # matrix, down to the sign bit of every zero
