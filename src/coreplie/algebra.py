@@ -55,7 +55,7 @@ def _expand(targets: np.ndarray, span: np.ndarray):
     return real, remainder_norms(real), cplx, remainder_norms(cplx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Real tensor c[sigma, rho, tau] with [J_sigma, J_rho] = c^tau J_tau.
 
@@ -106,7 +106,7 @@ def _pair_dtype(m: int) -> np.dtype:
     ]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureReport:
     """Residual report for one commutator family.
 
@@ -180,12 +180,12 @@ def verify_mixed_closure(
     frame, bracketed with each coset field, and expanded over the real span
     of the coset generators."""
     _require_xprime_to_x(tmap)
-    moved = _conjugate(tmap.inverse().matrix, basis.subgroup)
+    moved = _conjugate(np.linalg.inv(tmap.matrix), basis.subgroup)
     pairs = product(range(basis.n), range(len(basis.coset)))
     return _closure_report("sub-coset", moved, basis.coset, pairs, basis.coset, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraDimension:
     """Real rank of the stacked generator set and its classification.
 

@@ -49,7 +49,7 @@ class TypeMismatchError(ValueError):
     """Operation applied to an extension of the wrong coirrep type."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoordinateVector:
     """A point of the representation space with frame and phase metadata.
 
@@ -74,7 +74,7 @@ class CoordinateVector:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoirrepMatrix:
     """A 2d x 2d type-b coirrep block matrix with its side tag."""
 

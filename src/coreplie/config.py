@@ -18,7 +18,7 @@ the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,25 +47,14 @@ class Tolerances:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "closure": self.closure,
-            "rank": self.rank,
-            "fd-step": self.fd_step,
-            "fd-agree": self.fd_agree,
-        }
+        return {key: getattr(self, name) for key, name in _TOL_KEYS.items()}
 
 
-_TOL_KEYS = {
-    "closure": "closure",
-    "rank": "rank",
-    "fd-step": "fd_step",
-    "fd_step": "fd_step",
-    "fd-agree": "fd_agree",
-    "fd_agree": "fd_agree",
-}
+# config name -> field name: each field under its name with dashes
+_TOL_KEYS = {f.name.replace("_", "-"): f.name for f in fields(Tolerances)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupConfig:
     """Parsed configuration: the subgroup, the optional extension, knobs."""
 
@@ -99,11 +88,11 @@ def _parse_complex(value, path: str) -> complex:
     return complex(re, im)
 
 
-def _parse_matrix(value, path: str) -> np.ndarray:
-    _expect(isinstance(value, list) and len(value) > 0, path, "expected a nonempty nested array")
+def _parse_matrix(value, path: str, d: int) -> np.ndarray:
+    _expect(isinstance(value, list) and len(value) == d, path, f"expected a {d}x{d} matrix")
     rows = []
     for i, row in enumerate(value):
-        _expect(isinstance(row, list) and len(row) == len(value), f"{path}[{i}]", "matrix must be square, row-major")
+        _expect(isinstance(row, list) and len(row) == d, f"{path}[{i}]", f"expected a row of {d} entries")
         rows.append([_parse_complex(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)])
     return np.array(rows, dtype=complex)
 
@@ -134,7 +123,7 @@ def _parse_group(value):
     _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 1, "group.d", "expected a positive integer")
     gens_raw = value["generators"]
     _expect(isinstance(gens_raw, list) and len(gens_raw) == n, "group.generators", f"expected a list of {n} matrices")
-    gens = tuple(_parse_matrix(g, f"group.generators[{i}]") for i, g in enumerate(gens_raw))
+    gens = [_parse_matrix(g, f"group.generators[{i}]", d) for i, g in enumerate(gens_raw)]
     name = value.get("name", "custom")
     _expect(isinstance(name, str), "group.name", "expected a string")
     try:
@@ -151,8 +140,7 @@ def _parse_extension(value, d: int) -> AntilinearExtension:
     for key in value:
         _expect(key in _EXTENSION_KEYS, f"extension.{key}", "unknown field")
     _expect("N" in value, "extension.N", "missing required field")
-    n_matrix = _parse_matrix(value["N"], "extension.N")
-    _expect(n_matrix.shape == (d, d), "extension.N", f"expected a {d}x{d} matrix")
+    n_matrix = _parse_matrix(value["N"], "extension.N", d)
     s = value.get("s", 1)
     _expect(s in (1, -1), "extension.s", "expected +1 or -1")
     xi = _parse_real(value.get("xi"), "extension.xi", default=0.0)
@@ -233,10 +221,9 @@ def with_overrides(
     if xi is not None:
         ext = replace(ext, xi=float(xi))
     if perturb:
-        gens = [g.copy() for g in spec.generators]
-        gens[0] = gens[0].copy()
-        gens[0][0, 0] += perturb
-        spec = LieGroupSpec(n=spec.n, d=spec.d, generators=tuple(gens), name=spec.name)
+        gens = spec.generators.copy()
+        gens[0, 0, 0] += perturb
+        spec = replace(spec, generators=gens)
     tolerances = cfg.tolerances if tol is None else replace(cfg.tolerances, closure=float(tol))
     return GroupConfig(
         spec=spec,

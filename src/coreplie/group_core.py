@@ -37,7 +37,7 @@ class InconsistentExtensionError(ValueError):
     """The antilinear extension does not square to plus or minus identity."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
     """An invertible complex matrix together with a linearity flag.
 
@@ -81,36 +81,30 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement(a.matrix @ right, flag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieGroupSpec:
     """Subgroup G presented by n real parameters and n generator matrices.
 
-    The generators X_sigma are the matrix basis of the algebra of the
-    d-dimensional irrep of G; the one-parameter family is
-    g(alpha) = exp(sum_sigma alpha_sigma X_sigma).
+    The generators X_sigma, one read-only complex (n, d, d) stack, are the
+    matrix basis of the algebra of the d-dimensional irrep of G; the
+    one-parameter family is g(alpha) = exp(sum_sigma alpha_sigma X_sigma).
     """
 
     n: int
     d: int
-    generators: tuple
+    generators: np.ndarray
     name: str = "custom"
 
     def __post_init__(self):
-        gens = tuple(as_square_complex(g, f"generator {i}") for i, g in enumerate(self.generators))
-        if len(gens) != self.n:
-            raise ValueError(f"expected {self.n} generators, got {len(gens)}")
-        for i, g in enumerate(gens):
-            if g.shape != (self.d, self.d):
-                raise ValueError(
-                    f"generator {i} has shape {g.shape}, expected ({self.d}, {self.d})"
-                )
-        if self.n > 0:
-            stacked = np.stack([real_vectorization(g) for g in gens])
-            rank = np.linalg.matrix_rank(stacked, tol=1e-10 * max(1.0, float(np.abs(stacked).max())))
-            if rank != self.n:
-                raise ValueError(
-                    f"generators are not real-linearly independent (rank {rank} < {self.n})"
-                )
+        gens = as_square_complex(self.generators, "generators", ndim=3)
+        if gens.shape != (self.n, self.d, self.d):
+            raise ValueError(
+                f"generators have shape {gens.shape}, expected ({self.n}, {self.d}, {self.d})"
+            )
+        vecs = real_vectorization(gens)
+        rank = np.linalg.matrix_rank(vecs, tol=1e-10 * max(1.0, float(np.abs(vecs).max(initial=0.0))))
+        if rank != self.n:
+            raise ValueError(f"generators are not real-linearly independent (rank {rank} < {self.n})")
         object.__setattr__(self, "generators", gens)
 
 
@@ -121,13 +115,10 @@ def exp_curve(spec: LieGroupSpec, alpha) -> GroupElement:
         raise ValueError(f"alpha must have length {spec.n}, got shape {alpha.shape}")
     if not np.isfinite(alpha).all():
         raise ValueError(f"alpha has non-finite entries: {alpha}")
-    z = np.zeros((spec.d, spec.d), dtype=complex)
-    for a, x in zip(alpha, spec.generators):
-        z = z + a * x
-    return GroupElement(expm(z), Linearity.LINEAR)
+    return GroupElement(expm(np.tensordot(alpha, spec.generators, axes=1)), Linearity.LINEAR)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntilinearExtension:
     """Data of the antilinear coset: the matrix N of a0, the declared sign s
     of a0 squared, and the phase xi with mu/lambda = exp(i*xi)."""
@@ -159,12 +150,11 @@ def a0_square_sign(ext: AntilinearExtension, tol: float = ENTRY_TOL) -> int:
     Raises InconsistentExtensionError when the square is neither, which
     means (N, antilinear) does not extend the group consistently.
     """
-    a0 = ext.a0_element()
-    sq = compose(a0, a0)
+    sq = ext.N @ ext.N.conj()  # compose(a0, a0): an antilinear left factor conjugates the right
     eye = np.eye(ext.d, dtype=complex)
-    if entries_close(sq.matrix, eye, tol):
+    if entries_close(sq, eye, tol):
         return +1
-    if entries_close(sq.matrix, -eye, tol):
+    if entries_close(sq, -eye, tol):
         return -1
     raise InconsistentExtensionError(
         "inconsistent extension: N * conj(N) is not plus or minus identity"

@@ -29,7 +29,7 @@ class DifferentiationError(ArithmeticError):
     """Numerical differentiation failed to converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportMap:
     """Invertible coordinate change between the x and x' base points."""
 
@@ -47,7 +47,7 @@ class TransportMap:
         return TransportMap(np.linalg.inv(self.matrix), self.to_frame, self.from_frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """Subgroup generators (n, D, D) and coset generators (n+1, D, D) of one
     coirrep, each a read-only complex stack copied from its input."""
@@ -132,7 +132,6 @@ def _generator_blocks(spec: LieGroupSpec, n_matrix, mode: str, step: float) -> n
     """
     if mode not in ("exact", "fd"):
         raise ValueError(f"mode must be 'exact' or 'fd', got {mode!r}")
-    gens = np.array(spec.generators, dtype=complex).reshape(spec.n, spec.d, spec.d)
 
     def blocks(e: np.ndarray, phase: complex) -> np.ndarray:
         if n_matrix is None:
@@ -140,8 +139,8 @@ def _generator_blocks(spec: LieGroupSpec, n_matrix, mode: str, step: float) -> n
         return np.concatenate([e, (phase * n_matrix)[None], e @ n_matrix])
 
     if mode == "exact":
-        return blocks(gens, 1j)
-    return central_derivative(lambda t: blocks(expm(t * gens), cmath.exp(1j * t)), step)
+        return blocks(spec.generators, 1j)
+    return central_derivative(lambda t: blocks(expm(t * spec.generators), cmath.exp(1j * t)), step)
 
 
 def _coirrep_generators(blocks: np.ndarray, n: int, ctype: CoirrepType):

@@ -19,7 +19,10 @@ RANK_TOL = 1e-10
 def as_square_complex(m, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     """Coerce to a finite square complex matrix, or with ndim=3 to a stack
     (k, d, d) of them (read-only copy)."""
-    a = np.array(m, dtype=complex)
+    try:
+        a = np.array(m, dtype=complex)
+    except ValueError:  # ragged nesting, e.g. a 2x2 and a 3x3 generator
+        raise ValueError(f"{name} must be square, got a ragged or non-numeric array") from None
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -22,7 +22,7 @@ from .algebra import (
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
-from .config import GroupConfig
+from .config import ConfigError, GroupConfig
 from .group_core import a0_sign_of_type
 from .infinitesimal import DifferentiationError, generator_basis, transport_map
 from .matrices import max_abs_diff
@@ -109,11 +109,12 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
 
     Extracts generators in both modes (recording their disagreement),
     computes the three commutator families and the real algebra dimension.
-    Raises DifferentiationError when the two extraction modes disagree
-    beyond the fd-agree tolerance.
+    Raises ConfigError when the config has no extension, and
+    DifferentiationError when the two extraction modes disagree beyond the
+    fd-agree tolerance.
     """
     if cfg.extension is None:
-        raise ValueError("verification requires an antilinear extension block")
+        raise ConfigError("extension: required for this command but absent")
     spec, ext, tol = cfg.spec, cfg.extension, cfg.tolerances
 
     basis_exact = generator_basis(spec, ext, mode="exact")

@@ -8,9 +8,11 @@ in favour of ClosureReport.pairs, one record array; their names must stay gone.
 """
 import importlib
 
+import numpy as np
 import pytest
 
 import coreplie
+from coreplie.config import config_for_catalog
 
 REMOVED = (
     "LinearVectorField",
@@ -50,3 +52,44 @@ def test_removed_name_is_gone(name):
 def test_sampling_is_test_only():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("coreplie.sampling")
+
+
+def _so3_ext():
+    return coreplie.catalog_entry("so3")[1]
+
+
+def _so3_basis():
+    return coreplie.generator_basis(*coreplie.catalog_entry("so3"))
+
+
+def _so3_to_x():
+    return coreplie.transport_map(_so3_ext(), coreplie.CoirrepType.A).inverse()
+
+
+# Each factory returns a fresh instance equal in value to the previous one.
+ARRAY_HOLDERS = {
+    "GroupElement": lambda: coreplie.GroupElement(np.eye(3)),
+    "LieGroupSpec": lambda: coreplie.catalog_entry("so3")[0],
+    "AntilinearExtension": _so3_ext,
+    "CoordinateVector": lambda: coreplie.CoordinateVector(coreplie.Frame.X, np.ones(3)),
+    "CoirrepMatrix": lambda: coreplie.CoirrepMatrix(
+        np.eye(6), coreplie.Side.SUBGROUP, coreplie.CoirrepType.B
+    ),
+    "TransportMap": _so3_to_x,
+    "GeneratorBasis": _so3_basis,
+    "StructureConstants": lambda: coreplie.structure_constants_subgroup(
+        coreplie.catalog_entry("so3")[0].generators
+    ),
+    "ClosureReport": lambda: coreplie.sub_sub_closure_report(_so3_basis()),
+    "AlgebraDimension": lambda: coreplie.algebra_dimension(_so3_basis(), _so3_to_x()),
+    "GroupConfig": lambda: config_for_catalog("so3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert (a == b) is False
+    assert a == a
+    assert isinstance(hash(a), int)

@@ -52,4 +52,4 @@ def test_unknown_name():
 def test_entries_are_fresh_copies():
     spec1, _ = catalog_entry("so2-conj")
     spec2, _ = catalog_entry("so2-conj")
-    assert spec1.generators[0] is not spec2.generators[0]
+    assert not np.shares_memory(spec1.generators, spec2.generators)

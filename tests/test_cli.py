@@ -98,16 +98,33 @@ class TestClassify:
 
     def test_a0_squared_once(self, capsys, monkeypatch):
         calls = []
-        original = group_core.compose
+        original = group_core.a0_square_sign
 
-        def counting(a, b):
+        def counting(ext):
             calls.append(1)
-            return original(a, b)
+            return original(ext)
 
-        monkeypatch.setattr(group_core, "compose", counting)
+        def no_compose(a, b):
+            raise AssertionError("classification builds no group elements")
+
+        monkeypatch.setattr(group_core, "a0_square_sign", counting)
+        monkeypatch.setattr(group_core, "compose", no_compose)
         code, out, _ = run(capsys, "classify", "--group", "su2-tr")
         assert (code, out) == (0, "group su2-tr: b-type coirrep, a0^2 sign -1\n")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["classify", "verify", "generators"])
+    def test_nearly_singular_n_is_an_inconsistent_extension(self, capsys, tmp_path, command):
+        # N = diag(1, 1e-6) is invertible, but N conj(N) = diag(1, 1e-12) is not +-E
+        doc = {
+            "group": {"n": 1, "d": 2, "generators": [SO2_GEN]},
+            "extension": {"N": [[[1, 0], [0, 0]], [[0, 0], [1e-6, 0]]]},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: inconsistent extension: N * conj(N) is not plus or minus identity\n"
 
 
 class TestGenerators:
@@ -250,7 +267,7 @@ class TestVerify:
         path.write_text(json.dumps({"group": "so2-conj", "extension": {}}))
         code, _, err = run(capsys, "verify", "--config", str(path))
         assert code == 1
-        assert "extension" in err
+        assert err == "config error: extension: required for this command but absent\n"
 
 
 class TestMachineDocuments:

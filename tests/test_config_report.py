@@ -90,6 +90,8 @@ class TestParseConfig:
             (lambda d: d["extension"].update(s=3), "extension.s"),
             (lambda d: d.update(bogus=1), "bogus"),
             (lambda d: d.update(tolerances={"nope": 1.0}), "tolerances.nope"),
+            (lambda d: d.update(tolerances={"fd_step": 1e-5}), "tolerances.fd_step"),
+            (lambda d: d.update(tolerances={"fd_agree": 1e-5}), "tolerances.fd_agree"),
             (lambda d: d["extension"].update(delta_alpha0=1.0), "extension.delta_alpha0"),
             (lambda d: d["group"].update(extra=1), "group.extra"),
         ],
@@ -257,7 +259,7 @@ class TestRunReport:
 
     def test_verification_without_extension_rejected(self):
         cfg = parse_config({"group": "so2-conj", "extension": {}})
-        with pytest.raises(ValueError, match="extension"):
+        with pytest.raises(ConfigError, match=r"^extension: required for this command but absent$"):
             run_verification(cfg)
 
     def test_fd_mode_report(self):

@@ -149,6 +149,10 @@ class TestLieGroupSpec:
         with pytest.raises(ValueError, match="shape"):
             LieGroupSpec(n=1, d=3, generators=(np.eye(2),))
 
+    def test_ragged_generators_named(self):
+        with pytest.raises(ValueError, match="^generators must be square, got a ragged"):
+            LieGroupSpec(n=2, d=2, generators=(np.eye(2), np.eye(3)))
+
 
 class TestA0SquareSign:
     def test_identity_extension(self):

@@ -22,7 +22,7 @@ from coreplie import (
     transport_map,
     verify_mixed_closure,
 )
-from coreplie import group_core, infinitesimal
+from coreplie import group_core, infinitesimal, matrices
 from coreplie.algebra import _conjugate, algebra_dimension
 from coreplie.coirrep import Side
 from coreplie.config import config_for_catalog
@@ -418,15 +418,30 @@ class TestStackedExtraction:
 
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
     def test_run_verification_classifies_at_most_twice(self, name, monkeypatch):
-        original = group_core.classify_coirrep
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname.startswith("coreplie") and getattr(mod, "classify_coirrep", None) is original:
-                monkeypatch.setattr(mod, "classify_coirrep", counting)
+        calls = count_calls(monkeypatch, group_core.classify_coirrep)
         run_verification(config_for_catalog(name))
         assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    def test_run_verification_builds_no_group_elements(self, name, monkeypatch):
+        cfg = config_for_catalog(name)
+        composed = count_calls(monkeypatch, group_core.compose)
+        svd_checks = count_calls(monkeypatch, matrices.is_invertible)
+        run_verification(cfg)
+        assert len(composed) == 0
+        assert len(svd_checks) <= 2
+
+
+def count_calls(monkeypatch, original) -> list:
+    """Rebind original in every coreplie module that holds it to a wrapper
+    recording each call; returns the list of recorded argument tuples."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("coreplie") and getattr(mod, original.__name__, None) is original:
+            monkeypatch.setattr(mod, original.__name__, counting)
+    return calls
