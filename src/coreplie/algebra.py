@@ -8,7 +8,9 @@ results; the pass verdicts always refer to the real residuals.
 
 Every bracket family goes through one kernel: its brackets are formed by
 one broadcast field_bracket and expanded by one real and one complex
-least-squares solve, with one right-hand side per bracket.
+least-squares solve, with one right-hand side per bracket. Type b runs on
+the d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of the
+same signs have the blocks' coefficients and sqrt(2) times their remainders.
 """
 from __future__ import annotations
 
@@ -20,10 +22,12 @@ import numpy as np
 from .coirrep import Frame
 from .group_core import CoirrepType
 from .infinitesimal import GeneratorBasis, TransportMap
-from .matrices import real_vectorization
+from .matrices import real_vectorization, upper_blocks
 
 CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
+# Frobenius norm of a generator over that of its upper block
+BLOCK_SCALE = {CoirrepType.A: 1.0, CoirrepType.B: 2.0**0.5}
 
 
 def field_bracket(a, b) -> np.ndarray:
@@ -32,13 +36,13 @@ def field_bracket(a, b) -> np.ndarray:
     return b @ a - a @ b
 
 
-def _expand(targets: np.ndarray, span: np.ndarray):
+def _expand(targets: np.ndarray, span: np.ndarray, scale: float = 1.0):
     """Least-squares expansion of a (p, d, d) stack over an (m, d, d) span.
 
     Returns (coeffs, residuals, complex_coeffs, complex_residuals): real
     coefficients (p, m) minimizing the Frobenius norm of each remainder
     C - sum_k c_k B_k, the complex-coefficient analogue, and the norms (p,)
-    of the reconstructed remainders.
+    of the reconstructed remainders, times scale.
     """
     if len(span) == 0:
         raise ValueError("basis must be nonempty")
@@ -50,7 +54,7 @@ def _expand(targets: np.ndarray, span: np.ndarray):
     )[0].T
 
     def remainder_norms(coeffs):
-        return np.linalg.norm(targets - np.tensordot(coeffs, span, axes=1), axis=(1, 2))
+        return scale * np.linalg.norm(targets - np.tensordot(coeffs, span, axes=1), axis=(1, 2))
 
     return real, remainder_norms(real), cplx, remainder_norms(cplx)
 
@@ -127,7 +131,7 @@ class ClosureReport:
         return float(self.pairs["complex_residual"].max(initial=0.0))
 
 
-def _closure_report(family, lefts, rights, index_pairs, span, tol) -> ClosureReport:
+def _closure_report(family, lefts, rights, index_pairs, span, tol, scale=1.0) -> ClosureReport:
     """Report of one family: the brackets of lefts[i] with rights[j], one per
     index pair (i, j), expanded over the span and stored column by column;
     passed uses the same strict < predicate for every family."""
@@ -136,41 +140,47 @@ def _closure_report(family, lefts, rights, index_pairs, span, tol) -> ClosureRep
     pairs["left"], pairs["right"] = left, right
     if len(pairs):
         (pairs["coeffs"], pairs["residual"], pairs["complex_coeffs"],
-         pairs["complex_residual"]) = _expand(field_bracket(lefts[left], rights[right]), span)
+         pairs["complex_residual"]) = _expand(field_bracket(lefts[left], rights[right]), span, scale)
     pairs.flags.writeable = False
     return ClosureReport(family, pairs, tol, bool((pairs["residual"] < tol).all()))
 
 
-def _conjugate(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """M A M^{-1} for a matrix or for each member of a stack A. Conjugation
-    is an automorphism, so transporting the generators once transports every
-    bracket of them."""
-    return m @ mats @ np.linalg.inv(m)
-
-
-def _sub_sub(gens: np.ndarray, tol: float) -> ClosureReport:
-    return _closure_report("sub-sub", gens, gens, combinations(range(len(gens)), 2), gens, tol)
+def _sub_sub(gens: np.ndarray, tol: float, scale: float = 1.0) -> ClosureReport:
+    return _closure_report("sub-sub", gens, gens, combinations(range(len(gens)), 2), gens, tol, scale)
 
 
 def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
     """Subgroup-subgroup family: brackets expand over the subgroup span."""
-    return _sub_sub(basis.subgroup, tol)
+    return _sub_sub(basis.subgroup_blocks, tol, BLOCK_SCALE[basis.ctype])
 
 
-def _require_xprime_to_x(tmap: TransportMap):
+def _map_blocks(basis: GeneratorBasis, tmap: TransportMap):
+    """(M, M^-1) of the x' -> x map on the basis's d x d blocks. A type-b
+    map may come as the block M or doubled, as blockdiag(M, +-M)."""
     if tmap.from_frame is not Frame.X_PRIME or tmap.to_frame is not Frame.X:
         raise ValueError("transport map must go from the x' frame to the x frame")
+    m, d = tmap.matrix, basis.subgroup_blocks.shape[-1]
+    if basis.ctype is CoirrepType.B and len(m) == 2 * d:
+        return upper_blocks(m, "transport map", 1, -1), tmap.inverse_matrix[:d, :d]
+    return m, tmap.inverse_matrix
+
+
+def coset_in_x_frame(basis: GeneratorBasis, tmap: TransportMap) -> np.ndarray:
+    """Coset blocks transported to the x frame, M X' M^-1. Conjugation is an
+    automorphism, so transporting the generators transports their brackets."""
+    m, m_inv = _map_blocks(basis, tmap)
+    return m @ basis.coset_blocks @ m_inv
 
 
 def verify_coset_coset_closure(
-    basis: GeneratorBasis, tmap: TransportMap, tol: float = CLOSURE_TOL
+    basis: GeneratorBasis, tmap: TransportMap, tol: float = CLOSURE_TOL, *, coset_x=None
 ) -> ClosureReport:
-    """Coset-coset family: brackets, transported to the x frame, expand over
-    the real span of the subgroup generators."""
-    _require_xprime_to_x(tmap)
-    coset = _conjugate(tmap.matrix, basis.coset)
+    """Coset-coset family: brackets, transported to the x frame (coset_x if
+    given), expand over the real span of the subgroup generators."""
+    coset = coset_in_x_frame(basis, tmap) if coset_x is None else coset_x
     pairs = combinations(range(len(coset)), 2)
-    return _closure_report("coset-coset", coset, coset, pairs, basis.subgroup, tol)
+    sub = basis.subgroup_blocks
+    return _closure_report("coset-coset", coset, coset, pairs, sub, tol, BLOCK_SCALE[basis.ctype])
 
 
 def verify_mixed_closure(
@@ -179,10 +189,11 @@ def verify_mixed_closure(
     """Subgroup-coset family: the subgroup field is transported to the x'
     frame, bracketed with each coset field, and expanded over the real span
     of the coset generators."""
-    _require_xprime_to_x(tmap)
-    moved = _conjugate(np.linalg.inv(tmap.matrix), basis.subgroup)
-    pairs = product(range(basis.n), range(len(basis.coset)))
-    return _closure_report("sub-coset", moved, basis.coset, pairs, basis.coset, tol)
+    m, m_inv = _map_blocks(basis, tmap)
+    moved = m_inv @ basis.subgroup_blocks @ m
+    coset = basis.coset_blocks
+    pairs = product(range(basis.n), range(len(coset)))
+    return _closure_report("sub-coset", moved, coset, pairs, coset, tol, BLOCK_SCALE[basis.ctype])
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,20 +216,25 @@ class AlgebraDimension:
 
 
 def algebra_dimension(
-    basis: GeneratorBasis, tmap: TransportMap, rank_tol: float = RANK_REL_TOL
+    basis: GeneratorBasis, tmap: TransportMap, rank_tol: float = RANK_REL_TOL, *, coset_x=None
 ) -> AlgebraDimension:
     """Dimension of the real span of all generators in one common frame.
 
-    Coset generators are transported to the x frame; the real rank of the
-    stacked real+imaginary vectorizations is computed from singular values
-    with threshold rank_tol * sigma_max.
+    Coset generators are transported to the x frame (coset_x if given); the
+    real rank of the stacked real+imaginary vectorizations is computed from
+    singular values with threshold rank_tol * sigma_max.
     """
-    _require_xprime_to_x(tmap)
-    stack = np.concatenate([basis.subgroup, _conjugate(tmap.matrix, basis.coset)])
+    coset = coset_in_x_frame(basis, tmap) if coset_x is None else coset_x
+    stack = np.concatenate([basis.subgroup_blocks, coset])
     expected = basis.n + 1 if basis.ctype is CoirrepType.A else 2 * basis.n + 1
     if not len(stack):
         return AlgebraDimension(0, expected, "other", np.zeros(0), 0.0, 0.0)
-    u, svals, _ = np.linalg.svd(real_vectorization(stack), full_matrices=False)
+    vecs = real_vectorization(stack)
+    if basis.ctype is CoirrepType.B:  # (X, X) is orthogonal to (X', -X'): split the columns
+        sub = np.arange(len(vecs))[:, None] < basis.n
+        vecs = np.hstack([vecs * sub, vecs * ~sub])
+    u, svals, _ = np.linalg.svd(vecs, full_matrices=False)
+    svals *= BLOCK_SCALE[basis.ctype]
     threshold = rank_tol * float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > threshold))
     if rank == basis.n + 1:

@@ -108,15 +108,16 @@ def cmd_classify(cfg: GroupConfig, args, out) -> int:
 
 def cmd_generators(cfg: GroupConfig, args, out) -> int:
     basis = generator_basis(cfg.spec, cfg.extension, mode=args.mode, step=cfg.tolerances.fd_step)
-    coset = None if cfg.extension is None else basis.coset
-    if args.format == "machine":
+    absent = cfg.extension is None
+    if args.format == "machine":  # upper blocks, as in the report's generators
         doc = {
             "schema": SCHEMA_VERSION,
             "command": "generators",
             "group": cfg.spec.name,
             "mode": args.mode,
-            "subgroup": json_numbers(basis.subgroup),
-            "coset": None if coset is None else json_numbers(coset),
+            "classification": None if absent else basis.ctype.value,
+            "subgroup": json_numbers(basis.subgroup_blocks),
+            "coset": None if absent else json_numbers(basis.coset_blocks),
         }
         print(emit_document(doc), file=out)
     else:
@@ -124,10 +125,10 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
         for i, m in enumerate(basis.subgroup, start=1):
             print(f"  X_{i}:", file=out)
             print(format_matrix(m), file=out)
-        if coset is None:
+        if absent:
             print("  coset section: absent (no extension block)", file=out)
         else:
-            for i, m in enumerate(coset):
+            for i, m in enumerate(basis.coset):
                 print(f"  X'_{i}:", file=out)
                 print(format_matrix(m), file=out)
     return EXIT_OK

@@ -5,13 +5,14 @@ J = A_ij x_j d/dx_i. Subgroup generators live at the base point x, coset
 generators at the coset base point x'; the transport x' = N^{-1} x
 (blockdiag(N^{-1}, -N^{-1}) for type b) conjugates coefficients between the
 two, and a TransportMap carries the frame tags that fix its direction.
-Generators stay complex stacks from extraction to emission; their bracket
-is algebra.field_bracket.
+Generators stay complex stacks of d x d upper blocks from extraction to
+emission (type b doubles them on request); their bracket is algebra.field_bracket.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .group_core import (
     LieGroupSpec,
     classify_coirrep,
 )
-from .matrices import as_square_complex, block_diag2, expm, is_invertible
+from .matrices import as_square_complex, block_diag2, expm, is_invertible, upper_blocks
 
 
 class DifferentiationError(ArithmeticError):
@@ -31,7 +32,8 @@ class DifferentiationError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class TransportMap:
-    """Invertible coordinate change between the x and x' base points."""
+    """Invertible coordinate change between the x and x' base points; for
+    type b, blockdiag(M, -M) or its upper block M."""
 
     matrix: np.ndarray
     from_frame: Frame
@@ -43,30 +45,58 @@ class TransportMap:
             raise ValueError("transport matrix is singular")
         object.__setattr__(self, "matrix", m)
 
+    @cached_property
+    def inverse_matrix(self) -> np.ndarray:
+        """matrix^-1, computed once per map."""
+        return np.linalg.inv(self.matrix)
+
     def inverse(self) -> "TransportMap":
-        return TransportMap(np.linalg.inv(self.matrix), self.to_frame, self.from_frame)
+        return TransportMap(self.inverse_matrix, self.to_frame, self.from_frame)
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorBasis:
-    """Subgroup generators (n, D, D) and coset generators (n+1, D, D) of one
-    coirrep, each a read-only complex stack copied from its input."""
+    """Upper blocks of the subgroup (n, d, d) and coset (n+1, d, d) generators
+    of one coirrep, read-only complex copies of the input. .subgroup and .coset
+    are the generators, for type b a new blockdiag(X, X) and blockdiag(X', -X')."""
 
-    subgroup: np.ndarray
-    coset: np.ndarray
+    subgroup_blocks: np.ndarray
+    coset_blocks: np.ndarray
     ctype: CoirrepType
 
     def __post_init__(self):
         for name in ("subgroup", "coset"):
-            stack = as_square_complex(getattr(self, name), f"{name} generators", ndim=3)
-            object.__setattr__(self, name, stack)
-        if self.subgroup.shape[1:] != self.coset.shape[1:]:
-            raise ValueError(f"subgroup generators {self.subgroup.shape} and coset "
-                             f"generators {self.coset.shape} differ in matrix size")
+            stack = as_square_complex(getattr(self, f"{name}_blocks"), f"{name} generators", ndim=3)
+            object.__setattr__(self, f"{name}_blocks", stack)
+        if self.subgroup_blocks.shape[1:] != self.coset_blocks.shape[1:]:
+            raise ValueError(f"subgroup generators {self.subgroup_blocks.shape} and coset "
+                             f"generators {self.coset_blocks.shape} differ in matrix size")
+
+    @classmethod
+    def from_stacks(cls, subgroup, coset, ctype: CoirrepType) -> "GeneratorBasis":
+        """Basis of full generator stacks: type b keeps the upper blocks and
+        rejects stacks that are not blockdiag(X, X) and blockdiag(X', -X')."""
+        if ctype is CoirrepType.B:
+            subgroup = upper_blocks(subgroup, "subgroup generators", 1)
+            coset = upper_blocks(coset, "coset generators", -1)
+        return cls(subgroup, coset, ctype)
 
     @property
     def n(self) -> int:
-        return len(self.subgroup)
+        return len(self.subgroup_blocks)
+
+    @property
+    def subgroup(self) -> np.ndarray:
+        return self._full(self.subgroup_blocks, self.subgroup_blocks)
+
+    @property
+    def coset(self) -> np.ndarray:
+        return self._full(self.coset_blocks, -self.coset_blocks)
+
+    def _full(self, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+        out = upper if self.ctype is CoirrepType.A else block_diag2(upper, lower)
+        out.setflags(write=False)
+        return out
 
 
 def transport_map(
@@ -143,19 +173,6 @@ def _generator_blocks(spec: LieGroupSpec, n_matrix, mode: str, step: float) -> n
     return central_derivative(lambda t: blocks(expm(t * spec.generators), cmath.exp(1j * t)), step)
 
 
-def _coirrep_generators(blocks: np.ndarray, n: int, ctype: CoirrepType):
-    """Split a block stack into the subgroup and coset stacks; type b doubles
-    them to blockdiag(X, X) and blockdiag(X', -X')."""
-    if ctype is CoirrepType.A:
-        return blocks[:n], blocks[n:]
-    k, d, _ = blocks.shape
-    doubled = np.zeros((k, 2 * d, 2 * d), dtype=complex)
-    doubled[:, :d, :d] = blocks
-    doubled[:n, d:, d:] = blocks[:n]
-    doubled[n:, d:, d:] = -blocks[n:]
-    return doubled[:n], doubled[n:]
-
-
 def generator_basis(
     spec: LieGroupSpec,
     ext: AntilinearExtension | None,
@@ -166,14 +183,14 @@ def generator_basis(
 
     Type a keeps the X_sigma as supplied; the n+1 coset generators, indexed
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
-    X'_sigma = X_sigma N, and type b doubles every generator (see
-    _coirrep_generators). Mode 'fd' differentiates the one-parameter curves
-    instead and must agree with 'exact'. Without an extension the basis is
-    type a with an empty coset stack.
+    X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
+    Mode 'fd' differentiates the one-parameter curves instead and must agree
+    with 'exact'. Without an extension the basis is type a with an empty
+    coset stack.
     """
     if ext is None:
         ctype, n_matrix = CoirrepType.A, None
     else:
         ctype, n_matrix = classify_coirrep(spec, ext), ext.N
-    sub, coset = _coirrep_generators(_generator_blocks(spec, n_matrix, mode, step), spec.n, ctype)
-    return GeneratorBasis(sub, coset, ctype)
+    blocks = _generator_blocks(spec, n_matrix, mode, step)
+    return GeneratorBasis(blocks[:spec.n], blocks[spec.n:], ctype)

@@ -64,12 +64,21 @@ def is_invertible(a: np.ndarray, tol: float = RANK_TOL) -> bool:
 
 
 def block_diag2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2x2 block-diagonal assembly of two equally sized square blocks."""
-    d = a.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, :d] = a
-    out[d:, d:] = b
+    """2x2 block-diagonal assembly of two equal square blocks or stacks of them."""
+    d = a.shape[-1]
+    out = np.zeros((*a.shape[:-2], 2 * d, 2 * d), dtype=complex)
+    out[..., :d, :d] = a
+    out[..., d:, d:] = b
     return out
+
+
+def upper_blocks(m, name: str, *signs: int) -> np.ndarray:
+    """Upper blocks A of a matrix or stack m = blockdiag(A, s A), s in signs."""
+    m, d = np.asarray(m, dtype=complex), np.shape(m)[-1] // 2
+    a = m[..., :d, :d]
+    if not any(entries_close(m, block_diag2(a, s * a)) for s in signs):
+        raise ValueError(f"{name} {m.shape}: not of the type-b form blockdiag(A, sA), s in {signs}")
+    return a
 
 
 def block_antidiag2(upper_right: np.ndarray, lower_left: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 The machine format is one JSON document with sorted keys, floats in their
 shortest round-trip form, integral values as integers, and complex numbers
 as a trailing [re, im] axis. Each closure family is one block of dense
-arrays with a row per bracket pair. Two runs on the same configuration
-produce byte-identical documents, so wall time is never part of the machine
-report; the CLI prints it separately in human mode.
+arrays with a row per bracket pair; generators are stored as d x d upper
+blocks (type b: blockdiag(X, X) and blockdiag(X', -X')). Two runs on the same
+configuration produce byte-identical documents, so wall time is never part
+of the machine report; the CLI prints it separately in human mode.
 """
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, fields
 
@@ -18,16 +20,18 @@ from .algebra import (
     AlgebraDimension,
     ClosureReport,
     algebra_dimension,
+    coset_in_x_frame,
     sub_sub_closure_report,
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
+from .coirrep import Frame
 from .config import ConfigError, GroupConfig
 from .group_core import a0_sign_of_type
-from .infinitesimal import DifferentiationError, generator_basis, transport_map
+from .infinitesimal import DifferentiationError, TransportMap, generator_basis
 from .matrices import max_abs_diff
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def json_numbers(a):
@@ -121,8 +125,8 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
     basis_fd = generator_basis(spec, ext, mode="fd", step=tol.fd_step)
     ctype = basis_exact.ctype
     fd_diff = max(
-        max_abs_diff(basis_exact.subgroup, basis_fd.subgroup),
-        max_abs_diff(basis_exact.coset, basis_fd.coset),
+        max_abs_diff(basis_exact.subgroup_blocks, basis_fd.subgroup_blocks),
+        max_abs_diff(basis_exact.coset_blocks, basis_fd.coset_blocks),
     )
     if fd_diff > tol.fd_agree:
         raise DifferentiationError(
@@ -131,13 +135,14 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         )
     basis = basis_exact if mode == "exact" else basis_fd
 
-    tmap = transport_map(ext, ctype, cfg.delta_alpha0).inverse()
+    tmap = TransportMap(cmath.exp(1j * cfg.delta_alpha0) * ext.N, Frame.X_PRIME, Frame.X)
+    coset_x = coset_in_x_frame(basis, tmap)
 
     sub_sub = sub_sub_closure_report(basis, tol=tol.closure)
-    coset_coset = verify_coset_coset_closure(basis, tmap, tol=tol.closure)
+    coset_coset = verify_coset_coset_closure(basis, tmap, tol=tol.closure, coset_x=coset_x)
     mixed = verify_mixed_closure(basis, tmap, tol=tol.closure)
 
-    dim = algebra_dimension(basis, tmap, rank_tol=tol.rank)
+    dim = algebra_dimension(basis, tmap, rank_tol=tol.rank, coset_x=coset_x)
 
     passed = sub_sub.passed and coset_coset.passed and mixed.passed
 
@@ -151,8 +156,8 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         classification=ctype.value,
         a0_sign=a0_sign_of_type(ctype, ext.s),
         generators={
-            "subgroup": json_numbers(basis.subgroup),
-            "coset": json_numbers(basis.coset),
+            "subgroup": json_numbers(basis.subgroup_blocks),
+            "coset": json_numbers(basis.coset_blocks),
             "fd_max_abs_diff": json_numbers(fd_diff),
         },
         closures={

@@ -1,15 +1,22 @@
+import cmath
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from coreplie import (
     AntilinearExtension,
     CoirrepType,
+    Frame,
     GeneratorBasis,
     LieGroupSpec,
+    TransportMap,
     algebra_dimension,
     catalog_entry,
     classify_coirrep,
     generator_basis,
+    parse_config,
     structure_constants_subgroup,
     sub_sub_closure_report,
     transport_map,
@@ -17,8 +24,12 @@ from coreplie import (
     verify_mixed_closure,
 )
 from coreplie.algebra import _expand
+from coreplie.matrices import block_diag2
 
-from oracle import closure_families
+from oracle import closure_families, conjugate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import spin_document  # noqa: E402
 
 EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -213,7 +224,7 @@ def kernel_case(name):
     ctype = classify_coirrep(spec, ext)
     basis = generator_basis(spec, ext)
     if name.endswith("-no-coset"):
-        basis = GeneratorBasis(basis.subgroup, coset=basis.coset[:0], ctype=ctype)
+        basis = GeneratorBasis(basis.subgroup_blocks, basis.coset_blocks[:0], ctype)
     return basis, transport_map(ext, ctype).inverse()
 
 
@@ -311,5 +322,116 @@ class TestAlgebraDimension:
             mixed_gens = tuple(
                 sum(w[i, j] * basis.subgroup[j] for j in range(3)) for i in range(3)
             )
-            changed = GeneratorBasis(mixed_gens, basis.coset, basis.ctype)
+            changed = GeneratorBasis.from_stacks(mixed_gens, basis.coset, basis.ctype)
             assert algebra_dimension(changed, tmap).computed == ref
+
+
+def spin_entry(two_j):
+    cfg = parse_config(spin_document(two_j))
+    return cfg.spec, cfg.extension
+
+
+# type-b inputs: (spec, ext, delta_alpha0)
+BLOCK_CASES = {
+    "su2-tr": lambda: (*catalog_entry("su2-tr"), 0.0),
+    "spin1-2": lambda: (*spin_entry(1), 0.0),
+    "spin3-2": lambda: (*spin_entry(3), 0.0),
+    "spin3-2-phased": lambda: (*spin_entry(3), 0.7),
+}
+
+
+def block_case(name):
+    """A type-b basis and its x' -> x map exp(i delta_alpha0) N on the blocks,
+    as run_verification builds them."""
+    spec, ext, delta_alpha0 = BLOCK_CASES[name]()
+    tmap = TransportMap(cmath.exp(1j * delta_alpha0) * ext.N, Frame.X_PRIME, Frame.X)
+    return generator_basis(spec, ext), tmap
+
+
+def doubled(basis, tmap):
+    """The 2d x 2d subgroup and coset stacks and x' -> x map, assembled one
+    matrix at a time from the blocks."""
+    sub = np.array([block_diag2(x, x) for x in basis.subgroup_blocks])
+    coset = np.array([block_diag2(y, -y) for y in basis.coset_blocks])
+    return sub, coset, block_diag2(tmap.matrix, -tmap.matrix)
+
+
+def realified(stack):
+    return np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in stack])
+
+
+class TestBlockKernelAgainstDoubled:
+    """Type b is decided on the d x d blocks; the doubled stacks, expanded pair
+    by pair and decomposed by one SVD, must give the same numbers."""
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_families_match_doubled_oracle(self, name):
+        basis, tmap = block_case(name)
+        assert basis.ctype is CoirrepType.B
+        oracle = closure_families(*doubled(basis, tmap))
+        for rep in (
+            sub_sub_closure_report(basis),
+            verify_coset_coset_closure(basis, tmap),
+            verify_mixed_closure(basis, tmap),
+        ):
+            expected = oracle[rep.family]
+            assert [(p.left, p.right) for p in rep.pairs] == list(expected)
+            for p in rep.pairs:
+                coeffs, res, ccoeffs, cres = expected[(p.left, p.right)]
+                assert np.abs(p.coeffs - coeffs).max() <= 1e-12
+                assert np.abs(p.complex_coeffs - ccoeffs).max() <= 1e-12
+                assert abs(p.residual - res) <= 1e-12 * (1 + res)
+                assert abs(p.complex_residual - cres) <= 1e-12 * (1 + cres)
+            assert rep.passed == all(r[1] < rep.tolerance for r in expected.values())
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_singular_values_match_doubled_svd(self, name):
+        basis, tmap = block_case(name)
+        sub, coset, to_x = doubled(basis, tmap)
+        ref = np.linalg.svd(realified(np.concatenate([sub, conjugate(to_x, coset)])),
+                            compute_uv=False)
+        dim = algebra_dimension(basis, tmap)
+        assert np.abs(dim.singular_values - ref).max() <= 1e-12 * ref[0]
+        assert dim.computed == int(np.sum(ref > dim.threshold))
+
+    def test_certificate_matches_doubled_null_direction(self, rng):
+        # X_2 = 2 X_1, so the doubled generators have one null combination
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        coset = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        basis = GeneratorBasis(np.array([x, 2 * x]), coset, CoirrepType.B)
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        tmap = TransportMap(m, Frame.X_PRIME, Frame.X)
+        sub, coset2, to_x = doubled(basis, tmap)
+        u, _, _ = np.linalg.svd(realified(np.concatenate([sub, conjugate(to_x, coset2)])),
+                                full_matrices=False)
+        dim = algebra_dimension(basis, tmap)
+        assert (dim.computed, dim.classification) == (4, "other")
+        assert abs(abs(np.dot(dim.certificate, u[:, 4])) - 1.0) < 1e-12
+        assert np.abs(np.abs(dim.certificate) - np.array([2, 1, 0, 0, 0]) / 5**0.5).max() < 1e-12
+
+
+class TestTransportMapForms:
+    def test_doubled_map_gives_the_block_results(self):
+        basis, tmap = block_case("spin3-2-phased")
+        m = tmap.matrix
+        for full in (block_diag2(m, -m), block_diag2(m, m)):
+            doubled_map = TransportMap(full, Frame.X_PRIME, Frame.X)
+            for check in (verify_coset_coset_closure, verify_mixed_closure):
+                a, b = check(basis, tmap).pairs, check(basis, doubled_map).pairs
+                assert np.abs(a["coeffs"] - b["coeffs"]).max() < 1e-12
+                assert np.abs(a["residual"] - b["residual"]).max() < 1e-12
+            dims = algebra_dimension(basis, tmap), algebra_dimension(basis, doubled_map)
+            assert dims[0].computed == dims[1].computed
+
+    @pytest.mark.parametrize("form", ["scaled lower block", "off-diagonal entry"])
+    def test_non_blockdiag_type_b_map_rejected(self, form):
+        basis, tmap = block_case("su2-tr")
+        full = block_diag2(tmap.matrix, -tmap.matrix)
+        if form == "scaled lower block":
+            full[2:, 2:] *= 2
+        else:
+            full[0, 3] = 0.5
+        bad = TransportMap(full, Frame.X_PRIME, Frame.X)
+        for check in (verify_coset_coset_closure, verify_mixed_closure, algebra_dimension):
+            with pytest.raises(ValueError, match=r"transport map \(4, 4\): not of the type-b form"):
+                check(basis, bad)

@@ -23,13 +23,24 @@ REFERENCE = load_reference()
 GENERATED = {
     "su2": lambda: su_document(2),
     "su3": lambda: su_document(3),
+    "su4": lambda: su_document(4),
+    "su5": lambda: su_document(5),
     "spin1-2": lambda: spin_document(1),
     "spin2-2": lambda: spin_document(2),
+    "spin3-2": lambda: spin_document(3),
+    "spin15-2": lambda: spin_document(15),
+    "spin16-2": lambda: spin_document(16),
+    "spin47-2": lambda: spin_document(47),
+    "spin48-2": lambda: spin_document(48),
 }
 
 KEYS = [f"{name}/{mode}" for name in CATALOG_NAMES for mode in ("exact", "fd")] + [
     f"{name}/exact" for name in GENERATED
 ]
+
+
+def test_every_in_process_reference_key_is_checked():
+    assert sorted(KEYS) == sorted(key for key in REFERENCE if not key.startswith("classify/"))
 
 
 @pytest.mark.parametrize("key", KEYS)

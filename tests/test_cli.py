@@ -23,30 +23,30 @@ classification: b-type, a0^2 sign -1
 xi = 0, delta_alpha0 = 0
 generators: fd vs exact max abs diff 7.89492e-13
 closure families:
-  family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 2.28878e-16)
-    (0,1): residual 0  coeffs [0, 0, -1]  complex residual 0
-    (0,2): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.28878e-16
-    (1,2): residual 0  coeffs [-1, 0, 0]  complex residual 0
-  family coset-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 2.28878e-16)
-    (0,1): residual 2  coeffs [0, 0, 0]  complex residual 0
+  family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 2.71948e-16)
+    (0,1): residual 2.22045e-16  coeffs [0, 0, -1]  complex residual 2.71948e-16
+    (0,2): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.22045e-16
+    (1,2): residual 2.22045e-16  coeffs [-1, 0, 0]  complex residual 2.71948e-16
+  family coset-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 5.43896e-16)
+    (0,1): residual 2  coeffs [0, 4.71028e-16, 0]  complex residual 5.43896e-16
     (0,2): residual 0  coeffs [0, 0, 0]  complex residual 0
-    (0,3): residual 2  coeffs [0, 0, 0]  complex residual 0
+    (0,3): residual 2  coeffs [0, 0, 0]  complex residual 5.43896e-16
     (1,2): residual 0  coeffs [0, 0, 0]  complex residual 0
-    (1,3): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.28878e-16
+    (1,3): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.22045e-16
     (2,3): residual 0  coeffs [0, 0, 0]  complex residual 0
-  family sub-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 9.15513e-16)
-    (0,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 9.15513e-16
-    (0,1): residual 1  coeffs [0, 0, 0, 0]  complex residual 0
+  family sub-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 3.14018e-16)
+    (0,0): residual 2  coeffs [0, 0, 1.57009e-16, 0]  complex residual 0
+    (0,1): residual 1  coeffs [0, 0, 0, -7.85046e-17]  complex residual 3.14018e-16
     (0,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
     (0,3): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
     (1,0): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (1,1): residual 0  coeffs [0, 0, 0, 1]  complex residual 2.48253e-16
+    (1,1): residual 2.22045e-16  coeffs [0, 0, 0, 1]  complex residual 1.57009e-16
     (1,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (1,3): residual 0  coeffs [0, -1, 0, 0]  complex residual 4.57757e-16
-    (2,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 4.96507e-16
+    (1,3): residual 2.22045e-16  coeffs [0, -1, 0, 0]  complex residual 0
+    (2,0): residual 2  coeffs [0, 0, 0, -1.57009e-16]  complex residual 3.14018e-16
     (2,1): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
     (2,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (2,3): residual 1  coeffs [0, 0, 0, 0]  complex residual 0
+    (2,3): residual 1  coeffs [0, 0, 0, -7.85046e-17]  complex residual 3.14018e-16
 algebra dimension: 7 (expected 7, b-full)
 overall: FAIL"""
 
@@ -132,11 +132,26 @@ class TestGenerators:
         code, out, _ = run(capsys, "generators", "--group", "so2-conj", "--format", "machine")
         assert code == 0
         doc = json.loads(out)
+        assert doc["classification"] == "a"
         assert doc["subgroup"] == [[[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]]
         coset = doc["coset"]
         # X'_0 = i E, X'_1 = X_1
         assert coset[0] == [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]
         assert coset[1] == doc["subgroup"][0]
+
+    def test_type_b_listing_holds_the_blocks(self, capsys):
+        code, out, _ = run(capsys, "generators", "--group", "su2-tr", "--format", "machine")
+        doc = json.loads(out)
+        assert (code, doc["schema"], doc["classification"]) == (0, 4, "b")
+        assert np.shape(doc["subgroup"]) == (3, 2, 2, 2)
+        assert np.shape(doc["coset"]) == (4, 2, 2, 2)
+
+    def test_machine_listing_without_extension(self, capsys, tmp_path):
+        path = tmp_path / "noext.json"
+        path.write_text(json.dumps({"group": "so2-conj", "extension": {}}))
+        code, out, _ = run(capsys, "generators", "--config", str(path), "--format", "machine")
+        doc = json.loads(out)
+        assert (code, doc["classification"], doc["coset"]) == (0, None, None)
 
     def test_modes_agree(self, capsys):
         _, exact_out, _ = run(capsys, "generators", "--group", "su2-tr", "--format", "machine")
@@ -287,7 +302,7 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--group", "so2-conj")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
 
     def test_report_matches_verify_machine_output(self, capsys):
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from coreplie import (
 from coreplie.cli import main
 from coreplie.config import config_for_catalog, load_config, with_overrides
 from coreplie.report import emit_machine, format_human
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import spin_document  # noqa: E402
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
 EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -235,7 +240,7 @@ class TestRunReport:
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert doc["classification"] == "b"
         assert doc["a0_sign"] == -1
         assert doc["dimension"]["computed"] == 7
@@ -267,3 +272,33 @@ class TestRunReport:
         assert report.mode == "fd"
         assert report.passed
         assert report.generators["fd_max_abs_diff"] < 1e-6
+
+
+def doubled_from_report(doc: dict):
+    """The generator stacks of a schema-4 report: its d x d blocks, doubled
+    to blockdiag(X, X) and blockdiag(X', -X') when the classification is b."""
+    sub, coset = (
+        np.ascontiguousarray(doc["generators"][key], dtype=float).view(complex)[..., 0]
+        for key in ("subgroup", "coset")
+    )
+    if doc["classification"] == "a":
+        return sub, coset
+    zs, zc = np.zeros_like(sub), np.zeros_like(coset)
+    return np.block([[sub, zs], [zs, sub]]), np.block([[coset, zc], [zc, -coset]])
+
+
+class TestSchema4Generators:
+    @pytest.mark.parametrize("name", ["su2-tr", "so3", "spin3-2"])
+    def test_doubled_stacks_round_trip(self, name):
+        cfg = parse_config(spin_document(3)) if name == "spin3-2" else config_for_catalog(name)
+        n, d = cfg.spec.n, cfg.spec.d
+        doc = json.loads(emit_machine(run_verification(cfg)))
+        assert doc["schema"] == 4
+        assert np.shape(doc["generators"]["subgroup"]) == (n, d, d, 2)
+        assert np.shape(doc["generators"]["coset"]) == (n + 1, d, d, 2)
+        basis = generator_basis(cfg.spec, cfg.extension)
+        sub, coset = doubled_from_report(doc)
+        # exact values; the report writes every zero as 0 (as schema 3 did),
+        # so signed zeros are pinned in memory by test_b_type_doubling_keeps_signed_zeros
+        assert sub.dtype == basis.subgroup.dtype and np.array_equal(sub, basis.subgroup)
+        assert coset.dtype == basis.coset.dtype and np.array_equal(coset, basis.coset)

@@ -23,7 +23,7 @@ from coreplie import (
     verify_mixed_closure,
 )
 from coreplie import group_core, infinitesimal, matrices
-from coreplie.algebra import _conjugate, algebra_dimension
+from coreplie.algebra import algebra_dimension
 from coreplie.coirrep import Side
 from coreplie.config import config_for_catalog
 from coreplie.matrices import block_diag2
@@ -31,6 +31,7 @@ from coreplie.matrices import expm as pade_expm
 from coreplie.report import run_verification
 
 from oracle import commutator_on_coordinates, operator_apply
+from oracle import conjugate as _conjugate
 from test_algebra import su3_gell_mann
 
 
@@ -344,6 +345,27 @@ class TestGeneratorBasis:
             GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 3, 3)), CoirrepType.A)
         empty = GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 2, 2)), CoirrepType.A)
         assert empty.coset.shape == (0, 2, 2)
+
+    def test_from_stacks_keeps_the_upper_blocks(self):
+        for name in ("su2-tr", "so3"):
+            basis = generator_basis(*catalog_entry(name))
+            again = GeneratorBasis.from_stacks(basis.subgroup, basis.coset, basis.ctype)
+            assert np.array_equal(again.subgroup_blocks, basis.subgroup_blocks)
+            assert np.array_equal(again.coset_blocks, basis.coset_blocks)
+
+    @pytest.mark.parametrize("stack", ["subgroup", "coset"])
+    @pytest.mark.parametrize("form", ["flipped lower block", "off-diagonal entry", "odd size"])
+    def test_non_blockdiag_type_b_stacks_rejected(self, stack, form):
+        basis = generator_basis(*catalog_entry("su2-tr"))
+        full = {"subgroup": np.array(basis.subgroup), "coset": np.array(basis.coset)}
+        if form == "flipped lower block":  # blockdiag(X, -X), blockdiag(X', X')
+            full[stack][0, 2:, 2:] *= -1
+        elif form == "off-diagonal entry":
+            full[stack][1, 3, 0] = 0.25
+        else:
+            full[stack] = full[stack][:, :3, :3]
+        with pytest.raises(ValueError, match=f"{stack} generators .*not of the type-b form"):
+            GeneratorBasis.from_stacks(full["subgroup"], full["coset"], CoirrepType.B)
 
     def test_b_type_doubling_keeps_signed_zeros(self):
         # one slice assignment per block builds what block_diag2 built per
