@@ -13,12 +13,14 @@ nested arrays are row-major:
 "group" is either a catalog name or an explicit
 {"name", "n", "d", "generators"} object. The extension block is optional;
 without it only subgroup-side operations are available. Parse errors carry
-the JSON path of the offending field.
+the JSON path of the offending field. Each matrix stack is read in one
+numpy pass and walked cell by cell only to name a failing cell.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -76,25 +78,50 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
-def _parse_complex(value, path: str) -> complex:
-    _expect(
-        isinstance(value, (list, tuple)) and len(value) == 2,
-        path,
-        "expected a [re, im] pair",
-    )
-    re, im = value
-    _expect(isinstance(re, (int, float)) and not isinstance(re, bool), f"{path}[0]", "expected a real number")
-    _expect(isinstance(im, (int, float)) and not isinstance(im, bool), f"{path}[1]", "expected a real number")
-    return complex(re, im)
+def _parse_complex(value, path: str):
+    """Raise the ConfigError of a bad [re, im] cell; pass a good one."""
+    _expect(isinstance(value, (list, tuple)) and len(value) == 2, path, "expected a [re, im] pair")
+    for k, x in enumerate(value):
+        _expect(isinstance(x, (int, float)) and not isinstance(x, bool), f"{path}[{k}]", "expected a real number")
+    for k, x in enumerate(value):
+        try:
+            float(x)
+        except OverflowError:
+            raise ConfigError(f"{path}[{k}]: expected a real number within float range") from None
 
 
-def _parse_matrix(value, path: str, d: int) -> np.ndarray:
-    _expect(isinstance(value, list) and len(value) == d, path, f"expected a {d}x{d} matrix")
-    rows = []
-    for i, row in enumerate(value):
-        _expect(isinstance(row, list) and len(row) == d, f"{path}[{i}]", f"expected a row of {d} entries")
-        rows.append([_parse_complex(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)])
-    return np.array(rows, dtype=complex)
+def _locate(value, path: str, shape: tuple):
+    """Walk a matrix stack cell by cell and raise the ConfigError of its first bad field."""
+    if not shape:
+        return _parse_complex(value, path)
+    d = shape[-1]
+    what = (f"a row of {d} entries", f"a {d}x{d} matrix", f"a list of {shape[0]} matrices")[len(shape) - 1]
+    _expect(isinstance(value, list) and len(value) == shape[0], path, f"expected {what}")
+    for i, item in enumerate(value):
+        _locate(item, f"{path}[{i}]", shape[1:])
+
+
+def _parse_matrices(value, path: str, shape: tuple) -> np.ndarray:
+    """Complex array of `shape`: one type scan per nesting level, one np.array call. A stack
+    that fails goes to _locate, which accepts exactly the same stacks, to name its bad cell."""
+    level, a = [value], None
+    for kinds in (list,) * len(shape) + ((list, tuple),):
+        if not all(issubclass(t, kinds) for t in set(map(type, level))):
+            break
+        level = list(chain.from_iterable(level))
+    else:
+        if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, level))):
+            try:
+                a = np.array(value, dtype=float)
+            except (ValueError, OverflowError):  # ragged nesting, an integer beyond float range
+                pass
+    if a is None or a.shape != (*shape, 2):
+        _locate(value, path, shape)
+        raise AssertionError(f"{path}: the walk accepted a stack that the one-pass reader rejected")
+    if not np.isfinite(a).all():
+        cell = "".join(f"[{i}]" for i in np.argwhere(~np.isfinite(a))[0])
+        raise ConfigError(f"{path}{cell}: expected a finite real number")
+    return a.view(complex).reshape(shape)
 
 
 def _parse_real(value, path: str, default=None) -> float:
@@ -121,9 +148,7 @@ def _parse_group(value):
     n, d = value["n"], value["d"]
     _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "group.n", "expected a positive integer")
     _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 1, "group.d", "expected a positive integer")
-    gens_raw = value["generators"]
-    _expect(isinstance(gens_raw, list) and len(gens_raw) == n, "group.generators", f"expected a list of {n} matrices")
-    gens = [_parse_matrix(g, f"group.generators[{i}]", d) for i, g in enumerate(gens_raw)]
+    gens = _parse_matrices(value["generators"], "group.generators", (n, d, d))
     name = value.get("name", "custom")
     _expect(isinstance(name, str), "group.name", "expected a string")
     try:
@@ -140,7 +165,7 @@ def _parse_extension(value, d: int) -> AntilinearExtension:
     for key in value:
         _expect(key in _EXTENSION_KEYS, f"extension.{key}", "unknown field")
     _expect("N" in value, "extension.N", "missing required field")
-    n_matrix = _parse_matrix(value["N"], "extension.N", d)
+    n_matrix = _parse_matrices(value["N"], "extension.N", (d, d))
     s = value.get("s", 1)
     _expect(s in (1, -1), "extension.s", "expected +1 or -1")
     xi = _parse_real(value.get("xi"), "extension.xi", default=0.0)

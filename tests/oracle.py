@@ -5,13 +5,16 @@ operators are applied to functions through finite differences, span
 membership is exercised by generating combinations forward, and the closure
 families are rebuilt one bracket and one solve at a time in plain numpy.
 All functions involved are linear, so the central differences are exact up
-to roundoff for any step size.
+to roundoff for any step size. The config reader's oracle checks and converts
+each [re, im] entry of a matrix stack on its own, with complex(re, im).
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 import numpy as np
+
+from coreplie import ConfigError
 
 FD_STEP = 0.05
 
@@ -95,3 +98,35 @@ def closure_families(subgroup, coset, to_x: np.ndarray) -> dict:
         for p, c in enumerate(coset):
             out["sub-coset"][(s, p)] = expand(bracket(conjugate(to_xprime, x), c), coset)
     return out
+
+
+def _require(cond: bool, path: str, message: str):
+    if not cond:
+        raise ConfigError(f"{path}: {message}")
+
+
+def _complex_entry(value, path: str) -> complex:
+    _require(isinstance(value, (list, tuple)) and len(value) == 2, path, "expected a [re, im] pair")
+    re, im = value
+    _require(isinstance(re, (int, float)) and not isinstance(re, bool), f"{path}[0]", "expected a real number")
+    _require(isinstance(im, (int, float)) and not isinstance(im, bool), f"{path}[1]", "expected a real number")
+    return complex(re, im)
+
+
+def parse_matrix_stack(value, path: str, shape: tuple) -> np.ndarray:
+    """A config matrix stack of shape (n, d, d) or (d, d), read entry by entry:
+    the list, matrix and row checks, then each [re, im] entry checked and
+    converted with complex(re, im). Raises ConfigError naming the field."""
+    if len(shape) == 3:
+        n = shape[0]
+        _require(isinstance(value, list) and len(value) == n, path, f"expected a list of {n} matrices")
+        return np.array(
+            [parse_matrix_stack(m, f"{path}[{i}]", shape[1:]) for i, m in enumerate(value)], dtype=complex
+        )
+    d = shape[0]
+    _require(isinstance(value, list) and len(value) == d, path, f"expected a {d}x{d} matrix")
+    rows = []
+    for i, row in enumerate(value):
+        _require(isinstance(row, list) and len(row) == d, f"{path}[{i}]", f"expected a row of {d} entries")
+        rows.append([_complex_entry(z, f"{path}[{i}][{j}]") for j, z in enumerate(row)])
+    return np.array(rows, dtype=complex)

@@ -1,3 +1,4 @@
+import copy
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from coreplie import (
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
+from coreplie import config
 from coreplie.cli import main
 from coreplie.config import config_for_catalog, load_config, with_overrides
 from coreplie.report import emit_machine, format_human
@@ -166,6 +168,115 @@ class TestParseConfig:
         p.write_text(json.dumps(so2_document()))
         cfg = load_config(str(p))
         assert cfg.spec.name == "mygroup"
+
+
+def with_matrix(where: str, mutate):
+    """so2_document with its one generator (where="generators") or its N
+    (where="N") changed in place by mutate, and the JSON path of that matrix."""
+    doc = copy.deepcopy(so2_document())  # keeps SO2_GEN and EYE2 intact
+    if where == "generators":
+        mutate(doc["group"]["generators"][0])
+        return doc, "group.generators[0]"
+    mutate(doc["extension"]["N"])
+    return doc, "extension.N"
+
+
+def parse_error(doc) -> str:
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    return str(info.value)
+
+
+def set_cell(i, j, value):
+    def mutate(m):
+        m[i][j] = value
+    return mutate
+
+
+def all_bool(m):
+    m[:] = [[[True, False], [False, False]], [[False, False], [True, False]]]
+
+
+class TestMatrixCellErrors:
+    """Each malformed matrix entry is rejected with the path of its cell."""
+
+    @pytest.mark.parametrize("where", ["generators", "N"])
+    @pytest.mark.parametrize(
+        "mutate, cell, message",
+        [
+            (set_cell(0, 1, [0.5, True]), "[0][1][1]", "expected a real number"),  # numpy would upcast it
+            (all_bool, "[0][0][0]", "expected a real number"),
+            (set_cell(0, 1, "x"), "[0][1]", "expected a [re, im] pair"),
+            (set_cell(0, 1, None), "[0][1]", "expected a [re, im] pair"),
+            (set_cell(0, 1, {"re": 1, "im": 0}), "[0][1]", "expected a [re, im] pair"),
+            (set_cell(1, 0, [0, "1"]), "[1][0][1]", "expected a real number"),
+            (set_cell(1, 1, [None, 0]), "[1][1][0]", "expected a real number"),
+            (lambda m: m[1].pop(), "[1]", "expected a row of 2 entries"),
+            (lambda m: m.pop(), "", "expected a 2x2 matrix"),
+            (set_cell(0, 0, [1, 0, 0]), "[0][0]", "expected a [re, im] pair"),
+            (set_cell(0, 1, [[1], 0]), "[0][1][0]", "expected a real number"),
+        ],
+    )
+    def test_bad_cell_is_named(self, where, mutate, cell, message):
+        doc, path = with_matrix(where, mutate)
+        assert parse_error(doc) == f"{path}{cell}: {message}"
+
+    @pytest.mark.parametrize("generators", [[SO2_GEN, SO2_GEN], [], SO2_GEN[0][0], "x"])
+    def test_wrong_matrix_count(self, generators):
+        doc = so2_document()
+        doc["group"]["generators"] = generators
+        assert parse_error(doc) == "group.generators: expected a list of 1 matrices"
+
+    def test_first_bad_cell_in_document_order(self):
+        def two_bad_cells(m):
+            m[1][0] = "x"
+            m[0][1] = [0, True]
+
+        doc, path = with_matrix("N", two_bad_cells)
+        assert parse_error(doc) == f"{path}[0][1][1]: expected a real number"
+
+    @pytest.mark.parametrize("where", ["generators", "N"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_cell_is_named(self, where, literal, tmp_path, capsys):
+        doc, path = with_matrix(where, set_cell(0, 1, [0, 12345.5]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc).replace("12345.5", literal))  # literals json.load accepts
+        expected = f"{path}[0][1][1]: expected a finite real number"
+        with pytest.raises(ConfigError) as info:
+            load_config(str(cfg))
+        assert str(info.value) == expected
+        assert main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and expected in captured.err
+
+    @pytest.mark.parametrize("where", ["generators", "N"])
+    def test_integer_beyond_float_range_is_named(self, where, tmp_path, capsys):
+        doc, path = with_matrix(where, set_cell(0, 0, [10**400, 0]))
+        expected = f"{path}[0][0][0]: expected a real number within float range"
+        assert parse_error(doc) == expected
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert expected in capsys.readouterr().err
+
+    def test_integers_and_signed_zeros_parse_exactly(self):
+        doc, _ = with_matrix("generators", lambda m: m.__setitem__(0, [[2**63 + 1, -0.0], [0, 2**70]]))
+        x = parse_config(doc).spec.generators[0]
+        assert x[0, 0] == complex(2**63 + 1, -0.0) and np.signbit(x[0, 0].imag)
+        assert x[0, 1] == complex(0, 2**70) and x.dtype == complex
+
+    def test_valid_stacks_are_never_walked(self, monkeypatch):
+        # the per-cell walk runs only to name a bad cell, never on a good stack
+        walked = []
+        cell_check = config._parse_complex
+        monkeypatch.setattr(config, "_parse_complex", lambda value, path: walked.append(path) or cell_check(value, path))
+        cfg = parse_config(spin_document(47))
+        assert (cfg.spec.n, cfg.spec.d) == (3, 48)
+        assert walked == []
+        doc = spin_document(47)
+        doc["extension"]["N"][47][0][1] = True
+        assert parse_error(doc) == "extension.N[47][0][1]: expected a real number"
+        assert walked[-1] == "extension.N[47][0]"
 
 
 class TestOverrides:

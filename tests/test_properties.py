@@ -1,10 +1,12 @@
-"""Property-based checks of the algebraic invariants."""
+"""Property-based checks of the algebraic invariants and of the config reader."""
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import oracle
 from coreplie import (
+    ConfigError,
     GroupElement,
     Linearity,
     catalog_entry,
@@ -13,6 +15,7 @@ from coreplie import (
     field_bracket,
 )
 from coreplie.algebra import _expand
+from coreplie.config import _parse_matrices
 
 finite_reals = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -107,3 +110,76 @@ def test_projection_recovers_real_combinations(weights):
     (coeffs,), (residual,), _, _ = _expand(np.array([target]), np.array(basis))
     assert np.abs(coeffs - np.array(weights)).max() < 1e-9
     assert residual < 1e-9
+
+
+# every real a config entry may hold: ints and floats mixed, signed zeros, and
+# integers past 2**53 and 2**63, which float() rounds
+config_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.integers(2**53, 2**64) | st.integers(-(2**64), -(2**63)),
+    st.sampled_from([0, 0.0, -0.0, 2**63, 2**63 - 1, -(2**63) - 1, 2**53 + 1]),
+)
+
+
+@st.composite
+def config_stacks(draw, pairs=st.sampled_from([list, tuple])):
+    """(stack, path, shape): a generator list (n, d, d) or one N (d, d) as
+    nested [re, im] pairs."""
+    d = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(1, d, d), (2, d, d), (d, d)]))
+
+    def build(dims):
+        if not dims:
+            return draw(pairs)([draw(config_reals), draw(config_reals)])
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    return build(shape), "group.generators" if len(shape) == 3 else "extension.N", shape
+
+
+def read_outcome(read, stack, path, shape):
+    """The bytes a reader returns, or the message of the ConfigError it raises."""
+    try:
+        return read(stack, path, shape).tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150)
+@given(config_stacks())
+def test_stack_reader_matches_per_entry_reference(case):
+    stack, path, shape = case
+    got = _parse_matrices(stack, path, shape)
+    want = oracle.parse_matrix_stack(stack, path, shape)
+    assert got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+
+bad_nodes = st.sampled_from(
+    [True, False, "x", "1", None, {}, [], [1], [1, 2, 3], [[1], 0], [0, True], [None, 0], 1.5, (1, 2), [[1, 0]]]
+)
+
+
+@settings(max_examples=300)
+@given(config_stacks(pairs=st.just(list)), st.data())
+def test_one_bad_node_gets_the_reference_error(case, data):
+    stack, path, shape = case
+    trail, node = [], stack
+    for _ in range(data.draw(st.integers(0, len(shape) + 1))):
+        i = data.draw(st.integers(0, len(node) - 1))
+        trail.append((node, i))
+        node = node[i]
+    edit = data.draw(st.sampled_from(["replace", "drop", "repeat"]))
+    if edit == "replace" or not isinstance(node, list) or not node:
+        if trail:
+            container, i = trail[-1]
+            container[i] = data.draw(bad_nodes)
+        else:
+            stack = data.draw(bad_nodes)
+    elif edit == "drop":
+        node.pop()
+    else:
+        node.append(node[0])
+    assert read_outcome(_parse_matrices, stack, path, shape) == read_outcome(
+        oracle.parse_matrix_stack, stack, path, shape
+    )
