@@ -49,10 +49,8 @@ from .group_core import (
 from .infinitesimal import (
     DifferentiationError,
     GeneratorBasis,
-    TransportMap,
     central_derivative,
     generator_basis,
-    transport_map,
 )
 from .report import RunReport, emit_machine, format_human, parse_machine, run_verification
 
@@ -80,7 +78,6 @@ __all__ = [
     "Side",
     "StructureConstants",
     "Tolerances",
-    "TransportMap",
     "TypeMismatchError",
     "a0_square_sign",
     "act_b",
@@ -105,7 +102,6 @@ __all__ = [
     "sub_sub_closure_report",
     "transform_coords_a",
     "transform_coords_b",
-    "transport_map",
     "verify_coset_coset_closure",
     "verify_mixed_closure",
 ]

@@ -19,10 +19,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .coirrep import Frame
 from .group_core import CoirrepType
-from .infinitesimal import GeneratorBasis, TransportMap
-from .matrices import real_vectorization, upper_blocks
+from .infinitesimal import GeneratorBasis
+from .matrices import real_vectorization
 
 CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -154,43 +153,20 @@ def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> C
     return _sub_sub(basis.subgroup_blocks, tol, BLOCK_SCALE[basis.ctype])
 
 
-def _map_blocks(basis: GeneratorBasis, tmap: TransportMap):
-    """(M, M^-1) of the x' -> x map on the basis's d x d blocks. A type-b
-    map may come as the block M or doubled, as blockdiag(M, +-M)."""
-    if tmap.from_frame is not Frame.X_PRIME or tmap.to_frame is not Frame.X:
-        raise ValueError("transport map must go from the x' frame to the x frame")
-    m, d = tmap.matrix, basis.subgroup_blocks.shape[-1]
-    if basis.ctype is CoirrepType.B and len(m) == 2 * d:
-        return upper_blocks(m, "transport map", 1, -1), tmap.inverse_matrix[:d, :d]
-    return m, tmap.inverse_matrix
-
-
-def coset_in_x_frame(basis: GeneratorBasis, tmap: TransportMap) -> np.ndarray:
-    """Coset blocks transported to the x frame, M X' M^-1. Conjugation is an
-    automorphism, so transporting the generators transports their brackets."""
-    m, m_inv = _map_blocks(basis, tmap)
-    return m @ basis.coset_blocks @ m_inv
-
-
-def verify_coset_coset_closure(
-    basis: GeneratorBasis, tmap: TransportMap, tol: float = CLOSURE_TOL, *, coset_x=None
-) -> ClosureReport:
-    """Coset-coset family: brackets, transported to the x frame (coset_x if
-    given), expand over the real span of the subgroup generators."""
-    coset = coset_in_x_frame(basis, tmap) if coset_x is None else coset_x
+def verify_coset_coset_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
+    """Coset-coset family: brackets, transported to the x frame, expand over
+    the real span of the subgroup generators."""
+    coset = basis.coset_x
     pairs = combinations(range(len(coset)), 2)
     sub = basis.subgroup_blocks
     return _closure_report("coset-coset", coset, coset, pairs, sub, tol, BLOCK_SCALE[basis.ctype])
 
 
-def verify_mixed_closure(
-    basis: GeneratorBasis, tmap: TransportMap, tol: float = CLOSURE_TOL
-) -> ClosureReport:
+def verify_mixed_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
     """Subgroup-coset family: the subgroup field is transported to the x'
     frame, bracketed with each coset field, and expanded over the real span
     of the coset generators."""
-    m, m_inv = _map_blocks(basis, tmap)
-    moved = m_inv @ basis.subgroup_blocks @ m
+    moved = basis.to_x_inverse @ basis.subgroup_blocks @ basis.to_x
     coset = basis.coset_blocks
     pairs = product(range(basis.n), range(len(coset)))
     return _closure_report("sub-coset", moved, coset, pairs, coset, tol, BLOCK_SCALE[basis.ctype])
@@ -215,17 +191,14 @@ class AlgebraDimension:
     certificate: np.ndarray | None = None
 
 
-def algebra_dimension(
-    basis: GeneratorBasis, tmap: TransportMap, rank_tol: float = RANK_REL_TOL, *, coset_x=None
-) -> AlgebraDimension:
+def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> AlgebraDimension:
     """Dimension of the real span of all generators in one common frame.
 
-    Coset generators are transported to the x frame (coset_x if given); the
-    real rank of the stacked real+imaginary vectorizations is computed from
-    singular values with threshold rank_tol * sigma_max.
+    Coset generators are transported to the x frame; the real rank of the
+    stacked real+imaginary vectorizations is computed from singular values
+    with threshold rank_tol * sigma_max.
     """
-    coset = coset_in_x_frame(basis, tmap) if coset_x is None else coset_x
-    stack = np.concatenate([basis.subgroup_blocks, coset])
+    stack = np.concatenate([basis.subgroup_blocks, basis.coset_x])
     expected = basis.n + 1 if basis.ctype is CoirrepType.A else 2 * basis.n + 1
     if not len(stack):
         return AlgebraDimension(0, expected, "other", np.zeros(0), 0.0, 0.0)

@@ -1,12 +1,13 @@
-"""Generator extraction and the transport between the two base points.
+"""Generator extraction and the map between the two base points.
 
 A generator with coefficient matrix A stands for the linear vector field
 J = A_ij x_j d/dx_i. Subgroup generators live at the base point x, coset
-generators at the coset base point x'; the transport x' = N^{-1} x
-(blockdiag(N^{-1}, -N^{-1}) for type b) conjugates coefficients between the
-two, and a TransportMap carries the frame tags that fix its direction.
-Generators stay complex stacks of d x d upper blocks from extraction to
-emission (type b doubles them on request); their bracket is algebra.field_bracket.
+generators at the coset base point x' = e^{-i delta_alpha0} N^{-1} x. A
+GeneratorBasis carries the x' -> x map M = e^{i delta_alpha0} N on its d x d
+blocks (type b: blockdiag(M, -M)), which conjugates coset coefficients into
+the x frame. Generators stay complex stacks of d x d upper blocks from
+extraction to emission (type b doubles them on request); their bracket is
+algebra.field_bracket.
 """
 from __future__ import annotations
 
@@ -16,14 +17,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .coirrep import Frame
 from .group_core import (
     AntilinearExtension,
     CoirrepType,
     LieGroupSpec,
     classify_coirrep,
 )
-from .matrices import as_square_complex, block_diag2, expm, is_invertible, upper_blocks
+from .matrices import as_square_complex, block_diag2, expm
 
 
 class DifferentiationError(ArithmeticError):
@@ -31,38 +31,16 @@ class DifferentiationError(ArithmeticError):
 
 
 @dataclass(frozen=True, eq=False)
-class TransportMap:
-    """Invertible coordinate change between the x and x' base points; for
-    type b, blockdiag(M, -M) or its upper block M."""
-
-    matrix: np.ndarray
-    from_frame: Frame
-    to_frame: Frame
-
-    def __post_init__(self):
-        m = as_square_complex(self.matrix, "transport matrix")
-        if not is_invertible(m):
-            raise ValueError("transport matrix is singular")
-        object.__setattr__(self, "matrix", m)
-
-    @cached_property
-    def inverse_matrix(self) -> np.ndarray:
-        """matrix^-1, computed once per map."""
-        return np.linalg.inv(self.matrix)
-
-    def inverse(self) -> "TransportMap":
-        return TransportMap(self.inverse_matrix, self.to_frame, self.from_frame)
-
-
-@dataclass(frozen=True, eq=False)
 class GeneratorBasis:
     """Upper blocks of the subgroup (n, d, d) and coset (n+1, d, d) generators
-    of one coirrep, read-only complex copies of the input. .subgroup and .coset
-    are the generators, for type b a new blockdiag(X, X) and blockdiag(X', -X')."""
+    of one coirrep, and the d x d block to_x of the x' -> x map, all read-only
+    complex copies of the input. .subgroup and .coset are the generators, for
+    type b a new blockdiag(X, X) and blockdiag(X', -X')."""
 
     subgroup_blocks: np.ndarray
     coset_blocks: np.ndarray
     ctype: CoirrepType
+    to_x: np.ndarray
 
     def __post_init__(self):
         for name in ("subgroup", "coset"):
@@ -71,19 +49,30 @@ class GeneratorBasis:
         if self.subgroup_blocks.shape[1:] != self.coset_blocks.shape[1:]:
             raise ValueError(f"subgroup generators {self.subgroup_blocks.shape} and coset "
                              f"generators {self.coset_blocks.shape} differ in matrix size")
-
-    @classmethod
-    def from_stacks(cls, subgroup, coset, ctype: CoirrepType) -> "GeneratorBasis":
-        """Basis of full generator stacks: type b keeps the upper blocks and
-        rejects stacks that are not blockdiag(X, X) and blockdiag(X', -X')."""
-        if ctype is CoirrepType.B:
-            subgroup = upper_blocks(subgroup, "subgroup generators", 1)
-            coset = upper_blocks(coset, "coset generators", -1)
-        return cls(subgroup, coset, ctype)
+        to_x = as_square_complex(self.to_x, "x' -> x map")
+        if to_x.shape != self.subgroup_blocks.shape[1:]:
+            raise ValueError(f"x' -> x map {to_x.shape} and generator blocks "
+                             f"{self.subgroup_blocks.shape[1:]} differ in size")
+        object.__setattr__(self, "to_x", to_x)
 
     @property
     def n(self) -> int:
         return len(self.subgroup_blocks)
+
+    @cached_property
+    def to_x_inverse(self) -> np.ndarray:
+        """The x -> x' block M^-1, inverted once per basis."""
+        out = np.linalg.inv(self.to_x)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def coset_x(self) -> np.ndarray:
+        """Coset blocks transported to the x frame, M X' M^-1. Conjugation is an
+        automorphism, so transporting the generators transports their brackets."""
+        out = self.to_x @ self.coset_blocks @ self.to_x_inverse
+        out.setflags(write=False)
+        return out
 
     @property
     def subgroup(self) -> np.ndarray:
@@ -97,25 +86,6 @@ class GeneratorBasis:
         out = upper if self.ctype is CoirrepType.A else block_diag2(upper, lower)
         out.setflags(write=False)
         return out
-
-
-def transport_map(
-    ext: AntilinearExtension, ctype: CoirrepType, delta_alpha0: float = 0.0
-) -> TransportMap:
-    """Coordinate change from the x frame to the x' frame.
-
-    Type a: x' = exp(-i delta_alpha0) N^{-1} x. Type b: the block form
-    x' = exp(-i delta_alpha0) blockdiag(N^{-1}, -N^{-1}) x. The default
-    delta_alpha0 = 0 matches the base point at which all generators are
-    extracted; a nonzero value exposes the pure-phase factor, which cancels
-    out of every conjugation.
-    """
-    n_inv = np.linalg.inv(ext.N)
-    if ctype is CoirrepType.A:
-        m = n_inv
-    else:
-        m = block_diag2(n_inv, -n_inv)
-    return TransportMap(cmath.exp(-1j * delta_alpha0) * m, Frame.X, Frame.X_PRIME)
 
 
 def central_derivative(curve, step: float = 1e-4, tol: float = 1e-4) -> np.ndarray:
@@ -178,6 +148,7 @@ def generator_basis(
     ext: AntilinearExtension | None,
     mode: str = "exact",
     step: float = 1e-4,
+    delta_alpha0: float = 0.0,
 ) -> GeneratorBasis:
     """Extract both generator stacks for the coirrep of (spec, ext).
 
@@ -185,12 +156,13 @@ def generator_basis(
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
     X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
     Mode 'fd' differentiates the one-parameter curves instead and must agree
-    with 'exact'. Without an extension the basis is type a with an empty
-    coset stack.
+    with 'exact'. The x' -> x map is e^{i delta_alpha0} N. Without an
+    extension the basis is type a with an empty coset stack, and x' = x.
     """
     if ext is None:
-        ctype, n_matrix = CoirrepType.A, None
+        ctype, n_matrix, to_x = CoirrepType.A, None, np.eye(spec.d)
     else:
         ctype, n_matrix = classify_coirrep(spec, ext), ext.N
+        to_x = cmath.exp(1j * delta_alpha0) * ext.N
     blocks = _generator_blocks(spec, n_matrix, mode, step)
-    return GeneratorBasis(blocks[:spec.n], blocks[spec.n:], ctype)
+    return GeneratorBasis(blocks[:spec.n], blocks[spec.n:], ctype, to_x)

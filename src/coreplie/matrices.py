@@ -72,15 +72,6 @@ def block_diag2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def upper_blocks(m, name: str, *signs: int) -> np.ndarray:
-    """Upper blocks A of a matrix or stack m = blockdiag(A, s A), s in signs."""
-    m, d = np.asarray(m, dtype=complex), np.shape(m)[-1] // 2
-    a = m[..., :d, :d]
-    if not any(entries_close(m, block_diag2(a, s * a)) for s in signs):
-        raise ValueError(f"{name} {m.shape}: not of the type-b form blockdiag(A, sA), s in {signs}")
-    return a
-
-
 def block_antidiag2(upper_right: np.ndarray, lower_left: np.ndarray) -> np.ndarray:
     d = upper_right.shape[0]
     out = np.zeros((2 * d, 2 * d), dtype=complex)

@@ -10,7 +10,6 @@ of the machine report; the CLI prints it separately in human mode.
 """
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass, fields
 
@@ -20,15 +19,13 @@ from .algebra import (
     AlgebraDimension,
     ClosureReport,
     algebra_dimension,
-    coset_in_x_frame,
     sub_sub_closure_report,
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
-from .coirrep import Frame
 from .config import ConfigError, GroupConfig
 from .group_core import a0_sign_of_type
-from .infinitesimal import DifferentiationError, TransportMap, generator_basis
+from .infinitesimal import DifferentiationError, generator_basis
 from .matrices import max_abs_diff
 
 SCHEMA_VERSION = 4
@@ -121,8 +118,9 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         raise ConfigError("extension: required for this command but absent")
     spec, ext, tol = cfg.spec, cfg.extension, cfg.tolerances
 
-    basis_exact = generator_basis(spec, ext, mode="exact")
-    basis_fd = generator_basis(spec, ext, mode="fd", step=tol.fd_step)
+    da0 = cfg.delta_alpha0
+    basis_exact = generator_basis(spec, ext, mode="exact", delta_alpha0=da0)
+    basis_fd = generator_basis(spec, ext, mode="fd", step=tol.fd_step, delta_alpha0=da0)
     ctype = basis_exact.ctype
     fd_diff = max(
         max_abs_diff(basis_exact.subgroup_blocks, basis_fd.subgroup_blocks),
@@ -135,14 +133,11 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         )
     basis = basis_exact if mode == "exact" else basis_fd
 
-    tmap = TransportMap(cmath.exp(1j * cfg.delta_alpha0) * ext.N, Frame.X_PRIME, Frame.X)
-    coset_x = coset_in_x_frame(basis, tmap)
-
     sub_sub = sub_sub_closure_report(basis, tol=tol.closure)
-    coset_coset = verify_coset_coset_closure(basis, tmap, tol=tol.closure, coset_x=coset_x)
-    mixed = verify_mixed_closure(basis, tmap, tol=tol.closure)
+    coset_coset = verify_coset_coset_closure(basis, tol=tol.closure)
+    mixed = verify_mixed_closure(basis, tol=tol.closure)
 
-    dim = algebra_dimension(basis, tmap, rank_tol=tol.rank, coset_x=coset_x)
+    dim = algebra_dimension(basis, rank_tol=tol.rank)
 
     passed = sub_sub.passed and coset_coset.passed and mixed.passed
 

@@ -25,7 +25,6 @@ from coreplie import (
     field_bracket,
     generator_basis,
     structure_constants_subgroup,
-    transport_map,
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
@@ -172,11 +171,9 @@ def _closure_residuals(name: str, xi: float = 0.0):
         from dataclasses import replace
 
         ext = replace(ext, xi=xi)
-    ctype = classify_coirrep(spec, ext)
     basis = generator_basis(spec, ext)
-    tmap = transport_map(ext, ctype).inverse()
-    cc = verify_coset_coset_closure(basis, tmap)
-    mixed = verify_mixed_closure(basis, tmap)
+    cc = verify_coset_coset_closure(basis)
+    mixed = verify_mixed_closure(basis)
     return cc, mixed
 
 
@@ -232,10 +229,8 @@ def test_criterion_7_algebra_dimensions():
         ("su2-tr", 7, "b-full"),
     ):
         spec, ext = catalog_entry(name)
-        ctype = classify_coirrep(spec, ext)
         basis = generator_basis(spec, ext)
-        tmap = transport_map(ext, ctype).inverse()
-        dim = algebra_dimension(basis, tmap)
+        dim = algebra_dimension(basis)
         if dim.computed != expected_rank or dim.classification != expected_cls:
             failures.append(f"{name}: got {dim.computed} ({dim.classification})")
         if dim.margin < 1e6:

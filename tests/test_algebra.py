@@ -1,4 +1,3 @@
-import cmath
 import sys
 from pathlib import Path
 
@@ -8,18 +7,14 @@ import pytest
 from coreplie import (
     AntilinearExtension,
     CoirrepType,
-    Frame,
     GeneratorBasis,
     LieGroupSpec,
-    TransportMap,
     algebra_dimension,
     catalog_entry,
-    classify_coirrep,
     generator_basis,
     parse_config,
     structure_constants_subgroup,
     sub_sub_closure_report,
-    transport_map,
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
@@ -39,16 +34,12 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 def su2_setup():
     spec, ext = catalog_entry("su2-tr")
-    basis = generator_basis(spec, ext)
-    tmap = transport_map(ext, CoirrepType.B).inverse()
-    return spec, ext, basis, tmap
+    return spec, ext, generator_basis(spec, ext)
 
 
 def so2_setup():
     spec, ext = catalog_entry("so2-conj")
-    basis = generator_basis(spec, ext)
-    tmap = transport_map(ext, CoirrepType.A).inverse()
-    return spec, ext, basis, tmap
+    return spec, ext, generator_basis(spec, ext)
 
 
 class TestProjectOntoSpan:
@@ -125,24 +116,24 @@ class TestStructureConstants:
 
 class TestClosureFamilies:
     def test_so2_conj_all_families_pass(self):
-        _, _, basis, tmap = so2_setup()
+        _, _, basis = so2_setup()
         sub = sub_sub_closure_report(basis)
-        cc = verify_coset_coset_closure(basis, tmap)
-        mixed = verify_mixed_closure(basis, tmap)
+        cc = verify_coset_coset_closure(basis)
+        mixed = verify_mixed_closure(basis)
         assert sub.passed and cc.passed and mixed.passed
         assert cc.max_residual() < 1e-9
         assert mixed.max_residual() < 1e-9
 
     def test_su2_tr_sub_sub_passes(self):
-        _, _, basis, tmap = su2_setup()
+        _, _, basis = su2_setup()
         assert sub_sub_closure_report(basis).passed
 
     def test_su2_tr_coset_coset_real_span_obstruction(self):
         # the alpha0-direction generator is i*N, so the brackets against the
         # V_-minus subgroup directions land in i times the subgroup span:
         # pairs (0,1) and (0,3) have residual ||2i X (doubled)||_F = 2
-        _, _, basis, tmap = su2_setup()
-        rep = verify_coset_coset_closure(basis, tmap)
+        _, _, basis = su2_setup()
+        rep = verify_coset_coset_closure(basis)
         assert not rep.passed
         residuals = {(p.left, p.right): p.residual for p in rep.pairs}
         assert abs(residuals[(0, 1)] - 2.0) < 1e-10
@@ -151,15 +142,15 @@ class TestClosureFamilies:
             assert residuals[pair] < 1e-10
 
     def test_su2_tr_coset_coset_complex_fallback_closes(self):
-        _, _, basis, tmap = su2_setup()
-        rep = verify_coset_coset_closure(basis, tmap)
+        _, _, basis = su2_setup()
+        rep = verify_coset_coset_closure(basis)
         assert rep.max_complex_residual() < 1e-12
 
     def test_su2_tr_mixed_real_span_obstruction(self):
         # failures sit at (sigma in V_minus, mu = 0) with residual 2 and at
         # (sigma in V_minus, mu = sigma) with residual ||N/2 (doubled)||_F = 1
-        _, _, basis, tmap = su2_setup()
-        rep = verify_mixed_closure(basis, tmap)
+        _, _, basis = su2_setup()
+        rep = verify_mixed_closure(basis)
         assert not rep.passed
         residuals = {(p.left, p.right): p.residual for p in rep.pairs}
         assert abs(residuals[(0, 0)] - 2.0) < 1e-10
@@ -172,8 +163,8 @@ class TestClosureFamilies:
         assert rep.max_complex_residual() < 1e-12
 
     def test_real_coefficients_and_complex_fallback_kept_apart(self):
-        _, _, basis, tmap = su2_setup()
-        rep = verify_coset_coset_closure(basis, tmap)
+        _, _, basis = su2_setup()
+        rep = verify_coset_coset_closure(basis)
         for p in rep.pairs:
             assert p.coeffs.dtype.kind == "f"
             assert p.complex_coeffs.dtype.kind == "c"
@@ -181,14 +172,8 @@ class TestClosureFamilies:
     def test_so3_families_pass(self):
         spec, ext = catalog_entry("so3")
         basis = generator_basis(spec, ext)
-        tmap = transport_map(ext, CoirrepType.A).inverse()
-        assert verify_coset_coset_closure(basis, tmap).passed
-        assert verify_mixed_closure(basis, tmap).passed
-
-    def test_transport_direction_enforced(self):
-        _, ext, basis, tmap = su2_setup()
-        with pytest.raises(ValueError, match="x' frame to the x frame"):
-            verify_coset_coset_closure(basis, tmap.inverse())
+        assert verify_coset_coset_closure(basis).passed
+        assert verify_mixed_closure(basis).passed
 
 
 def su3_gell_mann():
@@ -221,23 +206,29 @@ def kernel_case(name):
         ext = AntilinearExtension(np.diag([np.exp(0.7j), 1.0]), s=+1)
     else:
         spec, ext = catalog_entry(name.removesuffix("-no-coset"))
-    ctype = classify_coirrep(spec, ext)
     basis = generator_basis(spec, ext)
     if name.endswith("-no-coset"):
-        basis = GeneratorBasis(basis.subgroup_blocks, basis.coset_blocks[:0], ctype)
-    return basis, transport_map(ext, ctype).inverse()
+        basis = GeneratorBasis(basis.subgroup_blocks, basis.coset_blocks[:0], basis.ctype, basis.to_x)
+    return basis
+
+
+def full_to_x(basis):
+    """The x' -> x map on the full generators: to_x, or blockdiag(M, -M) for
+    type b, assembled from the block."""
+    m = basis.to_x
+    return m if basis.ctype is CoirrepType.A else block_diag2(m, -m)
 
 
 class TestKernelAgainstPerPairOracle:
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_families_match_oracle(self, name):
-        basis, tmap = kernel_case(name)
-        oracle = closure_families(basis.subgroup, basis.coset, tmap.matrix)
+        basis = kernel_case(name)
+        oracle = closure_families(basis.subgroup, basis.coset, full_to_x(basis))
         span_sizes = {"sub-sub": basis.n, "coset-coset": basis.n, "sub-coset": len(basis.coset)}
         for rep in (
             sub_sub_closure_report(basis),
-            verify_coset_coset_closure(basis, tmap),
-            verify_mixed_closure(basis, tmap),
+            verify_coset_coset_closure(basis),
+            verify_mixed_closure(basis),
         ):
             expected = oracle[rep.family]
             assert rep.pairs["coeffs"].shape == (len(expected), span_sizes[rep.family])
@@ -252,10 +243,10 @@ class TestKernelAgainstPerPairOracle:
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_structure_constants_match_oracle(self, name):
-        basis, tmap = kernel_case(name)
+        basis = kernel_case(name)
         n = basis.n
         c, residuals = np.zeros((n, n, n)), np.zeros((n, n))
-        sub_sub = closure_families(basis.subgroup, basis.coset, tmap.matrix)["sub-sub"]
+        sub_sub = closure_families(basis.subgroup, basis.coset, full_to_x(basis))["sub-sub"]
         for (s, r), (coeffs, res, _, _) in sub_sub.items():
             c[s, r], c[r, s] = coeffs, -coeffs
             residuals[s, r] = residuals[r, s] = res
@@ -264,48 +255,46 @@ class TestKernelAgainstPerPairOracle:
         assert close(sc.c, c) and close(sc.residuals, residuals)
 
     def test_empty_families(self):
-        basis, _ = kernel_case("u1")
+        basis = kernel_case("u1")
         assert len(sub_sub_closure_report(basis).pairs) == 0
         assert np.array_equal(structure_constants_subgroup(basis.subgroup).c, np.zeros((1, 1, 1)))
-        basis, tmap = kernel_case("so3-no-coset")
-        for rep in (verify_coset_coset_closure(basis, tmap), verify_mixed_closure(basis, tmap)):
+        basis = kernel_case("so3-no-coset")
+        for rep in (verify_coset_coset_closure(basis), verify_mixed_closure(basis)):
             assert len(rep.pairs) == 0 and rep.passed
 
 
 class TestAlgebraDimension:
     def test_so2_conj_is_a_degenerate(self):
-        _, _, basis, tmap = so2_setup()
-        dim = algebra_dimension(basis, tmap)
+        _, _, basis = so2_setup()
+        dim = algebra_dimension(basis)
         assert dim.computed == 2
         assert dim.expected == 2
         assert dim.classification == "a-degenerate"
 
     def test_su2_tr_is_b_full(self):
-        _, _, basis, tmap = su2_setup()
-        dim = algebra_dimension(basis, tmap)
+        _, _, basis = su2_setup()
+        dim = algebra_dimension(basis)
         assert dim.computed == 7
         assert dim.expected == 7
         assert dim.classification == "b-full"
 
     def test_margins_are_wide(self):
         for setup in (so2_setup, su2_setup):
-            _, _, basis, tmap = setup()
-            dim = algebra_dimension(basis, tmap)
+            _, _, basis = setup()
+            dim = algebra_dimension(basis)
             assert dim.margin >= 1e6
 
     def test_empty_coset_reports_other(self):
         spec, ext = catalog_entry("so2-conj")
-        basis = GeneratorBasis(spec.generators, np.zeros((0, 2, 2)), CoirrepType.A)
-        tmap = transport_map(ext, CoirrepType.A).inverse()
-        dim = algebra_dimension(basis, tmap)
+        basis = GeneratorBasis(spec.generators, np.zeros((0, 2, 2)), CoirrepType.A, ext.N)
+        dim = algebra_dimension(basis)
         assert dim.computed == spec.n
         assert dim.classification == "other"
 
     def test_u1_collapses_to_other_with_certificate(self):
         spec, ext = catalog_entry("u1")
         basis = generator_basis(spec, ext)
-        tmap = transport_map(ext, CoirrepType.A).inverse()
-        dim = algebra_dimension(basis, tmap)
+        dim = algebra_dimension(basis)
         assert dim.computed == 1
         assert dim.classification == "other"
         assert dim.certificate is not None
@@ -313,17 +302,16 @@ class TestAlgebraDimension:
     def test_invariant_under_subgroup_basis_change(self, rng):
         spec, ext = catalog_entry("su2-tr")
         basis = generator_basis(spec, ext)
-        tmap = transport_map(ext, CoirrepType.B).inverse()
-        ref = algebra_dimension(basis, tmap).computed
+        ref = algebra_dimension(basis).computed
         for _ in range(5):
             w = rng.standard_normal((3, 3))
             if abs(np.linalg.det(w)) < 0.1:
                 continue
             mixed_gens = tuple(
-                sum(w[i, j] * basis.subgroup[j] for j in range(3)) for i in range(3)
+                sum(w[i, j] * basis.subgroup_blocks[j] for j in range(3)) for i in range(3)
             )
-            changed = GeneratorBasis.from_stacks(mixed_gens, basis.coset, basis.ctype)
-            assert algebra_dimension(changed, tmap).computed == ref
+            changed = GeneratorBasis(mixed_gens, basis.coset_blocks, basis.ctype, basis.to_x)
+            assert algebra_dimension(changed).computed == ref
 
 
 def spin_entry(two_j):
@@ -341,19 +329,18 @@ BLOCK_CASES = {
 
 
 def block_case(name):
-    """A type-b basis and its x' -> x map exp(i delta_alpha0) N on the blocks,
-    as run_verification builds them."""
+    """A type-b basis with its x' -> x map exp(i delta_alpha0) N on the blocks,
+    as run_verification builds it."""
     spec, ext, delta_alpha0 = BLOCK_CASES[name]()
-    tmap = TransportMap(cmath.exp(1j * delta_alpha0) * ext.N, Frame.X_PRIME, Frame.X)
-    return generator_basis(spec, ext), tmap
+    return generator_basis(spec, ext, delta_alpha0=delta_alpha0)
 
 
-def doubled(basis, tmap):
+def doubled(basis):
     """The 2d x 2d subgroup and coset stacks and x' -> x map, assembled one
     matrix at a time from the blocks."""
     sub = np.array([block_diag2(x, x) for x in basis.subgroup_blocks])
     coset = np.array([block_diag2(y, -y) for y in basis.coset_blocks])
-    return sub, coset, block_diag2(tmap.matrix, -tmap.matrix)
+    return sub, coset, block_diag2(basis.to_x, -basis.to_x)
 
 
 def realified(stack):
@@ -366,13 +353,13 @@ class TestBlockKernelAgainstDoubled:
 
     @pytest.mark.parametrize("name", BLOCK_CASES)
     def test_families_match_doubled_oracle(self, name):
-        basis, tmap = block_case(name)
+        basis = block_case(name)
         assert basis.ctype is CoirrepType.B
-        oracle = closure_families(*doubled(basis, tmap))
+        oracle = closure_families(*doubled(basis))
         for rep in (
             sub_sub_closure_report(basis),
-            verify_coset_coset_closure(basis, tmap),
-            verify_mixed_closure(basis, tmap),
+            verify_coset_coset_closure(basis),
+            verify_mixed_closure(basis),
         ):
             expected = oracle[rep.family]
             assert [(p.left, p.right) for p in rep.pairs] == list(expected)
@@ -386,11 +373,11 @@ class TestBlockKernelAgainstDoubled:
 
     @pytest.mark.parametrize("name", BLOCK_CASES)
     def test_singular_values_match_doubled_svd(self, name):
-        basis, tmap = block_case(name)
-        sub, coset, to_x = doubled(basis, tmap)
+        basis = block_case(name)
+        sub, coset, to_x = doubled(basis)
         ref = np.linalg.svd(realified(np.concatenate([sub, conjugate(to_x, coset)])),
                             compute_uv=False)
-        dim = algebra_dimension(basis, tmap)
+        dim = algebra_dimension(basis)
         assert np.abs(dim.singular_values - ref).max() <= 1e-12 * ref[0]
         assert dim.computed == int(np.sum(ref > dim.threshold))
 
@@ -398,40 +385,13 @@ class TestBlockKernelAgainstDoubled:
         # X_2 = 2 X_1, so the doubled generators have one null combination
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         coset = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-        basis = GeneratorBasis(np.array([x, 2 * x]), coset, CoirrepType.B)
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        tmap = TransportMap(m, Frame.X_PRIME, Frame.X)
-        sub, coset2, to_x = doubled(basis, tmap)
+        basis = GeneratorBasis(np.array([x, 2 * x]), coset, CoirrepType.B, to_x=m)
+        sub, coset2, to_x = doubled(basis)
         u, _, _ = np.linalg.svd(realified(np.concatenate([sub, conjugate(to_x, coset2)])),
                                 full_matrices=False)
-        dim = algebra_dimension(basis, tmap)
+        dim = algebra_dimension(basis)
         assert (dim.computed, dim.classification) == (4, "other")
         assert abs(abs(np.dot(dim.certificate, u[:, 4])) - 1.0) < 1e-12
         assert np.abs(np.abs(dim.certificate) - np.array([2, 1, 0, 0, 0]) / 5**0.5).max() < 1e-12
 
-
-class TestTransportMapForms:
-    def test_doubled_map_gives_the_block_results(self):
-        basis, tmap = block_case("spin3-2-phased")
-        m = tmap.matrix
-        for full in (block_diag2(m, -m), block_diag2(m, m)):
-            doubled_map = TransportMap(full, Frame.X_PRIME, Frame.X)
-            for check in (verify_coset_coset_closure, verify_mixed_closure):
-                a, b = check(basis, tmap).pairs, check(basis, doubled_map).pairs
-                assert np.abs(a["coeffs"] - b["coeffs"]).max() < 1e-12
-                assert np.abs(a["residual"] - b["residual"]).max() < 1e-12
-            dims = algebra_dimension(basis, tmap), algebra_dimension(basis, doubled_map)
-            assert dims[0].computed == dims[1].computed
-
-    @pytest.mark.parametrize("form", ["scaled lower block", "off-diagonal entry"])
-    def test_non_blockdiag_type_b_map_rejected(self, form):
-        basis, tmap = block_case("su2-tr")
-        full = block_diag2(tmap.matrix, -tmap.matrix)
-        if form == "scaled lower block":
-            full[2:, 2:] *= 2
-        else:
-            full[0, 3] = 0.5
-        bad = TransportMap(full, Frame.X_PRIME, Frame.X)
-        for check in (verify_coset_coset_closure, verify_mixed_closure, algebra_dimension):
-            with pytest.raises(ValueError, match=r"transport map \(4, 4\): not of the type-b form"):
-                check(basis, bad)

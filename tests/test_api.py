@@ -1,12 +1,17 @@
-"""The public names of the package.
+"""The public names of the package, and the README sketch that uses them.
 
 Every name in coreplie.__all__ must resolve, once, so `from coreplie import *`
 cannot break on a stale export. The per-operator vector-field layer, the
 extract_* wrappers and NotClosedError were removed in favour of the stacked
-kernel (algebra.field_bracket, generator_basis), and the per-pair ClosurePair
-in favour of ClosureReport.pairs, one record array; their names must stay gone.
+kernel (algebra.field_bracket, generator_basis), the per-pair ClosurePair
+in favour of ClosureReport.pairs, one record array, and the transport layer
+in favour of the x' -> x map that GeneratorBasis carries; their names must
+stay gone.
 """
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,9 @@ REMOVED = (
     "extract_coset_generators",
     "NotClosedError",
     "ClosurePair",
+    "TransportMap",
+    "transport_map",
+    "coset_in_x_frame",
 )
 
 
@@ -62,10 +70,6 @@ def _so3_basis():
     return coreplie.generator_basis(*coreplie.catalog_entry("so3"))
 
 
-def _so3_to_x():
-    return coreplie.transport_map(_so3_ext(), coreplie.CoirrepType.A).inverse()
-
-
 # Each factory returns a fresh instance equal in value to the previous one.
 ARRAY_HOLDERS = {
     "GroupElement": lambda: coreplie.GroupElement(np.eye(3)),
@@ -75,13 +79,12 @@ ARRAY_HOLDERS = {
     "CoirrepMatrix": lambda: coreplie.CoirrepMatrix(
         np.eye(6), coreplie.Side.SUBGROUP, coreplie.CoirrepType.B
     ),
-    "TransportMap": _so3_to_x,
     "GeneratorBasis": _so3_basis,
     "StructureConstants": lambda: coreplie.structure_constants_subgroup(
         coreplie.catalog_entry("so3")[0].generators
     ),
     "ClosureReport": lambda: coreplie.sub_sub_closure_report(_so3_basis()),
-    "AlgebraDimension": lambda: coreplie.algebra_dimension(_so3_basis(), _so3_to_x()),
+    "AlgebraDimension": lambda: coreplie.algebra_dimension(_so3_basis()),
     "GroupConfig": lambda: config_for_catalog("so3"),
 }
 
@@ -93,3 +96,34 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert (a == b) is False
     assert a == a
     assert isinstance(hash(a), int)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_sketch_runs():
+    """The README's "Library sketch" block runs as written and gives the
+    dimension its last comment states."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library sketch", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    computed, classification = re.findall(r"# computed=(\d+), '([\w-]+)'", block)[-1]
+    namespace = {}
+    exec(block, namespace)
+    dim = namespace["dim"]
+    assert (dim.computed, dim.classification) == (int(computed), classification) == (7, "b-full")
+
+
+@pytest.mark.parametrize("module", ["infinitesimal", "algebra", "report"])
+def test_verify_path_does_not_import_coirrep(module):
+    """The verify path works on generator stacks: the coirrep matrices and
+    coordinate frames stay out of it."""
+    tree = ast.parse((ROOT / "src" / "coreplie" / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "coirrep" in name.split(".")]

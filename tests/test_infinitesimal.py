@@ -9,7 +9,6 @@ from coreplie import (
     AntilinearExtension,
     CoirrepType,
     DifferentiationError,
-    Frame,
     GeneratorBasis,
     LieGroupSpec,
     build_b_matrix,
@@ -19,11 +18,8 @@ from coreplie import (
     exp_curve,
     field_bracket,
     generator_basis,
-    transport_map,
-    verify_mixed_closure,
 )
 from coreplie import group_core, infinitesimal, matrices
-from coreplie.algebra import algebra_dimension
 from coreplie.coirrep import Side
 from coreplie.config import config_for_catalog
 from coreplie.matrices import block_diag2
@@ -238,57 +234,43 @@ class TestCommutator:
 
 class TestTransport:
     def test_identity_extension_is_noop(self, rng):
-        _, ext = catalog_entry("so2-conj")
-        tmap = transport_map(ext, CoirrepType.A)
-        assert np.allclose(tmap.matrix, np.eye(2))
+        basis = generator_basis(*catalog_entry("so2-conj"))
+        assert np.allclose(basis.to_x, np.eye(2))
         a = rng.standard_normal((2, 2))
-        assert np.allclose(_conjugate(tmap.matrix, a), a)
-        assert tmap.from_frame is Frame.X and tmap.to_frame is Frame.X_PRIME
+        assert np.allclose(_conjugate(basis.to_x, a), a)
+        assert np.allclose(basis.coset_x, basis.coset_blocks)
 
-    def test_b_type_block_pattern(self):
-        _, ext = catalog_entry("su2-tr")
-        tmap = transport_map(ext, CoirrepType.B)
-        n_inv = np.linalg.inv(ext.N)
-        assert np.allclose(tmap.matrix[:2, :2], n_inv)
-        assert np.allclose(tmap.matrix[2:, 2:], -n_inv)
-        assert np.allclose(tmap.matrix[:2, 2:], 0)
-
-    def test_round_trip(self, rng):
-        _, ext = catalog_entry("su2-tr")
-        tmap = transport_map(ext, CoirrepType.B, delta_alpha0=0.4)
-        back_map = tmap.inverse()
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        back = _conjugate(back_map.matrix, _conjugate(tmap.matrix, a))
-        assert np.abs(back - a).max() < 1e-12
-        assert back_map.from_frame is Frame.X_PRIME and back_map.to_frame is Frame.X
+    def test_to_x_is_the_block_of_the_map(self):
+        # type b keeps the d x d block M = N of blockdiag(M, -M)
+        spec, ext = catalog_entry("su2-tr")
+        basis = generator_basis(spec, ext)
+        assert basis.to_x.shape == (2, 2) and np.array_equal(basis.to_x, ext.N)
+        assert np.abs(basis.to_x_inverse @ basis.to_x - np.eye(2)).max() < 1e-12
+        coset_x = [_conjugate(ext.N, y) for y in basis.coset_blocks]
+        assert np.abs(basis.coset_x - coset_x).max() < 1e-12
+        for cached in (basis.to_x, basis.to_x_inverse, basis.coset_x):
+            assert not cached.flags.writeable
+        assert basis.coset_x is basis.coset_x
 
     def test_bracket_morphism(self, rng):
-        _, ext = catalog_entry("su2-tr")
-        m = transport_map(ext, CoirrepType.B).matrix
+        m = generator_basis(*catalog_entry("su2-tr"), delta_alpha0=0.4).to_x
         for _ in range(10):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             lhs = _conjugate(m, field_bracket(a, b))
             rhs = field_bracket(_conjugate(m, a), _conjugate(m, b))
             assert np.abs(lhs - rhs).max() < 1e-10
 
-    def test_frame_mismatch(self):
-        # the families and the dimension take the x' -> x map only
-        spec, ext = catalog_entry("so2-conj")
-        basis = generator_basis(spec, ext)
-        tmap = transport_map(ext, CoirrepType.A)
-        for check in (verify_mixed_closure, algebra_dimension):
-            with pytest.raises(ValueError, match="x' frame to the x frame"):
-                check(basis, tmap)
-
     def test_delta_alpha0_is_pure_phase(self, rng):
         # the nonzero coset phase changes the map but never any conjugation
-        _, ext = catalog_entry("su2-tr")
-        plain = transport_map(ext, CoirrepType.B, delta_alpha0=0.0)
-        phased = transport_map(ext, CoirrepType.B, delta_alpha0=1.234)
-        assert not np.allclose(plain.matrix, phased.matrix)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.abs(_conjugate(plain.matrix, a) - _conjugate(phased.matrix, a)).max() < 1e-12
+        spec, ext = catalog_entry("su2-tr")
+        plain = generator_basis(spec, ext, delta_alpha0=0.0)
+        phased = generator_basis(spec, ext, delta_alpha0=1.234)
+        assert not np.allclose(plain.to_x, phased.to_x)
+        assert np.abs(phased.to_x - cmath.exp(1.234j) * ext.N).max() < 1e-15
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert np.abs(_conjugate(plain.to_x, a) - _conjugate(phased.to_x, a)).max() < 1e-12
+        assert np.abs(plain.coset_x - phased.coset_x).max() < 1e-12
 
 
 class TestGeneratorBasis:
@@ -311,7 +293,7 @@ class TestGeneratorBasis:
 
     def test_stacks_are_copies(self):
         gens = np.zeros((2, 2, 2), dtype=complex)
-        basis = GeneratorBasis(gens, gens, CoirrepType.A)
+        basis = GeneratorBasis(gens, gens, CoirrepType.A, np.eye(2))
         gens[0, 0, 0] = 1.0
         assert basis.subgroup[0, 0, 0] == 0 and basis.coset[0, 0, 0] == 0
 
@@ -321,18 +303,19 @@ class TestGeneratorBasis:
         assert basis.ctype is CoirrepType.A
         assert basis.coset.shape == (0, spec.d, spec.d)
         assert np.array_equal(basis.subgroup, np.array(spec.generators))
+        assert np.array_equal(basis.to_x, np.eye(spec.d))  # x' = x
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.zeros((1, 2, 3))])
     def test_non_stack_rejected(self, bad):
         with pytest.raises(ValueError, match="square"):
-            GeneratorBasis(bad, np.zeros((0, 2, 2)), CoirrepType.A)
+            GeneratorBasis(bad, np.zeros((0, 2, 2)), CoirrepType.A, np.eye(2))
 
     def test_non_finite_rejected(self):
         gens = np.zeros((1, 2, 2), dtype=complex)
         bad = gens.copy()
         bad[0, 1, 0] = np.nan
         with pytest.raises(ValueError, match="coset generators has non-finite"):
-            GeneratorBasis(gens, bad, CoirrepType.A)
+            GeneratorBasis(gens, bad, CoirrepType.A, np.eye(2))
 
     def test_mismatched_matrix_sizes_rejected(self):
         # used to construct, and algebra_dimension then failed inside numpy
@@ -340,32 +323,26 @@ class TestGeneratorBasis:
             ValueError,
             match=r"subgroup generators \(1, 2, 2\) and coset generators \(2, 3, 3\) differ",
         ):
-            GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((2, 3, 3)), CoirrepType.A)
+            GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((2, 3, 3)), CoirrepType.A, np.eye(2))
         with pytest.raises(ValueError, match="differ in matrix size"):
-            GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 3, 3)), CoirrepType.A)
-        empty = GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 2, 2)), CoirrepType.A)
+            GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 3, 3)), CoirrepType.A, np.eye(2))
+        empty = GeneratorBasis(np.zeros((1, 2, 2)), np.zeros((0, 2, 2)), CoirrepType.A, np.eye(2))
         assert empty.coset.shape == (0, 2, 2)
 
-    def test_from_stacks_keeps_the_upper_blocks(self):
-        for name in ("su2-tr", "so3"):
-            basis = generator_basis(*catalog_entry(name))
-            again = GeneratorBasis.from_stacks(basis.subgroup, basis.coset, basis.ctype)
-            assert np.array_equal(again.subgroup_blocks, basis.subgroup_blocks)
-            assert np.array_equal(again.coset_blocks, basis.coset_blocks)
-
-    @pytest.mark.parametrize("stack", ["subgroup", "coset"])
-    @pytest.mark.parametrize("form", ["flipped lower block", "off-diagonal entry", "odd size"])
-    def test_non_blockdiag_type_b_stacks_rejected(self, stack, form):
-        basis = generator_basis(*catalog_entry("su2-tr"))
-        full = {"subgroup": np.array(basis.subgroup), "coset": np.array(basis.coset)}
-        if form == "flipped lower block":  # blockdiag(X, -X), blockdiag(X', X')
-            full[stack][0, 2:, 2:] *= -1
-        elif form == "off-diagonal entry":
-            full[stack][1, 3, 0] = 0.25
-        else:
-            full[stack] = full[stack][:, :3, :3]
-        with pytest.raises(ValueError, match=f"{stack} generators .*not of the type-b form"):
-            GeneratorBasis.from_stacks(full["subgroup"], full["coset"], CoirrepType.B)
+    @pytest.mark.parametrize(
+        "to_x, message",
+        [
+            (np.eye(3), r"x' -> x map \(3, 3\) and generator blocks \(2, 2\) differ in size"),
+            (np.ones((2, 3)), r"x' -> x map must be square, got shape \(2, 3\)"),
+            (np.eye(2)[None], r"x' -> x map must be square, got shape \(1, 2, 2\)"),
+            (np.diag([1.0, np.nan]), "x' -> x map has non-finite entries"),
+        ],
+        ids=["wrong size", "not square", "a stack", "NaN"],
+    )
+    def test_bad_to_x_rejected(self, to_x, message):
+        gens = np.zeros((1, 2, 2))
+        with pytest.raises(ValueError, match=message):
+            GeneratorBasis(gens, gens, CoirrepType.A, to_x)
 
     def test_b_type_doubling_keeps_signed_zeros(self):
         # one slice assignment per block builds what block_diag2 built per
@@ -452,6 +429,17 @@ class TestStackedExtraction:
         run_verification(cfg)
         assert len(composed) == 0
         assert len(svd_checks) <= 2
+
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    def test_run_verification_makes_one_svd(self, name, monkeypatch):
+        # the dimension's SVD is the only one: N was checked where it entered,
+        # so the x' -> x map is inverted without a second invertibility SVD
+        cfg = config_for_catalog(name)
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or real(*a, **k))
+        run_verification(cfg)
+        assert len(calls) == 1
 
 
 def count_calls(monkeypatch, original) -> list:

@@ -24,3 +24,16 @@ def test_run_catalog_checks_fails_on_su2_tr_only(capsys):
 def test_phase_sweep_reports_absorbable_phases(capsys):
     assert load_script("phase_sweep").main() == 0
     assert "phases are absorbable" in capsys.readouterr().out
+
+
+def test_phase_sweep_fails_when_a_profile_moves(capsys, monkeypatch):
+    sweep = load_script("phase_sweep")
+    honest = sweep.residual_profile
+
+    def drifting(name, xi, delta_alpha0):
+        profile = honest(name, xi, delta_alpha0)
+        return profile + 1e-9 if delta_alpha0 else profile
+
+    monkeypatch.setattr(sweep, "residual_profile", drifting)
+    assert sweep.main() == 1
+    assert "phases are not absorbable" in capsys.readouterr().out
