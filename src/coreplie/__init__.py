@@ -19,20 +19,7 @@ from .algebra import (
     verify_mixed_closure,
 )
 from .catalog import CATALOG_NAMES, catalog_entry
-from .coirrep import (
-    BlockOrder,
-    CoirrepMatrix,
-    CoordinateVector,
-    Frame,
-    Side,
-    TypeMismatchError,
-    act_b,
-    act_coset_a,
-    act_subgroup_a,
-    build_b_matrix,
-    transform_coords_a,
-    transform_coords_b,
-)
+from .coirrep import CoirrepMatrix, Side, TypeMismatchError, build_a_matrix, build_b_matrix
 from .config import ConfigError, GroupConfig, Tolerances, load_config, parse_config
 from .group_core import (
     AntilinearExtension,
@@ -59,15 +46,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraDimension",
     "AntilinearExtension",
-    "BlockOrder",
     "CATALOG_NAMES",
     "ClosureReport",
     "CoirrepMatrix",
     "CoirrepType",
     "ConfigError",
-    "CoordinateVector",
     "DifferentiationError",
-    "Frame",
     "GeneratorBasis",
     "GroupConfig",
     "GroupElement",
@@ -80,10 +64,8 @@ __all__ = [
     "Tolerances",
     "TypeMismatchError",
     "a0_square_sign",
-    "act_b",
-    "act_coset_a",
-    "act_subgroup_a",
     "algebra_dimension",
+    "build_a_matrix",
     "build_b_matrix",
     "catalog_entry",
     "central_derivative",
@@ -100,8 +82,6 @@ __all__ = [
     "run_verification",
     "structure_constants_subgroup",
     "sub_sub_closure_report",
-    "transform_coords_a",
-    "transform_coords_b",
     "verify_coset_coset_closure",
     "verify_mixed_closure",
 ]

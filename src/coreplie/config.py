@@ -167,7 +167,7 @@ def _parse_extension(value, d: int) -> AntilinearExtension:
     _expect("N" in value, "extension.N", "missing required field")
     n_matrix = _parse_matrices(value["N"], "extension.N", (d, d))
     s = value.get("s", 1)
-    _expect(s in (1, -1), "extension.s", "expected +1 or -1")
+    _expect(s in (1, -1) and not isinstance(s, bool), "extension.s", "expected +1 or -1")
     xi = _parse_real(value.get("xi"), "extension.xi", default=0.0)
     try:
         return AntilinearExtension(N=n_matrix, s=int(s), xi=xi)
@@ -243,6 +243,7 @@ def with_overrides(
     spec, ext = cfg.spec, cfg.extension
     for path, value in (("extension.xi", xi), ("extension.delta-alpha0", delta_alpha0)):
         _expect(value is None or ext is not None, path, "cannot be set: the config has no extension block")
+    _expect(perturb is None or np.isfinite(perturb), "--perturb", f"expected a finite number, got {perturb}")
     if xi is not None:
         ext = replace(ext, xi=float(xi))
     if perturb:

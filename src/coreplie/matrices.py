@@ -31,16 +31,6 @@ def as_square_complex(m, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     return a
 
 
-def as_complex_vector(v, name: str = "vector") -> np.ndarray:
-    a = np.array(v, dtype=complex)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has non-finite entries")
-    a.setflags(write=False)
-    return a
-
-
 def entries_close(a: np.ndarray, b: np.ndarray, tol: float = ENTRY_TOL) -> bool:
     """Entrywise |a - b| <= tol * max(1, largest entry magnitude)."""
     a = np.asarray(a, dtype=complex)

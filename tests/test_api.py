@@ -4,12 +4,14 @@ Every name in coreplie.__all__ must resolve, once, so `from coreplie import *`
 cannot break on a stale export. The per-operator vector-field layer, the
 extract_* wrappers and NotClosedError were removed in favour of the stacked
 kernel (algebra.field_bracket, generator_basis), the per-pair ClosurePair
-in favour of ClosureReport.pairs, one record array, and the transport layer
-in favour of the x' -> x map that GeneratorBasis carries; their names must
-stay gone.
+in favour of ClosureReport.pairs, one record array, the transport layer
+in favour of the x' -> x map that GeneratorBasis carries, and the coirrep
+point layer (coordinate vectors, frames, block orders and the per-point
+actions) in favour of the coirrep matrices; their names must stay gone.
 """
 import ast
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -33,6 +35,15 @@ REMOVED = (
     "TransportMap",
     "transport_map",
     "coset_in_x_frame",
+    "CoordinateVector",
+    "Frame",
+    "BlockOrder",
+    "transform_coords_a",
+    "transform_coords_b",
+    "act_subgroup_a",
+    "act_b",
+    "act_coset_a",
+    "as_complex_vector",
 )
 
 
@@ -53,8 +64,8 @@ def test_removed_name_is_gone(name):
     assert name not in coreplie.__all__
     with pytest.raises(ImportError):
         exec(f"from coreplie import {name}", {})
-    for module in ("infinitesimal", "algebra"):
-        assert not hasattr(importlib.import_module(f"coreplie.{module}"), name)
+    for module in pkgutil.iter_modules(coreplie.__path__):
+        assert not hasattr(importlib.import_module(f"coreplie.{module.name}"), name), module.name
 
 
 def test_sampling_is_test_only():
@@ -75,7 +86,6 @@ ARRAY_HOLDERS = {
     "GroupElement": lambda: coreplie.GroupElement(np.eye(3)),
     "LieGroupSpec": lambda: coreplie.catalog_entry("so3")[0],
     "AntilinearExtension": _so3_ext,
-    "CoordinateVector": lambda: coreplie.CoordinateVector(coreplie.Frame.X, np.ones(3)),
     "CoirrepMatrix": lambda: coreplie.CoirrepMatrix(
         np.eye(6), coreplie.Side.SUBGROUP, coreplie.CoirrepType.B
     ),
@@ -116,8 +126,8 @@ def test_readme_library_sketch_runs():
 
 @pytest.mark.parametrize("module", ["infinitesimal", "algebra", "report"])
 def test_verify_path_does_not_import_coirrep(module):
-    """The verify path works on generator stacks: the coirrep matrices and
-    coordinate frames stay out of it."""
+    """The verify path works on generator stacks: the coirrep matrices stay
+    out of it."""
     tree = ast.parse((ROOT / "src" / "coreplie" / f"{module}.py").read_text())
     imported = set()
     for node in ast.walk(tree):

@@ -229,6 +229,12 @@ class TestVerify:
         assert doc["closures"]["coset-coset"]["max_complex_residual"] < 1e-12
         assert doc["dimension"]["computed"] == 7
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_perturb_exits_1(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--group", "so3", "--perturb", value)
+        assert (code, out) == (1, "")
+        assert "--perturb" in err
+
     def test_perturbation_drives_closure_failure(self, capsys):
         base_code, base_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")
         assert base_code == 0

@@ -3,172 +3,66 @@ import pytest
 
 from coreplie import (
     AntilinearExtension,
-    BlockOrder,
-    CoordinateVector,
-    Frame,
+    CoirrepType,
     GroupElement,
     Linearity,
     Side,
     TypeMismatchError,
-    act_b,
-    act_coset_a,
-    act_subgroup_a,
+    build_a_matrix,
     build_b_matrix,
     catalog_entry,
     compose,
     exp_curve,
-    transform_coords_a,
-    transform_coords_b,
 )
+from coreplie import coirrep
 
 
-def xvec(entries, phase=0.0):
-    return CoordinateVector(Frame.X, np.asarray(entries, dtype=complex), phase)
+def assert_unitary(m):
+    assert np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() < 1e-12
 
 
-def random_unitary(rng, d):
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def test_module_defines_only_the_coirrep_matrices():
+    defined = {
+        name
+        for name, obj in vars(coirrep).items()
+        if not name.startswith("_") and getattr(obj, "__module__", None) == coirrep.__name__
+    }
+    assert defined == {"Side", "TypeMismatchError", "CoirrepMatrix", "build_a_matrix", "build_b_matrix"}
 
 
-class TestTransformCoordsA:
-    def test_zero_maps_to_zero(self):
-        ext = AntilinearExtension(np.eye(2), s=+1)
-        x1, x2 = transform_coords_a(np.zeros(4), ext)
-        assert np.allclose(x1, 0) and np.allclose(x2, 0)
-
-    def test_d1_reference_values(self):
-        ext = AntilinearExtension(np.eye(1), s=+1, xi=0.0)
-        x1, x2 = transform_coords_a(np.array([1.0, 1.0]), ext)
-        assert np.abs(x1 - np.sqrt(2)).max() < 1e-14
-        assert np.abs(x2).max() < 1e-14
-
-    def test_norm_preserved_for_unitary_n(self, rng):
-        for _ in range(10):
-            n = random_unitary(rng, 3)
-            ext = AntilinearExtension(n, s=+1, xi=rng.uniform(-np.pi, np.pi))
-            y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            x1, x2 = transform_coords_a(y, ext)
-            total = np.linalg.norm(x1) ** 2 + np.linalg.norm(x2) ** 2
-            assert abs(total - np.linalg.norm(y) ** 2) < 1e-10
-
-    def test_full_rank(self, rng):
-        # stacked linear map y -> (x1, x2) must be injective for invertible N
-        d = 3
-        n = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) + 2 * np.eye(d)
-        ext = AntilinearExtension(n, s=+1, xi=0.3)
-        cols = []
-        for j in range(2 * d):
-            y = np.zeros(2 * d)
-            y[j] = 1.0
-            x1, x2 = transform_coords_a(y, ext)
-            cols.append(np.concatenate([x1, x2]))
-        assert np.linalg.matrix_rank(np.stack(cols, axis=1)) == 2 * d
-
-    def test_length_mismatch(self):
-        ext = AntilinearExtension(np.eye(2), s=+1)
-        with pytest.raises(ValueError, match="length"):
-            transform_coords_a(np.zeros(3), ext)
-
-
-class TestTransformCoordsB:
-    def test_zero_maps_to_zero(self):
-        ext = AntilinearExtension(np.eye(2), s=+1)
-        assert np.allclose(transform_coords_b(np.zeros(4), ext), 0)
-
-    def test_d1_reference_values(self):
-        ext = AntilinearExtension(np.eye(1), s=+1)
-        x = transform_coords_b(np.array([1.0, 2.0]), ext)
-        assert np.abs(x - np.array([-1j, -2j])).max() < 1e-14
-
-    def test_norm_preserved_for_unitary_n(self, rng):
-        for _ in range(10):
-            n = random_unitary(rng, 2)
-            ext = AntilinearExtension(n, s=+1)
-            y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            x = transform_coords_b(y, ext)
-            assert abs(np.linalg.norm(x) - np.linalg.norm(y)) < 1e-10
-
-    def test_full_rank(self, rng):
-        d = 3
-        n = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) + 2 * np.eye(d)
-        ext = AntilinearExtension(n, s=+1)
-        cols = []
-        for j in range(2 * d):
-            y = np.zeros(2 * d)
-            y[j] = 1.0
-            cols.append(transform_coords_b(y, ext))
-        assert np.linalg.matrix_rank(np.stack(cols, axis=1)) == 2 * d
-
-
-class TestActSubgroupA:
-    def test_identity_action(self):
-        point = xvec([1.0, 2.0])
-        out = act_subgroup_a(GroupElement(np.eye(2)), point, 0.0)
-        assert np.allclose(out.materialize(), point.materialize())
-        assert out.frame is Frame.X
-
-    def test_half_angle_sign_flip_at_two_pi(self, rng):
-        spec, _ = catalog_entry("so2-conj")
-        g = exp_curve(spec, rng.uniform(-2, 2, size=1))
-        point = xvec(rng.standard_normal(2))
-        out = act_subgroup_a(g, point, 2 * np.pi)
-        assert np.abs(out.materialize() - (-(g.matrix @ point.entries))).max() < 1e-12
-
-    def test_norm_preserved_for_unitary(self, rng):
-        spec, _ = catalog_entry("su2-tr")
-        g = exp_curve(spec, rng.standard_normal(3))
-        point = xvec(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        out = act_subgroup_a(g, point, 0.7)
-        assert abs(np.linalg.norm(out.materialize()) - np.linalg.norm(point.materialize())) < 1e-12
-
-    def test_homomorphism_with_single_phase(self, rng):
-        spec, _ = catalog_entry("so2-conj")
-        g = exp_curve(spec, rng.uniform(-1, 1, size=1))
-        h = exp_curve(spec, rng.uniform(-1, 1, size=1))
-        point = xvec(rng.standard_normal(2))
-        alpha0 = 0.9
-        via_two = act_subgroup_a(g, act_subgroup_a(h, point, alpha0), 0.0)
-        via_one = act_subgroup_a(compose(g, h), point, alpha0)
-        assert np.abs(via_two.materialize() - via_one.materialize()).max() < 1e-12
-        assert via_two.phase == via_one.phase
-
-    def test_antilinear_rejected(self):
-        with pytest.raises(ValueError, match="linear"):
-            act_subgroup_a(GroupElement(np.eye(2), Linearity.ANTILINEAR), xvec([1, 0]), 0.0)
-
-
-class TestActCosetA:
-    def test_identity_gives_n_times_point(self, rng):
+class TestBuildAMatrix:
+    def test_identity_gives_phased_n(self):
         n = np.array([[0, 1], [1, 0]], dtype=complex)
-        ext = AntilinearExtension(n, s=+1, xi=0.0)
-        point = xvec(rng.standard_normal(2))
-        for variant in (Side.COSET_GA0, Side.COSET_A0G):
-            out = act_coset_a(GroupElement(np.eye(2)), ext, point, 0.0, variant)
-            assert np.abs(out.materialize() - n @ point.entries).max() < 1e-13
-            assert out.frame is Frame.X_PRIME
+        ext = AntilinearExtension(n, s=+1, xi=0.4)
+        for side in (Side.COSET_GA0, Side.COSET_A0G):
+            cm = build_a_matrix(GroupElement(np.eye(2)), ext, side)
+            assert np.abs(cm.matrix - np.exp(0.4j) * n).max() < 1e-15
+            assert (cm.side, cm.ctype) == (side, CoirrepType.A)
 
-    def test_variants_differ_by_double_phase_d1(self):
+    def test_sides_differ_by_double_phase_d1(self):
         theta = 0.37
         ext = AntilinearExtension(np.eye(1), s=+1)
         g = GroupElement(np.array([[np.exp(1j * theta)]]))
-        point = CoordinateVector(Frame.X, np.array([1.0 + 0j]))
-        ga0 = act_coset_a(g, ext, point, 0.2, Side.COSET_GA0)
-        a0g = act_coset_a(g, ext, point, 0.2, Side.COSET_A0G)
-        ratio = ga0.materialize()[0] / a0g.materialize()[0]
-        assert abs(ratio - np.exp(2j * theta)) < 1e-12
+        ga0 = build_a_matrix(g, ext, Side.COSET_GA0).matrix
+        a0g = build_a_matrix(g, ext, Side.COSET_A0G).matrix
+        assert abs(ga0[0, 0] / a0g[0, 0] - np.exp(2j * theta)) < 1e-12
+
+    def test_unitary_for_unitaries(self, rng):
+        spec, ext = catalog_entry("so2-conj")
+        g = exp_curve(spec, rng.uniform(-2, 2, size=1))
+        for side in (Side.COSET_GA0, Side.COSET_A0G):
+            assert_unitary(build_a_matrix(g, ext, side).matrix)
+
+    def test_coset_element_is_antilinear(self, rng):
+        spec, ext = catalog_entry("so3")
+        g = exp_curve(spec, rng.standard_normal(3))
+        element = build_a_matrix(g, ext, Side.COSET_GA0).as_group_element()
+        assert element.linearity is Linearity.ANTILINEAR
 
     def test_b_type_extension_rejected(self):
         _, ext = catalog_entry("su2-tr")
         with pytest.raises(TypeMismatchError, match="type mismatch"):
-            act_coset_a(GroupElement(np.eye(2)), ext, xvec([1, 0]), 0.0, Side.COSET_GA0)
-
-    def test_norm_preserved_for_unitaries(self, rng):
-        spec, ext = catalog_entry("so2-conj")
-        g = exp_curve(spec, rng.uniform(-2, 2, size=1))
-        point = xvec(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        out = act_coset_a(g, ext, point, 1.3, Side.COSET_GA0)
-        assert abs(np.linalg.norm(out.materialize()) - np.linalg.norm(point.materialize())) < 1e-12
+            build_a_matrix(GroupElement(np.eye(2)), ext, Side.COSET_GA0)
 
 
 class TestBuildBMatrix:
@@ -187,7 +81,8 @@ class TestBuildBMatrix:
         d = 2
         assert np.allclose(cm.matrix[:d, d:], 0)
         assert np.allclose(cm.matrix[d:, :d], 0)
-        assert np.allclose(cm.matrix[:d, :d], cm.matrix[d:, d:])
+        assert np.allclose(cm.matrix[:d, :d], g.matrix)
+        assert np.allclose(cm.matrix[d:, d:], g.matrix)
 
     def test_coset_sides_antidiagonal_with_opposite_signs(self, rng):
         spec, ext = catalog_entry("su2-tr")
@@ -198,6 +93,12 @@ class TestBuildBMatrix:
             assert np.allclose(cm.matrix[:d, :d], 0)
             assert np.allclose(cm.matrix[d:, d:], 0)
             assert np.allclose(cm.matrix[d:, :d], -cm.matrix[:d, d:])
+
+    def test_unitary_for_unitaries(self, rng):
+        spec, ext = catalog_entry("su2-tr")
+        g = exp_curve(spec, rng.standard_normal(3))
+        for side in Side:
+            assert_unitary(build_b_matrix(g, ext, side).matrix)
 
     def test_a_type_extension_rejected(self):
         _, ext = catalog_entry("so2-conj")
@@ -218,49 +119,23 @@ class TestBuildBMatrix:
             assert np.abs(prod.matrix[d:, :d]).max() < 1e-10
 
 
-class TestActB:
-    def test_identity_subgroup_action(self):
-        _, ext = catalog_entry("su2-tr")
-        cm = build_b_matrix(GroupElement(np.eye(2)), ext, Side.SUBGROUP)
-        point = xvec([1.0, 2.0, 3.0, 4.0])
-        out = act_b(cm, point, 0.0)
-        assert np.allclose(out.materialize(), point.materialize())
-        assert out.frame is Frame.X
-        assert out.block_order is BlockOrder.PLAIN
+@pytest.mark.parametrize("build, name", [(build_a_matrix, "so2-conj"), (build_b_matrix, "su2-tr")])
+@pytest.mark.parametrize(
+    "g, side, match",
+    [
+        (GroupElement(np.eye(2), Linearity.ANTILINEAR), Side.COSET_GA0, "linear"),
+        (GroupElement(np.eye(3)), Side.COSET_A0G, "dimension mismatch"),
+        (GroupElement(np.eye(2)), "coset", "side"),
+    ],
+    ids=["antilinear-g", "wrong-dimension", "not-a-side"],
+)
+def test_invalid_arguments_rejected(build, name, g, side, match):
+    _, ext = catalog_entry(name)
+    with pytest.raises(ValueError, match=match):
+        build(g, ext, side)
 
-    def test_coset_action_swaps_blocks_with_phases(self, rng):
-        ext = AntilinearExtension(np.eye(2), s=-1)  # b-type, N = E
-        cm = build_b_matrix(GroupElement(np.eye(2)), ext, Side.COSET_GA0)
-        top = rng.standard_normal(2)
-        bottom = rng.standard_normal(2)
-        alpha0 = 0.8
-        out = act_b(cm, xvec(np.concatenate([top, bottom])), alpha0)
-        expected = np.exp(1.5j * alpha0) * np.concatenate([bottom, -top])
-        assert np.abs(out.materialize() - expected).max() < 1e-12
-        assert out.frame is Frame.X_PRIME
-        assert out.block_order is BlockOrder.SWAPPED
 
-    def test_norm_preserved(self, rng):
-        spec, ext = catalog_entry("su2-tr")
-        g = exp_curve(spec, rng.standard_normal(3))
-        cm = build_b_matrix(g, ext, Side.COSET_A0G)
-        point = xvec(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        out = act_b(cm, point, 0.4)
-        assert abs(np.linalg.norm(out.materialize()) - np.linalg.norm(point.materialize())) < 1e-12
-
-    def test_dimension_mismatch(self):
-        _, ext = catalog_entry("su2-tr")
-        cm = build_b_matrix(GroupElement(np.eye(2)), ext, Side.SUBGROUP)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            act_b(cm, xvec([1.0, 2.0]), 0.0)
-
-    def test_two_coset_actions_restore_block_order(self, rng):
-        _, ext = catalog_entry("su2-tr")
-        spec, _ = catalog_entry("su2-tr")
-        point = xvec(rng.standard_normal(4))
-        once = act_b(build_b_matrix(exp_curve(spec, rng.standard_normal(3)), ext, Side.COSET_GA0), point, 0.0)
-        assert once.block_order is BlockOrder.SWAPPED
-        twice = act_b(build_b_matrix(exp_curve(spec, rng.standard_normal(3)), ext, Side.COSET_A0G), once, 0.0)
-        assert twice.block_order is BlockOrder.PLAIN
-        subgroup_acted = act_b(build_b_matrix(exp_curve(spec, rng.standard_normal(3)), ext, Side.SUBGROUP), once, 0.0)
-        assert subgroup_acted.block_order is BlockOrder.SWAPPED
+def test_a_matrix_rejects_the_subgroup_side():
+    _, ext = catalog_entry("so2-conj")
+    with pytest.raises(ValueError, match="coset side"):
+        build_a_matrix(GroupElement(np.eye(2)), ext, Side.SUBGROUP)

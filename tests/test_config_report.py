@@ -94,6 +94,7 @@ class TestParseConfig:
             (lambda d: d["group"].update(n="x"), "group.n"),
             (lambda d: d["extension"].update(N=[[[1, 0]]]), "extension.N"),
             (lambda d: d["extension"].update(s=3), "extension.s"),
+            (lambda d: d["extension"].update(s=True), "extension.s"),
             (lambda d: d.update(bogus=1), "bogus"),
             (lambda d: d.update(tolerances={"nope": 1.0}), "tolerances.nope"),
             (lambda d: d.update(tolerances={"fd_step": 1e-5}), "tolerances.fd_step"),

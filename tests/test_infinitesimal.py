@@ -11,6 +11,7 @@ from coreplie import (
     DifferentiationError,
     GeneratorBasis,
     LieGroupSpec,
+    build_a_matrix,
     build_b_matrix,
     catalog_entry,
     central_derivative,
@@ -138,27 +139,35 @@ class TestCosetExtraction:
         for sigma in range(3):
             assert np.abs(gens[sigma + 1][:2, :2] - spec.generators[sigma] @ ext.N).max() < 1e-10
 
-    def test_full_matrix_differentiation_cross_check(self):
-        # independent route: differentiate the natural-order action of the
-        # full 2d coset matrix exp(i da0) D(g(da) a0), composed with the
-        # block swap that the coset action applies to the stacked point
-        spec, ext = catalog_entry("su2-tr")
-        d = spec.d
-        swap = np.block(
-            [[np.zeros((d, d)), np.eye(d)], [np.eye(d), np.zeros((d, d))]]
-        )
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    def test_full_matrix_differentiation_cross_check(self, name):
+        # independent route: differentiate the coset matrix of g(da) a0 with
+        # its phase exp(i da0). Type a takes the d x d block of build_a_matrix.
+        # Type b takes the full 2d build_b_matrix composed with the block swap
+        # that the coset action applies to the stacked point. The coset-a0g
+        # side is left out: its derivative is theta(X_sigma) N with
+        # theta(X) = N conj(X) N^-1, which differs from X_sigma N where theta
+        # is not the identity (by 2.0 on u1).
+        spec, ext = catalog_entry(name)
+        n, d = spec.n, spec.d
+        if classify_coirrep(spec, ext) is CoirrepType.A:
+            def coset_matrix(g):
+                return build_a_matrix(g, ext, Side.COSET_GA0).matrix
+        else:
+            swap = np.block([[np.zeros((d, d)), np.eye(d)], [np.eye(d), np.zeros((d, d))]])
+
+            def coset_matrix(g):
+                return build_b_matrix(g, ext, Side.COSET_GA0).matrix @ swap
 
         def coset_action(alpha0, alpha):
-            g = exp_curve(spec, alpha)
-            full = build_b_matrix(g, ext, Side.COSET_GA0).matrix
-            return cmath.exp(1j * alpha0) * (full @ swap)
+            return cmath.exp(1j * alpha0) * coset_matrix(exp_curve(spec, alpha))
 
         gens = generator_basis(spec, ext, mode="exact").coset
-        fd0 = central_derivative(lambda t: coset_action(t, np.zeros(3)), step=1e-4)
+        fd0 = central_derivative(lambda t: coset_action(t, np.zeros(n)), step=1e-4)
         assert np.abs(fd0 - gens[0]).max() < 1e-8
-        for sigma in range(3):
+        for sigma in range(n):
             def curve(t, sigma=sigma):
-                alpha = np.zeros(3)
+                alpha = np.zeros(n)
                 alpha[sigma] = t
                 return coset_action(0.0, alpha)
 
