@@ -23,8 +23,7 @@ DRIFT_TOL = 1e-12
 
 def residual_profile(name: str, xi: float, delta_alpha0: float):
     spec, ext = catalog_entry(name)
-    ext = replace(ext, xi=xi)
-    basis = generator_basis(spec, ext, delta_alpha0=delta_alpha0)
+    basis = generator_basis(spec, replace(ext, xi=xi, delta_alpha0=delta_alpha0))
     cc = verify_coset_coset_closure(basis)
     mixed = verify_mixed_closure(basis)
     return np.concatenate([cc.pairs["residual"], mixed.pairs["residual"]])

@@ -11,8 +11,8 @@ import sys
 import time
 
 from .algebra import structure_constants_subgroup
-from .config import ConfigError, GroupConfig, config_for_catalog, load_config, with_overrides
-from .group_core import InconsistentExtensionError, a0_sign_of_type, classify_coirrep
+from .config import GroupConfig, config_for_catalog, load_config, with_overrides
+from .group_core import InconsistentExtensionError, classify_coirrep
 from .infinitesimal import DifferentiationError, generator_basis
 from .report import (
     SCHEMA_VERSION,
@@ -83,26 +83,20 @@ def _load(args) -> GroupConfig:
     )
 
 
-def _require_extension(cfg: GroupConfig):
-    if cfg.extension is None:
-        raise ConfigError("extension: required for this command but absent")
-
-
 def cmd_classify(cfg: GroupConfig, args, out) -> int:
-    _require_extension(cfg)
-    ctype = classify_coirrep(cfg.spec, cfg.extension)
-    sign = a0_sign_of_type(ctype, cfg.extension.s)
+    ext = cfg.require_extension()
+    ctype = classify_coirrep(cfg.spec, ext)
     if args.format == "machine":
         doc = {
             "schema": SCHEMA_VERSION,
             "command": "classify",
             "group": cfg.spec.name,
             "classification": ctype.value,
-            "a0_sign": sign,
+            "a0_sign": ext.a0_sign,
         }
         print(emit_document(doc), file=out)
     else:
-        print(f"group {cfg.spec.name}: {ctype.value}-type coirrep, a0^2 sign {sign:+d}", file=out)
+        print(f"group {cfg.spec.name}: {ctype.value}-type coirrep, a0^2 sign {ext.a0_sign:+d}", file=out)
     return EXIT_OK
 
 

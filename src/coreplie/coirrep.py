@@ -27,7 +27,6 @@ from .group_core import (
     CoirrepType,
     GroupElement,
     Linearity,
-    coirrep_type,
 )
 from .matrices import block_antidiag2, block_diag2
 
@@ -57,9 +56,8 @@ class CoirrepMatrix:
 
 
 def _check(g: GroupElement, ext: AntilinearExtension, ctype: CoirrepType):
-    actual = coirrep_type(ext)
-    if actual is not ctype:
-        raise TypeMismatchError(f"type mismatch: extension is {actual.value}-type, expected {ctype.value}-type")
+    if ext.ctype is not ctype:
+        raise TypeMismatchError(f"type mismatch: extension is {ext.ctype.value}-type, expected {ctype.value}-type")
     if g.is_antilinear:
         raise ValueError("g must be a linear subgroup element")
     if g.dim != ext.d:

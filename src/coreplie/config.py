@@ -24,8 +24,10 @@ from itertools import chain
 
 import numpy as np
 
+from .algebra import CLOSURE_TOL, RANK_REL_TOL
 from .catalog import CATALOG_NAMES, catalog_entry
-from .group_core import AntilinearExtension, LieGroupSpec
+from .group_core import AntilinearExtension, ExtensionFieldError, LieGroupSpec
+from .infinitesimal import FD_STEP
 
 
 class ConfigError(ValueError):
@@ -34,9 +36,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    closure: float = 1e-9
-    rank: float = 1e-8
-    fd_step: float = 1e-4
+    closure: float = CLOSURE_TOL
+    rank: float = RANK_REL_TOL
+    fd_step: float = FD_STEP
     fd_agree: float = 1e-6
 
     def __post_init__(self):
@@ -63,14 +65,12 @@ class GroupConfig:
     spec: LieGroupSpec
     extension: AntilinearExtension | None
     tolerances: Tolerances = field(default_factory=Tolerances)
-    delta_alpha0: float = 0.0
     source: str = "catalog"
 
-    def __post_init__(self):
-        # every construction, from a config file or an --xi/--delta-alpha0 override, lands here
-        xi = 0.0 if self.extension is None else self.extension.xi
-        for path, value in (("extension.xi", xi), ("extension.delta-alpha0", self.delta_alpha0)):
-            _expect(np.isfinite(value), path, f"expected a finite number, got {value}")
+    def require_extension(self) -> AntilinearExtension:
+        """The extension, for a command that cannot run without one."""
+        _expect(self.extension is not None, "extension", "required for this command but absent")
+        return self.extension
 
 
 def _expect(cond: bool, path: str, message: str):
@@ -160,19 +160,28 @@ def _parse_group(value):
 _EXTENSION_KEYS = ("N", "s", "xi", "delta-alpha0")
 
 
+def _extension(base: AntilinearExtension | None = None, **fields) -> AntilinearExtension:
+    """AntilinearExtension(**fields), or base with fields replaced. A field the
+    type rejects, from a file or a flag, is a ConfigError under its config path."""
+    try:
+        return AntilinearExtension(**fields) if base is None else replace(base, **fields)
+    except ExtensionFieldError as exc:
+        name, message = exc.args
+        raise ConfigError(f"extension.{name.replace('_', '-')}: {message}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"extension: {exc}") from exc
+
+
 def _parse_extension(value, d: int) -> AntilinearExtension:
-    _expect(isinstance(value, dict), "extension", "expected an object")
     for key in value:
         _expect(key in _EXTENSION_KEYS, f"extension.{key}", "unknown field")
     _expect("N" in value, "extension.N", "missing required field")
-    n_matrix = _parse_matrices(value["N"], "extension.N", (d, d))
-    s = value.get("s", 1)
-    _expect(s in (1, -1) and not isinstance(s, bool), "extension.s", "expected +1 or -1")
-    xi = _parse_real(value.get("xi"), "extension.xi", default=0.0)
-    try:
-        return AntilinearExtension(N=n_matrix, s=int(s), xi=xi)
-    except ValueError as exc:
-        raise ConfigError(f"extension: {exc}") from exc
+    return _extension(
+        N=_parse_matrices(value["N"], "extension.N", (d, d)),
+        s=value.get("s", 1),
+        xi=_parse_real(value.get("xi"), "extension.xi", default=0.0),
+        delta_alpha0=_parse_real(value.get("delta-alpha0"), "extension.delta-alpha0", default=0.0),
+    )
 
 
 def _parse_tolerances(value) -> Tolerances:
@@ -196,23 +205,13 @@ def parse_config(document: dict) -> GroupConfig:
     spec, extension = _parse_group(document["group"])
     source = "catalog" if isinstance(document["group"], str) else "explicit"
 
-    delta_alpha0 = 0.0
-    if "extension" in document and document["extension"] is not None:
+    if document.get("extension") is not None:
         ext_block = document["extension"]
         _expect(isinstance(ext_block, dict), "extension", "expected an object")
-        extension = None
-        if ext_block:
-            delta_alpha0 = _parse_real(ext_block.get("delta-alpha0"), "extension.delta-alpha0", default=0.0)
-            extension = _parse_extension(ext_block, spec.d)
+        extension = _parse_extension(ext_block, spec.d) if ext_block else None
 
     tolerances = _parse_tolerances(document.get("tolerances"))
-    return GroupConfig(
-        spec=spec,
-        extension=extension,
-        tolerances=tolerances,
-        delta_alpha0=delta_alpha0,
-        source=source,
-    )
+    return GroupConfig(spec=spec, extension=extension, tolerances=tolerances, source=source)
 
 
 def load_config(path: str) -> GroupConfig:
@@ -244,17 +243,11 @@ def with_overrides(
     for path, value in (("extension.xi", xi), ("extension.delta-alpha0", delta_alpha0)):
         _expect(value is None or ext is not None, path, "cannot be set: the config has no extension block")
     _expect(perturb is None or np.isfinite(perturb), "--perturb", f"expected a finite number, got {perturb}")
-    if xi is not None:
-        ext = replace(ext, xi=float(xi))
+    phases = {name: float(v) for name, v in (("xi", xi), ("delta_alpha0", delta_alpha0)) if v is not None}
+    ext = _extension(ext, **phases) if phases else ext
     if perturb:
         gens = spec.generators.copy()
         gens[0, 0, 0] += perturb
         spec = replace(spec, generators=gens)
     tolerances = cfg.tolerances if tol is None else replace(cfg.tolerances, closure=float(tol))
-    return GroupConfig(
-        spec=spec,
-        extension=ext,
-        tolerances=tolerances,
-        delta_alpha0=cfg.delta_alpha0 if delta_alpha0 is None else float(delta_alpha0),
-        source=cfg.source,
-    )
+    return GroupConfig(spec=spec, extension=ext, tolerances=tolerances, source=cfg.source)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
 from .matrices import (
-    ENTRY_TOL,
     as_square_complex,
     entries_close,
     expm,
@@ -35,6 +36,13 @@ class CoirrepType(Enum):
 
 class InconsistentExtensionError(ValueError):
     """The antilinear extension does not square to plus or minus identity."""
+
+
+class ExtensionFieldError(ValueError):
+    """An invalid field of AntilinearExtension; args are (field name, what was expected)."""
+
+    def __str__(self):
+        return "{}: {}".format(*self.args)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,62 +128,65 @@ def exp_curve(spec: LieGroupSpec, alpha) -> GroupElement:
 
 @dataclass(frozen=True, eq=False)
 class AntilinearExtension:
-    """Data of the antilinear coset: the matrix N of a0, the declared sign s
-    of a0 squared, and the phase xi with mu/lambda = exp(i*xi)."""
+    """The antilinear operation a0 of the extension block: its matrix N, the
+    declared sign s of a0 squared, the phase xi with mu/lambda = exp(i*xi),
+    and the coset phase delta_alpha0 of the x' -> x map e^{i delta_alpha0} N.
+    Each field is checked here, once."""
 
     N: np.ndarray
     s: int = 1
     xi: float = 0.0
+    delta_alpha0: float = 0.0
 
     def __post_init__(self):
         n = as_square_complex(self.N, "N")
         if not is_invertible(n):
             raise ValueError("N must be invertible")
         object.__setattr__(self, "N", n)
-        if self.s not in (+1, -1):
-            raise ValueError(f"s must be +1 or -1, got {self.s}")
+        if not (isinstance(self.s, int) and not isinstance(self.s, bool) and self.s in (1, -1)):
+            raise ExtensionFieldError("s", "expected +1 or -1")
+        for name in ("xi", "delta_alpha0"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and np.isfinite(value)):
+                raise ExtensionFieldError(name, f"expected a finite number, got {value}")
 
     @property
     def d(self) -> int:
         return self.N.shape[0]
+
+    @cached_property
+    def a0_sign(self) -> int:
+        """a0_square_sign of this extension, evaluated once."""
+        return a0_square_sign(self)
+
+    @property
+    def ctype(self) -> CoirrepType:
+        """Type a (dimension d) when N * conj(N) = s * E, type b (dimension 2d)
+        when N * conj(N) = -s * E; Wigner, Group Theory (1959), ch. 26."""
+        return CoirrepType.A if self.a0_sign == self.s else CoirrepType.B
 
     def a0_element(self) -> GroupElement:
         """The coset representative a0 as a group element (N, antilinear)."""
         return GroupElement(self.N, Linearity.ANTILINEAR)
 
 
-def a0_square_sign(ext: AntilinearExtension, tol: float = ENTRY_TOL) -> int:
+def a0_square_sign(ext: AntilinearExtension) -> int:
     """Sign of a0 composed with itself: +1 if N * conj(N) is +E, -1 if -E.
 
     Raises InconsistentExtensionError when the square is neither, which
     means (N, antilinear) does not extend the group consistently.
     """
     sq = ext.N @ ext.N.conj()  # compose(a0, a0): an antilinear left factor conjugates the right
-    eye = np.eye(ext.d, dtype=complex)
-    if entries_close(sq, eye, tol):
-        return +1
-    if entries_close(sq, -eye, tol):
-        return -1
+    for sign in (+1, -1):
+        if entries_close(sq, sign * np.eye(ext.d)):
+            return sign
     raise InconsistentExtensionError(
         "inconsistent extension: N * conj(N) is not plus or minus identity"
     )
 
 
-def coirrep_type(ext: AntilinearExtension) -> CoirrepType:
-    """Type a when N * conj(N) = s * E, type b when N * conj(N) = -s * E.
-
-    Type a keeps the irrep dimension d; type b doubles it to 2d.
-    """
-    return CoirrepType.A if a0_square_sign(ext) == ext.s else CoirrepType.B
-
-
-def a0_sign_of_type(ctype: CoirrepType, s: int) -> int:
-    """Inverse of coirrep_type: the sign of a0 squared given the type and s."""
-    return s if ctype is CoirrepType.A else -s
-
-
 def classify_coirrep(spec: LieGroupSpec, ext: AntilinearExtension) -> CoirrepType:
-    """coirrep_type of an extension checked against the irrep dimension."""
+    """The coirrep type of an extension checked against the irrep dimension."""
     if ext.d != spec.d:
         raise ValueError(f"N is {ext.d}x{ext.d} but the irrep dimension is {spec.d}")
-    return coirrep_type(ext)
+    return ext.ctype

@@ -25,6 +25,8 @@ from .group_core import (
 )
 from .matrices import as_square_complex, block_diag2, expm
 
+FD_STEP = 1e-4  # default stencil step of central_derivative and generator_basis
+
 
 class DifferentiationError(ArithmeticError):
     """Numerical differentiation failed to converge."""
@@ -88,7 +90,7 @@ class GeneratorBasis:
         return out
 
 
-def central_derivative(curve, step: float = 1e-4, tol: float = 1e-4) -> np.ndarray:
+def central_derivative(curve, step: float = FD_STEP, tol: float = 1e-4) -> np.ndarray:
     """Derivative at 0 of a matrix-valued curve, 4th-order central stencil
     with one Richardson level.
 
@@ -147,8 +149,7 @@ def generator_basis(
     spec: LieGroupSpec,
     ext: AntilinearExtension | None,
     mode: str = "exact",
-    step: float = 1e-4,
-    delta_alpha0: float = 0.0,
+    step: float = FD_STEP,
 ) -> GeneratorBasis:
     """Extract both generator stacks for the coirrep of (spec, ext).
 
@@ -156,13 +157,13 @@ def generator_basis(
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
     X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
     Mode 'fd' differentiates the one-parameter curves instead and must agree
-    with 'exact'. The x' -> x map is e^{i delta_alpha0} N. Without an
+    with 'exact'. The x' -> x map is e^{i ext.delta_alpha0} N. Without an
     extension the basis is type a with an empty coset stack, and x' = x.
     """
     if ext is None:
         ctype, n_matrix, to_x = CoirrepType.A, None, np.eye(spec.d)
     else:
         ctype, n_matrix = classify_coirrep(spec, ext), ext.N
-        to_x = cmath.exp(1j * delta_alpha0) * ext.N
+        to_x = cmath.exp(1j * ext.delta_alpha0) * ext.N
     blocks = _generator_blocks(spec, n_matrix, mode, step)
     return GeneratorBasis(blocks[:spec.n], blocks[spec.n:], ctype, to_x)

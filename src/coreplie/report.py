@@ -23,8 +23,7 @@ from .algebra import (
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
-from .config import ConfigError, GroupConfig
-from .group_core import a0_sign_of_type
+from .config import GroupConfig
 from .infinitesimal import DifferentiationError, generator_basis
 from .matrices import max_abs_diff
 
@@ -114,14 +113,10 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
     DifferentiationError when the two extraction modes disagree beyond the
     fd-agree tolerance.
     """
-    if cfg.extension is None:
-        raise ConfigError("extension: required for this command but absent")
-    spec, ext, tol = cfg.spec, cfg.extension, cfg.tolerances
+    spec, ext, tol = cfg.spec, cfg.require_extension(), cfg.tolerances
 
-    da0 = cfg.delta_alpha0
-    basis_exact = generator_basis(spec, ext, mode="exact", delta_alpha0=da0)
-    basis_fd = generator_basis(spec, ext, mode="fd", step=tol.fd_step, delta_alpha0=da0)
-    ctype = basis_exact.ctype
+    basis_exact = generator_basis(spec, ext, mode="exact")
+    basis_fd = generator_basis(spec, ext, mode="fd", step=tol.fd_step)
     fd_diff = max(
         max_abs_diff(basis_exact.subgroup_blocks, basis_fd.subgroup_blocks),
         max_abs_diff(basis_exact.coset_blocks, basis_fd.coset_blocks),
@@ -146,10 +141,10 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         group={"name": spec.name, "n": spec.n, "d": spec.d, "source": cfg.source},
         mode=mode,
         xi=json_numbers(ext.xi),
-        delta_alpha0=json_numbers(cfg.delta_alpha0),
+        delta_alpha0=json_numbers(ext.delta_alpha0),
         tolerances={key: json_numbers(v) for key, v in tol.as_dict().items()},
-        classification=ctype.value,
-        a0_sign=a0_sign_of_type(ctype, ext.s),
+        classification=ext.ctype.value,
+        a0_sign=ext.a0_sign,
         generators={
             "subgroup": json_numbers(basis.subgroup_blocks),
             "coset": json_numbers(basis.coset_blocks),

@@ -27,10 +27,3 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
     """Generator seeded from the argument or the environment."""
     return np.random.default_rng(seed_from_env() if seed is None else seed)
 
-
-def random_complex_matrix(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-
-
-def random_complex_vector(rng: np.random.Generator, d: int, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +333,7 @@ def block_case(name):
     """A type-b basis with its x' -> x map exp(i delta_alpha0) N on the blocks,
     as run_verification builds it."""
     spec, ext, delta_alpha0 = BLOCK_CASES[name]()
-    return generator_basis(spec, ext, delta_alpha0=delta_alpha0)
+    return generator_basis(spec, replace(ext, delta_alpha0=delta_alpha0))
 
 
 def doubled(basis):

@@ -5,14 +5,17 @@ cannot break on a stale export. The per-operator vector-field layer, the
 extract_* wrappers and NotClosedError were removed in favour of the stacked
 kernel (algebra.field_bracket, generator_basis), the per-pair ClosurePair
 in favour of ClosureReport.pairs, one record array, the transport layer
-in favour of the x' -> x map that GeneratorBasis carries, and the coirrep
+in favour of the x' -> x map that GeneratorBasis carries, the coirrep
 point layer (coordinate vectors, frames, block orders and the per-point
-actions) in favour of the coirrep matrices; their names must stay gone.
+actions) in favour of the coirrep matrices, and the type and sign helpers in
+favour of AntilinearExtension.ctype and .a0_sign; their names must stay gone.
 """
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,8 @@ REMOVED = (
     "act_b",
     "act_coset_a",
     "as_complex_vector",
+    "coirrep_type",
+    "a0_sign_of_type",
 )
 
 
@@ -66,6 +71,14 @@ def test_removed_name_is_gone(name):
         exec(f"from coreplie import {name}", {})
     for module in pkgutil.iter_modules(coreplie.__path__):
         assert not hasattr(importlib.import_module(f"coreplie.{module.name}"), name), module.name
+
+
+def test_extension_block_has_one_home():
+    """delta_alpha0 is a field of the extension, not of the config or of
+    generator_basis."""
+    assert [f.name for f in fields(coreplie.AntilinearExtension)] == ["N", "s", "xi", "delta_alpha0"]
+    assert [f.name for f in fields(coreplie.GroupConfig)] == ["spec", "extension", "tolerances", "source"]
+    assert "delta_alpha0" not in inspect.signature(coreplie.generator_basis).parameters
 
 
 def test_sampling_is_test_only():

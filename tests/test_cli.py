@@ -96,7 +96,10 @@ class TestClassify:
             "(known: so2-conj, so3, su2-tr, u1)\n"
         )
 
-    def test_a0_squared_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("command, exit_code", [
+        ("classify", 0), ("generators", 0), ("verify", 3), ("report", 3),
+    ])
+    def test_a0_squared_once(self, capsys, monkeypatch, command, exit_code):
         calls = []
         original = group_core.a0_square_sign
 
@@ -109,8 +112,9 @@ class TestClassify:
 
         monkeypatch.setattr(group_core, "a0_square_sign", counting)
         monkeypatch.setattr(group_core, "compose", no_compose)
-        code, out, _ = run(capsys, "classify", "--group", "su2-tr")
-        assert (code, out) == (0, "group su2-tr: b-type coirrep, a0^2 sign -1\n")
+        code, out, _ = run(capsys, command, "--group", "su2-tr")
+        assert code == exit_code
+        assert command != "classify" or out == "group su2-tr: b-type coirrep, a0^2 sign -1\n"
         assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["classify", "verify", "generators"])

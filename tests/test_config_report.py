@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from coreplie import (
     CATALOG_NAMES,
     ConfigError,
     Tolerances,
+    algebra_dimension,
+    central_derivative,
     generator_basis,
     parse_config,
     parse_machine,
@@ -43,8 +46,7 @@ def so2_document(**extra):
 
 def closure_reports(cfg, mode):
     """The in-memory closure reports that run_verification serializes."""
-    basis = generator_basis(cfg.spec, cfg.extension, mode=mode, step=cfg.tolerances.fd_step,
-                            delta_alpha0=cfg.delta_alpha0)
+    basis = generator_basis(cfg.spec, cfg.extension, mode=mode, step=cfg.tolerances.fd_step)
     tol = cfg.tolerances.closure
     return {
         "sub-sub": sub_sub_closure_report(basis, tol),
@@ -77,7 +79,18 @@ class TestParseConfig:
         doc["extension"]["delta-alpha0"] = 0.5
         cfg = parse_config(doc)
         assert cfg.extension.xi == 0.25
-        assert cfg.delta_alpha0 == 0.5
+        assert cfg.extension.delta_alpha0 == 0.5
+
+    def test_tolerance_defaults_are_the_library_defaults(self):
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        assert Tolerances() == Tolerances(
+            closure=default(sub_sub_closure_report, "tol"),
+            rank=default(algebra_dimension, "rank_tol"),
+            fd_step=default(generator_basis, "step"),
+        )
+        assert default(central_derivative, "step") == Tolerances().fd_step
 
     def test_tolerance_overrides(self):
         cfg = parse_config(so2_document(tolerances={"closure": 1e-7, "fd-step": 1e-3}))
@@ -95,6 +108,7 @@ class TestParseConfig:
             (lambda d: d["extension"].update(N=[[[1, 0]]]), "extension.N"),
             (lambda d: d["extension"].update(s=3), "extension.s"),
             (lambda d: d["extension"].update(s=True), "extension.s"),
+            (lambda d: d["extension"].update(s=1.0), "extension.s"),
             (lambda d: d.update(bogus=1), "bogus"),
             (lambda d: d.update(tolerances={"nope": 1.0}), "tolerances.nope"),
             (lambda d: d.update(tolerances={"fd_step": 1e-5}), "tolerances.fd_step"),

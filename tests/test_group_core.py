@@ -15,6 +15,7 @@ from coreplie import (
     compose,
     exp_curve,
 )
+from coreplie import group_core
 
 E2 = np.eye(2, dtype=complex)
 ISY = np.array([[0, 1], [-1, 0]], dtype=complex)  # i * sigma_y
@@ -152,6 +153,26 @@ class TestLieGroupSpec:
     def test_ragged_generators_named(self):
         with pytest.raises(ValueError, match="^generators must be square, got a ragged"):
             LieGroupSpec(n=2, d=2, generators=(np.eye(2), np.eye(3)))
+
+
+class TestAntilinearExtension:
+    @pytest.mark.parametrize("field, value, message", [
+        ("s", True, "s: expected +1 or -1"),
+        ("s", 1.0, "s: expected +1 or -1"),
+        ("xi", float("nan"), "xi: expected a finite number, got nan"),
+        ("delta_alpha0", float("inf"), "delta_alpha0: expected a finite number, got inf"),
+    ])
+    def test_invalid_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            AntilinearExtension(E2, **{field: value})
+        assert str(info.value) == message
+
+    def test_a0_sign_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(group_core, "a0_square_sign", lambda ext: calls.append(ext) or -1)
+        ext = AntilinearExtension(ISY, s=+1)
+        assert (ext.a0_sign, ext.ctype, ext.a0_sign, ext.ctype) == (-1, CoirrepType.B, -1, CoirrepType.B)
+        assert calls == [ext]
 
 
 class TestA0SquareSign:

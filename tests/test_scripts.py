@@ -1,5 +1,6 @@
-"""Both scripts run in-process against the library they demonstrate."""
+"""The scripts run in-process against the library they demonstrate."""
 import importlib.util
+import re
 from pathlib import Path
 
 from coreplie import CATALOG_NAMES
@@ -37,3 +38,13 @@ def test_phase_sweep_fails_when_a_profile_moves(capsys, monkeypatch):
     monkeypatch.setattr(sweep, "residual_profile", drifting)
     assert sweep.main() == 1
     assert "phases are not absorbable" in capsys.readouterr().out
+
+
+def test_report_digest_prints_one_sha256_per_report(capsys):
+    assert load_script("report_digest").main() == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len({key for key, _ in lines}) == len(lines) == 60
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in lines)
+    assert [key for key, _ in lines[:4]] == [
+        "so2-conj/exact/0,0", "so2-conj/exact/0.7,-1.3", "so2-conj/fd/0,0", "so2-conj/fd/0.7,-1.3",
+    ]
