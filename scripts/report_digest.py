@@ -8,6 +8,12 @@ and (0.7, -1.3): 60 lines of the form
 
     <input>/<mode>/<xi>,<delta_alpha0> <sha256>
 
+The phases are echoed, never applied: a report at (0.7, -1.3) differs from
+its (0, 0) report only in the fields xi and delta_alpha0, so each phased
+digest differs from its (0, 0) digest through those two fields alone.
+Reports are byte-deterministic for a fixed BLAS thread count; compare
+digests made with the same OPENBLAS_NUM_THREADS (1 is the reference).
+
 Only parse_config, config_for_catalog, with_overrides, run_verification and
 emit_machine are used, so two source trees can be compared byte for byte:
 

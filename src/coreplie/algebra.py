@@ -210,12 +210,7 @@ def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> 
     svals *= BLOCK_SCALE[basis.ctype]
     threshold = rank_tol * float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > threshold))
-    if rank == basis.n + 1:
-        classification = "a-degenerate"
-    elif rank == 2 * basis.n + 1:
-        classification = "b-full"
-    else:
-        classification = "other"
+    classification = {basis.n + 1: "a-degenerate", 2 * basis.n + 1: "b-full"}.get(rank, "other")
     kept = svals[svals > threshold]
     margin = float(kept[-1] / threshold) if (kept.size and threshold > 0) else float("inf")
     certificate = None

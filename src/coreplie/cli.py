@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi", type=float, default=None,
                        help="override the phase xi of the extension")
         p.add_argument("--delta-alpha0", type=float, default=None,
-                       help="coset phase parameter of the transport map")
+                       help="override the coset phase delta_alpha0 of the extension (report metadata)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the closure tolerance")
         if has_format:
@@ -74,13 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> GroupConfig:
     cfg = config_for_catalog(args.group) if args.group else load_config(args.config)
-    return with_overrides(
-        cfg,
-        xi=args.xi,
-        delta_alpha0=args.delta_alpha0,
-        tol=args.tol,
-        perturb=args.perturb,
-    )
+    return with_overrides(cfg, xi=args.xi, delta_alpha0=args.delta_alpha0, tol=args.tol, perturb=args.perturb)
 
 
 def cmd_classify(cfg: GroupConfig, args, out) -> int:

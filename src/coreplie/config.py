@@ -161,10 +161,10 @@ _EXTENSION_KEYS = ("N", "s", "xi", "delta-alpha0")
 
 
 def _extension(base: AntilinearExtension | None = None, **fields) -> AntilinearExtension:
-    """AntilinearExtension(**fields), or base with fields replaced. A field the
+    """AntilinearExtension(**fields), or base with its phases replaced. A field the
     type rejects, from a file or a flag, is a ConfigError under its config path."""
     try:
-        return AntilinearExtension(**fields) if base is None else replace(base, **fields)
+        return AntilinearExtension(**fields) if base is None else base.with_phases(**fields)
     except ExtensionFieldError as exc:
         name, message = exc.args
         raise ConfigError(f"extension.{name.replace('_', '-')}: {message}") from exc
@@ -243,8 +243,8 @@ def with_overrides(
     for path, value in (("extension.xi", xi), ("extension.delta-alpha0", delta_alpha0)):
         _expect(value is None or ext is not None, path, "cannot be set: the config has no extension block")
     _expect(perturb is None or np.isfinite(perturb), "--perturb", f"expected a finite number, got {perturb}")
-    phases = {name: float(v) for name, v in (("xi", xi), ("delta_alpha0", delta_alpha0)) if v is not None}
-    ext = _extension(ext, **phases) if phases else ext
+    if xi is not None or delta_alpha0 is not None:
+        ext = _extension(ext, xi=xi, delta_alpha0=delta_alpha0)
     if perturb:
         gens = spec.generators.copy()
         gens[0, 0, 0] += perturb

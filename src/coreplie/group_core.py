@@ -8,6 +8,7 @@ combine like Z2.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -129,9 +130,9 @@ def exp_curve(spec: LieGroupSpec, alpha) -> GroupElement:
 @dataclass(frozen=True, eq=False)
 class AntilinearExtension:
     """The antilinear operation a0 of the extension block: its matrix N, the
-    declared sign s of a0 squared, the phase xi with mu/lambda = exp(i*xi),
-    and the coset phase delta_alpha0 of the x' -> x map e^{i delta_alpha0} N.
-    Each field is checked here, once."""
+    declared sign s of a0 squared, the phase xi with mu/lambda = exp(i*xi)
+    (read by build_a_matrix) and the coset phase delta_alpha0; the verify
+    path only echoes the phases. Each field is checked here, once."""
 
     N: np.ndarray
     s: int = 1
@@ -145,10 +146,21 @@ class AntilinearExtension:
         object.__setattr__(self, "N", n)
         if not (isinstance(self.s, int) and not isinstance(self.s, bool) and self.s in (1, -1)):
             raise ExtensionFieldError("s", "expected +1 or -1")
-        for name in ("xi", "delta_alpha0"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and np.isfinite(value)):
+        self._set_phases(xi=self.xi, delta_alpha0=self.delta_alpha0)
+
+    def _set_phases(self, **phases):
+        for name, value in phases.items():
+            if not (isinstance(value, Real) and not isinstance(value, bool) and np.isfinite(value)):
                 raise ExtensionFieldError(name, f"expected a finite number, got {value}")
+            object.__setattr__(self, name, value)
+
+    def with_phases(self, xi: float | None = None, delta_alpha0: float | None = None):
+        """This extension with the phases given replaced. Only they are checked:
+        N and s were checked when self was built, and the copy shares them."""
+        out = copy.copy(self)
+        out._set_phases(xi=self.xi if xi is None else xi,
+                        delta_alpha0=self.delta_alpha0 if delta_alpha0 is None else delta_alpha0)
+        return out
 
     @property
     def d(self) -> int:

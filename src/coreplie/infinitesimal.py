@@ -2,12 +2,12 @@
 
 A generator with coefficient matrix A stands for the linear vector field
 J = A_ij x_j d/dx_i. Subgroup generators live at the base point x, coset
-generators at the coset base point x' = e^{-i delta_alpha0} N^{-1} x. A
-GeneratorBasis carries the x' -> x map M = e^{i delta_alpha0} N on its d x d
-blocks (type b: blockdiag(M, -M)), which conjugates coset coefficients into
-the x frame. Generators stay complex stacks of d x d upper blocks from
-extraction to emission (type b doubles them on request); their bracket is
-algebra.field_bracket.
+generators at the coset base point x' = N^{-1} x. A GeneratorBasis carries
+the x' -> x map M = N on its d x d blocks (type b: blockdiag(M, -M)), which
+conjugates coset coefficients into the x frame; the phases xi and
+delta_alpha0 reach no number here. Generators stay complex stacks of d x d
+upper blocks from extraction to emission (type b doubles them on request);
+their bracket is algebra.field_bracket.
 """
 from __future__ import annotations
 
@@ -157,13 +157,12 @@ def generator_basis(
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
     X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
     Mode 'fd' differentiates the one-parameter curves instead and must agree
-    with 'exact'. The x' -> x map is e^{i ext.delta_alpha0} N. Without an
-    extension the basis is type a with an empty coset stack, and x' = x.
+    with 'exact'. The x' -> x map is N; a phase on it would cancel from every
+    conjugation. Without an extension: type a, an empty coset stack, x' = x.
     """
     if ext is None:
         ctype, n_matrix, to_x = CoirrepType.A, None, np.eye(spec.d)
     else:
-        ctype, n_matrix = classify_coirrep(spec, ext), ext.N
-        to_x = cmath.exp(1j * ext.delta_alpha0) * ext.N
+        ctype, n_matrix, to_x = classify_coirrep(spec, ext), ext.N, ext.N
     blocks = _generator_blocks(spec, n_matrix, mode, step)
     return GeneratorBasis(blocks[:spec.n], blocks[spec.n:], ctype, to_x)

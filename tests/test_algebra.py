@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -320,20 +319,18 @@ def spin_entry(two_j):
     return cfg.spec, cfg.extension
 
 
-# type-b inputs: (spec, ext, delta_alpha0)
+# type-b inputs: (spec, ext)
 BLOCK_CASES = {
-    "su2-tr": lambda: (*catalog_entry("su2-tr"), 0.0),
-    "spin1-2": lambda: (*spin_entry(1), 0.0),
-    "spin3-2": lambda: (*spin_entry(3), 0.0),
-    "spin3-2-phased": lambda: (*spin_entry(3), 0.7),
+    "su2-tr": lambda: catalog_entry("su2-tr"),
+    "spin1-2": lambda: spin_entry(1),
+    "spin3-2": lambda: spin_entry(3),
 }
 
 
 def block_case(name):
-    """A type-b basis with its x' -> x map exp(i delta_alpha0) N on the blocks,
-    as run_verification builds it."""
-    spec, ext, delta_alpha0 = BLOCK_CASES[name]()
-    return generator_basis(spec, replace(ext, delta_alpha0=delta_alpha0))
+    """A type-b basis with its x' -> x map N on the blocks, as run_verification
+    builds it."""
+    return generator_basis(*BLOCK_CASES[name]())
 
 
 def doubled(basis):

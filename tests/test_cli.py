@@ -269,18 +269,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["xi"] == 0.77
 
-    def test_delta_alpha0_is_pure_phase_for_residuals(self, capsys):
+    def test_phases_change_only_their_echo(self, capsys):
         _, base_out, _ = run(capsys, "verify", "--group", "su2-tr", "--format", "machine")
         _, phased_out, _ = run(
-            capsys, "verify", "--group", "su2-tr", "--delta-alpha0", "0.9", "--format", "machine"
+            capsys, "verify", "--group", "su2-tr", "--xi", "-0.4", "--delta-alpha0", "0.9",
+            "--format", "machine",
         )
         base = json.loads(base_out)
         phased = json.loads(phased_out)
-        assert phased["delta_alpha0"] == 0.9
-        for fam in base["closures"]:
-            a = base["closures"][fam]["residuals"]
-            b = phased["closures"][fam]["residuals"]
-            assert np.abs(np.array(a) - np.array(b)).max() < 1e-12
+        assert (phased.pop("xi"), phased.pop("delta_alpha0")) == (-0.4, 0.9)
+        assert (base.pop("xi"), base.pop("delta_alpha0")) == (0, 0)
+        assert phased == base
 
     def test_negative_tol_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--group", "so3", "--tol", "-1")

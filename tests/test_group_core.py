@@ -161,6 +161,8 @@ class TestAntilinearExtension:
         ("s", 1.0, "s: expected +1 or -1"),
         ("xi", float("nan"), "xi: expected a finite number, got nan"),
         ("delta_alpha0", float("inf"), "delta_alpha0: expected a finite number, got inf"),
+        ("xi", True, "xi: expected a finite number, got True"),
+        ("delta_alpha0", False, "delta_alpha0: expected a finite number, got False"),
     ])
     def test_invalid_field_rejected(self, field, value, message):
         with pytest.raises(ValueError) as info:

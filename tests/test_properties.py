@@ -1,4 +1,7 @@
 """Property-based checks of the algebraic invariants and of the config reader."""
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from scipy.linalg import expm
 
 import oracle
 from coreplie import (
+    CATALOG_NAMES,
     ConfigError,
     GroupElement,
     Linearity,
@@ -13,9 +17,15 @@ from coreplie import (
     compose,
     exp_curve,
     field_bracket,
+    parse_config,
+    run_verification,
 )
 from coreplie.algebra import _expand
-from coreplie.config import _parse_matrices
+from coreplie.config import _parse_matrices, config_for_catalog, with_overrides
+from coreplie.report import json_numbers
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import spin_document  # noqa: E402
 
 finite_reals = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -110,6 +120,23 @@ def test_projection_recovers_real_combinations(weights):
     (coeffs,), (residual,), _, _ = _expand(np.array([target]), np.array(basis))
     assert np.abs(coeffs - np.array(weights)).max() < 1e-9
     assert residual < 1e-9
+
+
+PHASE_CONFIGS = [config_for_catalog(name) for name in CATALOG_NAMES] + [
+    parse_config(spin_document(two_j)) for two_j in (1, 2, 3)
+]
+phases = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PHASE_CONFIGS), st.sampled_from(["exact", "fd"]), phases, phases)
+def test_report_does_not_depend_on_the_phases(cfg, mode, xi, delta_alpha0):
+    # xi and delta_alpha0 are echoed bookkeeping: every other field is bit-identical
+    base = run_verification(cfg, mode=mode).to_dict()
+    moved = run_verification(with_overrides(cfg, xi=xi, delta_alpha0=delta_alpha0), mode=mode).to_dict()
+    assert (moved.pop("xi"), moved.pop("delta_alpha0")) == (json_numbers(xi), json_numbers(delta_alpha0))
+    del base["xi"], base["delta_alpha0"]
+    assert moved == base
 
 
 # every real a config entry may hold: ints and floats mixed, signed zeros, and

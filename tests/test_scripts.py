@@ -3,7 +3,8 @@ import importlib.util
 import re
 from pathlib import Path
 
-from coreplie import CATALOG_NAMES
+from coreplie import CATALOG_NAMES, run_verification
+from coreplie.config import with_overrides
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -22,22 +23,18 @@ def test_run_catalog_checks_fails_on_su2_tr_only(capsys):
     assert [row[0] for row in rows if row[-1] == "FAIL"] == ["su2-tr"]
 
 
-def test_phase_sweep_reports_absorbable_phases(capsys):
-    assert load_script("phase_sweep").main() == 0
-    assert "phases are absorbable" in capsys.readouterr().out
-
-
-def test_phase_sweep_fails_when_a_profile_moves(capsys, monkeypatch):
-    sweep = load_script("phase_sweep")
-    honest = sweep.residual_profile
-
-    def drifting(name, xi, delta_alpha0):
-        profile = honest(name, xi, delta_alpha0)
-        return profile + 1e-9 if delta_alpha0 else profile
-
-    monkeypatch.setattr(sweep, "residual_profile", drifting)
-    assert sweep.main() == 1
-    assert "phases are not absorbable" in capsys.readouterr().out
+def test_report_digest_phases_change_only_their_echo():
+    # every input and mode: the phased report equals the (0, 0) one bit for bit
+    # outside the echoed xi and delta_alpha0
+    digest = load_script("report_digest")
+    zero, phased = digest.PHASES
+    for cfg in digest.configs():
+        for mode in digest.MODES:
+            base = run_verification(with_overrides(cfg, *zero), mode=mode).to_dict()
+            moved = run_verification(with_overrides(cfg, *phased), mode=mode).to_dict()
+            assert (moved.pop("xi"), moved.pop("delta_alpha0")) == phased
+            assert (base.pop("xi"), base.pop("delta_alpha0")) == zero
+            assert moved == base, f"{cfg.spec.name}/{mode}"
 
 
 def test_report_digest_prints_one_sha256_per_report(capsys):
