@@ -156,9 +156,9 @@ def generator_basis(
     Type a keeps the X_sigma as supplied; the n+1 coset generators, indexed
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
     X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
-    Mode 'fd' differentiates the one-parameter curves instead and must agree
-    with 'exact'. The x' -> x map is N; a phase on it would cancel from every
-    conjugation. Without an extension: type a, an empty coset stack, x' = x.
+    Mode 'fd' differentiates the one-parameter curves instead. The x' -> x
+    map is N; a phase on it would cancel from every conjugation. Without an
+    extension: type a, an empty coset stack, x' = x.
     """
     if ext is None:
         ctype, n_matrix, to_x = CoirrepType.A, None, np.eye(spec.d)

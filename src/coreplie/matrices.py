@@ -41,10 +41,6 @@ def entries_close(a: np.ndarray, b: np.ndarray, tol: float = ENTRY_TOL) -> bool:
     return bool(np.abs(a - b).max(initial=0.0) <= tol * scale)
 
 
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max(initial=0.0))
-
-
 def is_invertible(a: np.ndarray, tol: float = RANK_TOL) -> bool:
     """Smallest singular value above tol * max(1, largest singular value)."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)

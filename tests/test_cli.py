@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coreplie import group_core
+from coreplie import catalog_entry, group_core
 from coreplie.cli import _build_parser, main
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
@@ -21,7 +21,6 @@ SU2_TR_HUMAN = """\
 group su2-tr (n=3, d=2, mode=exact)
 classification: b-type, a0^2 sign -1
 xi = 0, delta_alpha0 = 0
-generators: fd vs exact max abs diff 7.89492e-13
 closure families:
   family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 2.71948e-16)
     (0,1): residual 2.22045e-16  coeffs [0, 0, -1]  complex residual 2.71948e-16
@@ -146,7 +145,7 @@ class TestGenerators:
     def test_type_b_listing_holds_the_blocks(self, capsys):
         code, out, _ = run(capsys, "generators", "--group", "su2-tr", "--format", "machine")
         doc = json.loads(out)
-        assert (code, doc["schema"], doc["classification"]) == (0, 4, "b")
+        assert (code, doc["schema"], doc["classification"]) == (0, 5, "b")
         assert np.shape(doc["subgroup"]) == (3, 2, 2, 2)
         assert np.shape(doc["coset"]) == (4, 2, 2, 2)
 
@@ -281,6 +280,35 @@ class TestVerify:
         assert (base.pop("xi"), base.pop("delta_alpha0")) == (0, 0)
         assert phased == base
 
+    @pytest.mark.parametrize("group, worst", [("so2-conj", "X'_0"), ("u1", "X_1")])
+    def test_fd_agree_gates_fd_mode_only(self, capsys, tmp_path, group, worst):
+        # the stencil misses the exact generators by about 8e-13, far above 1e-20
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps({"group": group, "tolerances": {"fd-agree": 1e-20}}))
+        code, out, err = run(capsys, "verify", "--config", str(path), "--mode", "fd")
+        assert (code, out) == (4, "")
+        assert f"at {worst} (tolerances.fd-agree 1e-20)" in err
+        assert run(capsys, "verify", "--config", str(path))[0] == 0
+
+    def test_exact_verdict_does_not_depend_on_the_stencil(self, capsys, tmp_path):
+        # so3 scaled by 1e4: the fixed fd step 1e-4 cannot converge on these
+        # curves, and exact mode differentiates none of them
+        spec, ext = catalog_entry("so3")
+        generators, n_matrix = (
+            np.stack([a.real, a.imag], axis=-1).tolist() for a in (1e4 * spec.generators, ext.N)
+        )
+        path = tmp_path / "so3-1e4.json"
+        path.write_text(json.dumps({
+            "group": {"n": 3, "d": 3, "generators": generators},
+            "extension": {"N": n_matrix, "s": ext.s},
+            "tolerances": {"closure": 1e-6},
+        }))
+        code, out, _ = run(capsys, "verify", "--config", str(path), "--format", "machine")
+        assert (code, json.loads(out)["dimension"]["computed"]) == (0, 4)
+        code, out, err = run(capsys, "verify", "--config", str(path), "--mode", "fd")
+        assert (code, out) == (4, "")
+        assert "did not converge" in err
+
     def test_negative_tol_exits_1(self, capsys):
         code, _, err = run(capsys, "verify", "--group", "so3", "--tol", "-1")
         assert code == 1
@@ -311,7 +339,7 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--group", "so2-conj")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
 
     def test_report_matches_verify_machine_output(self, capsys):
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")
@@ -366,12 +394,12 @@ class TestCommandLine:
 
 class TestColdStart:
     def test_report_loads_no_scipy(self):
-        """The runtime needs numpy only: a full report, fd extraction included,
-        runs in a fresh interpreter without importing scipy."""
+        """The runtime needs numpy only: a full fd-mode report, fd extraction
+        included, runs in a fresh interpreter without importing scipy."""
         script = (
             "import json, sys\n"
             "import coreplie.cli as cli\n"
-            "code = cli.main(['report', '--group', 'su2-tr'])\n"
+            "code = cli.main(['report', '--group', 'su2-tr', '--mode', 'fd'])\n"
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "print(json.dumps([code, loaded]), file=sys.stderr)\n"
         )

@@ -365,7 +365,7 @@ class TestRunReport:
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
         assert doc["classification"] == "b"
         assert doc["a0_sign"] == -1
         assert doc["dimension"]["computed"] == 7
@@ -397,10 +397,17 @@ class TestRunReport:
         assert report.mode == "fd"
         assert report.passed
         assert report.generators["fd_max_abs_diff"] < 1e-6
+        assert "fd vs exact" in format_human(report)
+
+    def test_exact_mode_report_has_no_fd_comparison(self):
+        report = run_verification(config_for_catalog("so2-conj"))
+        assert report.mode == "exact"
+        assert report.generators["fd_max_abs_diff"] is None
+        assert "fd vs exact" not in format_human(report)
 
 
 def doubled_from_report(doc: dict):
-    """The generator stacks of a schema-4 report: its d x d blocks, doubled
+    """The generator stacks of a report (schema 4 on): its d x d blocks, doubled
     to blockdiag(X, X) and blockdiag(X', -X') when the classification is b."""
     sub, coset = (
         np.ascontiguousarray(doc["generators"][key], dtype=float).view(complex)[..., 0]
@@ -418,7 +425,7 @@ class TestSchema4Generators:
         cfg = parse_config(spin_document(3)) if name == "spin3-2" else config_for_catalog(name)
         n, d = cfg.spec.n, cfg.spec.d
         doc = json.loads(emit_machine(run_verification(cfg)))
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
         assert np.shape(doc["generators"]["subgroup"]) == (n, d, d, 2)
         assert np.shape(doc["generators"]["coset"]) == (n + 1, d, d, 2)
         basis = generator_basis(cfg.spec, cfg.extension)

@@ -424,10 +424,20 @@ class TestStackedExtraction:
         assert calls == [(spec.n, spec.d, spec.d)] * 6
 
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
-    def test_run_verification_classifies_at_most_twice(self, name, monkeypatch):
+    @pytest.mark.parametrize("mode, bases", [("exact", 1), ("fd", 2)])
+    def test_run_verification_classifies_once_per_basis(self, name, mode, bases, monkeypatch):
+        # exact mode builds the exact basis alone; fd mode also builds it to compare
         calls = count_calls(monkeypatch, group_core.classify_coirrep)
-        run_verification(config_for_catalog(name))
-        assert 1 <= len(calls) <= 2
+        run_verification(config_for_catalog(name), mode=mode)
+        assert len(calls) == bases
+
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    @pytest.mark.parametrize("mode, expms, stencils", [("exact", 0, 0), ("fd", 6, 1)])
+    def test_only_fd_mode_differentiates(self, name, mode, expms, stencils, monkeypatch):
+        expm_calls = count_calls(monkeypatch, matrices.expm)
+        stencil_calls = count_calls(monkeypatch, infinitesimal.central_derivative)
+        run_verification(config_for_catalog(name), mode=mode)
+        assert (len(expm_calls), len(stencil_calls)) == (expms, stencils)
 
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
     def test_run_verification_builds_no_group_elements(self, name, monkeypatch):
