@@ -95,7 +95,8 @@ def cmd_classify(cfg: GroupConfig, args, out) -> int:
 
 
 def cmd_generators(cfg: GroupConfig, args, out) -> int:
-    basis = generator_basis(cfg.spec, cfg.extension, mode=args.mode, step=cfg.tolerances.fd_step)
+    tol = cfg.tolerances
+    basis = generator_basis(cfg.spec, cfg.extension, mode=args.mode, step=tol.fd_step, agree=tol.fd_agree)
     absent = cfg.extension is None
     if args.format == "machine":  # upper blocks, as in the report's generators
         doc = {

@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import CLOSURE_TOL, RANK_REL_TOL
 from .catalog import CATALOG_NAMES, catalog_entry
 from .group_core import AntilinearExtension, ExtensionFieldError, LieGroupSpec
-from .infinitesimal import FD_STEP
+from .infinitesimal import FD_AGREE, FD_STEP
 
 
 class ConfigError(ValueError):
@@ -39,7 +39,7 @@ class Tolerances:
     closure: float = CLOSURE_TOL
     rank: float = RANK_REL_TOL
     fd_step: float = FD_STEP
-    fd_agree: float = 1e-6
+    fd_agree: float = FD_AGREE
 
     def __post_init__(self):
         # every construction, from a config file or a --tol override, lands here

@@ -17,6 +17,7 @@ from numbers import Real
 import numpy as np
 
 from .matrices import (
+    RANK_TOL,
     as_square_complex,
     entries_close,
     expm,
@@ -111,7 +112,7 @@ class LieGroupSpec:
                 f"generators have shape {gens.shape}, expected ({self.n}, {self.d}, {self.d})"
             )
         vecs = real_vectorization(gens)
-        rank = np.linalg.matrix_rank(vecs, tol=1e-10 * max(1.0, float(np.abs(vecs).max(initial=0.0))))
+        rank = np.linalg.matrix_rank(vecs, tol=RANK_TOL * max(1.0, float(np.abs(vecs).max(initial=0.0))))
         if rank != self.n:
             raise ValueError(f"generators are not real-linearly independent (rank {rank} < {self.n})")
         object.__setattr__(self, "generators", gens)

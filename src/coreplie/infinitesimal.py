@@ -26,10 +26,24 @@ from .group_core import (
 from .matrices import as_square_complex, block_diag2, expm
 
 FD_STEP = 1e-4  # default stencil step of central_derivative and generator_basis
+FD_STENCIL_TOL = 1e-4  # the two stencil widths may differ by this times max(1, |derivative|)
+FD_AGREE = 1e-6  # default largest fd-vs-exact entry difference (tolerances.fd-agree)
 
 
 class DifferentiationError(ArithmeticError):
-    """Numerical differentiation failed to converge."""
+    """Numerical differentiation failed: a stencil that did not converge, or
+    fd generators that miss the exact ones."""
+
+
+def _gate(values: np.ndarray, limits, names, head: str, tail: str) -> None:
+    """Raise DifferentiationError("<head> <value> at <name> (<tail>)") at the
+    stack member whose value exceeds its limit by the largest factor, the
+    quantity each gate tests; without names the location is left out."""
+    ratio = np.ravel(values / limits)
+    if (ratio > 1.0).any():
+        worst = int(ratio.argmax())
+        at = "" if names is None else f" at {names[worst]}"
+        raise DifferentiationError(f"{head} {np.ravel(values)[worst]:.3e}{at} ({tail})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,12 +51,14 @@ class GeneratorBasis:
     """Upper blocks of the subgroup (n, d, d) and coset (n+1, d, d) generators
     of one coirrep, and the d x d block to_x of the x' -> x map, all read-only
     complex copies of the input. .subgroup and .coset are the generators, for
-    type b a new blockdiag(X, X) and blockdiag(X', -X')."""
+    type b a new blockdiag(X, X) and blockdiag(X', -X'). fd_max_abs_diff is
+    set (to generator_basis's fd-vs-exact gap) in mode 'fd' only."""
 
     subgroup_blocks: np.ndarray
     coset_blocks: np.ndarray
     ctype: CoirrepType
     to_x: np.ndarray
+    fd_max_abs_diff: float | None = None
 
     def __post_init__(self):
         for name in ("subgroup", "coset"):
@@ -90,15 +106,15 @@ class GeneratorBasis:
         return out
 
 
-def central_derivative(curve, step: float = FD_STEP, tol: float = 1e-4) -> np.ndarray:
+def central_derivative(curve, step: float = FD_STEP, names=None) -> np.ndarray:
     """Derivative at 0 of a matrix-valued curve, 4th-order central stencil
     with one Richardson level.
 
     The curve may return a stack (..., d, d); it is sampled once at each of
     the six abscissae step * (-2, -1, -1/2, 1/2, 1, 2), which serve both
-    stencil widths. Divergence between the two widths (beyond tol, scaled
-    by each matrix's own magnitude) raises DifferentiationError; there is no
-    silent fallback.
+    stencil widths. Divergence between the two widths (beyond FD_STENCIL_TOL,
+    scaled by each matrix's own magnitude) raises DifferentiationError at the
+    worst matrix, named from `names` if given; there is no silent fallback.
     """
     if not np.isfinite(step) or step <= 0.0:
         raise DifferentiationError(f"invalid differentiation step {step}")
@@ -115,34 +131,9 @@ def central_derivative(curve, step: float = FD_STEP, tol: float = 1e-4) -> np.nd
         raise DifferentiationError("non-finite values in numerical differentiation")
     scale = np.maximum(1.0, np.abs(richardson).max(axis=(-2, -1), initial=0.0))
     gap = np.abs(d2 - d1).max(axis=(-2, -1), initial=0.0)
-    diverged = gap[gap > tol * scale]
-    if diverged.size:
-        raise DifferentiationError(
-            "numerical differentiation did not converge "
-            f"(stencil disagreement {float(diverged[0]):.3e} at step {step})"
-        )
+    _gate(gap, FD_STENCIL_TOL * scale, names,
+          "numerical differentiation did not converge: stencil disagreement", f"step {step}")
     return richardson
-
-
-def _generator_blocks(spec: LieGroupSpec, n_matrix, mode: str, step: float) -> np.ndarray:
-    """Upper blocks [X_1..X_n] and, given N, [X'_0 = i N, X'_sigma = X_sigma N]
-    as one (n [+ n+1], d, d) stack.
-
-    Mode 'fd' differentiates the curves exp(t X_sigma), e^{it} N and
-    exp(t X_sigma) N together: each sample is one expm of the generator stack,
-    which the coset curves reuse.
-    """
-    if mode not in ("exact", "fd"):
-        raise ValueError(f"mode must be 'exact' or 'fd', got {mode!r}")
-
-    def blocks(e: np.ndarray, phase: complex) -> np.ndarray:
-        if n_matrix is None:
-            return e
-        return np.concatenate([e, (phase * n_matrix)[None], e @ n_matrix])
-
-    if mode == "exact":
-        return blocks(spec.generators, 1j)
-    return central_derivative(lambda t: blocks(expm(t * spec.generators), cmath.exp(1j * t)), step)
 
 
 def generator_basis(
@@ -150,19 +141,42 @@ def generator_basis(
     ext: AntilinearExtension | None,
     mode: str = "exact",
     step: float = FD_STEP,
+    agree: float = FD_AGREE,
 ) -> GeneratorBasis:
     """Extract both generator stacks for the coirrep of (spec, ext).
 
     Type a keeps the X_sigma as supplied; the n+1 coset generators, indexed
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
     X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
-    Mode 'fd' differentiates the one-parameter curves instead. The x' -> x
-    map is N; a phase on it would cancel from every conjugation. Without an
-    extension: type a, an empty coset stack, x' = x.
+    The x' -> x map is N; a phase on it would cancel from every conjugation.
+    Without an extension: type a, an empty coset stack, x' = x.
+
+    Mode 'fd' differentiates the curves exp(t X_sigma), e^{it} N and
+    exp(t X_sigma) N instead, each sample one expm of the generator stack,
+    and records the largest entry difference from the exact blocks as
+    fd_max_abs_diff; above `agree` it raises DifferentiationError at the
+    worst generator, as a stencil that does not converge does.
     """
+    if mode not in ("exact", "fd"):
+        raise ValueError(f"mode must be 'exact' or 'fd', got {mode!r}")
     if ext is None:
         ctype, n_matrix, to_x = CoirrepType.A, None, np.eye(spec.d)
     else:
         ctype, n_matrix, to_x = classify_coirrep(spec, ext), ext.N, ext.N
-    blocks = _generator_blocks(spec, n_matrix, mode, step)
-    return GeneratorBasis(blocks[:spec.n], blocks[spec.n:], ctype, to_x)
+
+    def blocks(e: np.ndarray, phase: complex) -> np.ndarray:
+        if n_matrix is None:
+            return e
+        return np.concatenate([e, (phase * n_matrix)[None], e @ n_matrix])
+
+    out, fd_diff = blocks(spec.generators, 1j), None
+    if mode == "fd":
+        if not (np.isfinite(agree) and agree > 0.0):
+            raise ValueError(f"fd-agree tolerance must be finite and positive, got {agree}")
+        names = [f"X_{i}" for i in range(1, spec.n + 1)] + [f"X'_{i}" for i in range(len(out) - spec.n)]
+        fd = central_derivative(lambda t: blocks(expm(t * spec.generators), cmath.exp(1j * t)), step, names)
+        diff = np.abs(fd - out).max(axis=(-2, -1))
+        _gate(diff, agree, names, "finite-difference and exact generators disagree by",
+              f"tolerances.fd-agree {agree:g}")
+        out, fd_diff = fd, float(diff.max())
+    return GeneratorBasis(out[:spec.n], out[spec.n:], ctype, to_x, fd_diff)

@@ -12,7 +12,7 @@ import numpy as np
 
 # Entrywise comparison tolerance, scaled by max entry magnitude.
 ENTRY_TOL = 1e-10
-# Relative singular-value threshold below which a matrix counts as singular.
+# Relative singular-value threshold of is_invertible and LieGroupSpec's rank test.
 RANK_TOL = 1e-10
 
 
@@ -31,22 +31,22 @@ def as_square_complex(m, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     return a
 
 
-def entries_close(a: np.ndarray, b: np.ndarray, tol: float = ENTRY_TOL) -> bool:
-    """Entrywise |a - b| <= tol * max(1, largest entry magnitude)."""
+def entries_close(a: np.ndarray, b: np.ndarray) -> bool:
+    """Entrywise |a - b| <= ENTRY_TOL * max(1, largest entry magnitude)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         return False
     scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    return bool(np.abs(a - b).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(a - b).max(initial=0.0) <= ENTRY_TOL * scale)
 
 
-def is_invertible(a: np.ndarray, tol: float = RANK_TOL) -> bool:
-    """Smallest singular value above tol * max(1, largest singular value)."""
+def is_invertible(a: np.ndarray) -> bool:
+    """Smallest singular value above RANK_TOL * max(1, largest singular value)."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
     if s.size == 0:
         return False
-    return bool(s[-1] > tol * max(1.0, float(s[0])))
+    return bool(s[-1] > RANK_TOL * max(1.0, float(s[0])))
 
 
 def block_diag2(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .algebra import (
     verify_mixed_closure,
 )
 from .config import GroupConfig
-from .infinitesimal import DifferentiationError, GeneratorBasis, generator_basis
+from .infinitesimal import generator_basis
 
 SCHEMA_VERSION = 5
 
@@ -104,34 +104,17 @@ def _dimension_to_dict(dim: AlgebraDimension) -> dict:
     }
 
 
-def _fd_disagreement(fd: GeneratorBasis, exact: GeneratorBasis, tol: float) -> float:
-    """Largest entry difference between the fd and exact generators; above tol,
-    a DifferentiationError names the worst one as the generators command does."""
-    diff = np.abs(np.concatenate([fd.subgroup_blocks - exact.subgroup_blocks,
-                                  fd.coset_blocks - exact.coset_blocks])).max(axis=(1, 2))
-    worst = int(diff.argmax())
-    if diff[worst] > tol:
-        name = f"X_{worst + 1}" if worst < fd.n else f"X'_{worst - fd.n}"
-        raise DifferentiationError(
-            f"finite-difference and exact generators disagree by {diff[worst]:.3e} "
-            f"at {name} (tolerances.fd-agree {tol:g})"
-        )
-    return float(diff[worst])
-
-
 def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
     """Run the whole analysis chain for one configuration.
 
-    Extracts the generators of the given mode only, computes the three
-    commutator families and the real algebra dimension. Mode 'fd' also
-    compares its generators once with the exact formulas. Raises ConfigError
+    Extracts the generators of the given mode once, computes the three
+    commutator families and the real algebra dimension. Raises ConfigError
     when the config has no extension, and DifferentiationError (fd mode only)
-    when the two disagree beyond the fd-agree tolerance.
+    when one of generator_basis's two fd gates fails.
     """
     spec, ext, tol = cfg.spec, cfg.require_extension(), cfg.tolerances
 
-    basis = generator_basis(spec, ext, mode=mode, step=tol.fd_step)
-    fd_diff = None if mode == "exact" else _fd_disagreement(basis, generator_basis(spec, ext), tol.fd_agree)
+    basis = generator_basis(spec, ext, mode=mode, step=tol.fd_step, agree=tol.fd_agree)
 
     sub_sub = sub_sub_closure_report(basis, tol=tol.closure)
     coset_coset = verify_coset_coset_closure(basis, tol=tol.closure)
@@ -153,7 +136,7 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
         generators={
             "subgroup": json_numbers(basis.subgroup_blocks),
             "coset": json_numbers(basis.coset_blocks),
-            "fd_max_abs_diff": None if fd_diff is None else json_numbers(fd_diff),
+            "fd_max_abs_diff": None if basis.fd_max_abs_diff is None else json_numbers(basis.fd_max_abs_diff),
         },
         closures={
             "sub-sub": _closure_to_dict(sub_sub),

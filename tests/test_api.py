@@ -15,7 +15,7 @@ import importlib
 import inspect
 import pkgutil
 import re
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,22 @@ def test_extension_block_has_one_home():
     assert [f.name for f in fields(coreplie.AntilinearExtension)] == ["N", "s", "xi", "delta_alpha0"]
     assert [f.name for f in fields(coreplie.GroupConfig)] == ["spec", "extension", "tolerances", "source"]
     assert "delta_alpha0" not in inspect.signature(coreplie.generator_basis).parameters
+
+
+@pytest.mark.parametrize("func", ["infinitesimal.central_derivative",
+                                  "matrices.entries_close", "matrices.is_invertible"])
+def test_fixed_gates_take_no_tolerance(func):
+    """The stencil, entry and rank gates each read one named constant
+    (FD_STENCIL_TOL, ENTRY_TOL, RANK_TOL), which no caller overrides."""
+    module, name = func.split(".")
+    assert "tol" not in inspect.signature(getattr(importlib.import_module(f"coreplie.{module}"), name)).parameters
+
+
+def test_tolerance_defaults_are_named_constants():
+    from coreplie.algebra import CLOSURE_TOL, RANK_REL_TOL
+    from coreplie.infinitesimal import FD_AGREE, FD_STEP
+
+    assert astuple(coreplie.Tolerances()) == (CLOSURE_TOL, RANK_REL_TOL, FD_STEP, FD_AGREE)
 
 
 def test_sampling_is_test_only():
@@ -150,3 +166,10 @@ def test_verify_path_does_not_import_coirrep(module):
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not [name for name in imported if "coirrep" in name.split(".")]
+
+
+def test_group_core_has_no_literal_rank_tolerance():
+    """LieGroupSpec's rank test uses matrices.RANK_TOL, not an inline 1e-10."""
+    tree = ast.parse((ROOT / "src" / "coreplie" / "group_core.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value == 1e-10]

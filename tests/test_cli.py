@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,20 @@ class TestGenerators:
                 diff = np.abs(np.array(a) - np.array(b)).max()
                 assert diff < 1e-6
 
+    # sha256 of `generators --mode fd --format machine` stdout, recorded before
+    # the fd-agree gate moved into generator_basis: passing the gate changes no byte
+    FD_LISTING_SHA256 = {
+        "so2-conj": "e664de4c9916fa32d19fe4acb1791fd5729052ffc83a77fe77ef09cd15cccd9a",
+        "su2-tr": "dd2e1163a8e87366169a972ad4260a80f9b3b8b57ed834650c4a878bfb7af91d",
+        "u1": "19e1957204864bb878cc51cfc831ca4257f7308681465dfc9ba7fac23b874fe7",
+        "so3": "7e7ed2c96119d4dd393c8460bdc336aceed1c2601f5b33b3a2fc9becc6320e86",
+    }
+
+    @pytest.mark.parametrize("group", sorted(FD_LISTING_SHA256))
+    def test_fd_listing_bytes_unchanged(self, capsys, group):
+        code, out, _ = run(capsys, "generators", "--group", group, "--mode", "fd", "--format", "machine")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, self.FD_LISTING_SHA256[group])
+
     def test_without_extension_coset_absent(self, capsys, tmp_path):
         path = tmp_path / "noext.json"
         path.write_text(json.dumps({"group": "so2-conj", "extension": {}}))
@@ -282,13 +297,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("group, worst", [("so2-conj", "X'_0"), ("u1", "X_1")])
     def test_fd_agree_gates_fd_mode_only(self, capsys, tmp_path, group, worst):
-        # the stencil misses the exact generators by about 8e-13, far above 1e-20
+        # the stencil misses the exact generators by about 8e-13, far above
+        # 1e-20; every command that takes --mode applies the gate, with one message
         path = tmp_path / "tight.json"
         path.write_text(json.dumps({"group": group, "tolerances": {"fd-agree": 1e-20}}))
-        code, out, err = run(capsys, "verify", "--config", str(path), "--mode", "fd")
-        assert (code, out) == (4, "")
-        assert f"at {worst} (tolerances.fd-agree 1e-20)" in err
-        assert run(capsys, "verify", "--config", str(path))[0] == 0
+        errors = set()
+        for command in ("generators", "verify", "report"):
+            code, out, err = run(capsys, command, "--config", str(path), "--mode", "fd")
+            assert (code, out) == (4, ""), command
+            assert f"at {worst} (tolerances.fd-agree 1e-20)" in err
+            errors.add(err)
+            assert run(capsys, command, "--config", str(path))[0] == 0, command
+        assert len(errors) == 1
 
     def test_exact_verdict_does_not_depend_on_the_stencil(self, capsys, tmp_path):
         # so3 scaled by 1e4: the fixed fd step 1e-4 cannot converge on these

@@ -89,6 +89,7 @@ class TestParseConfig:
             closure=default(sub_sub_closure_report, "tol"),
             rank=default(algebra_dimension, "rank_tol"),
             fd_step=default(generator_basis, "step"),
+            fd_agree=default(generator_basis, "agree"),
         )
         assert default(central_derivative, "step") == Tolerances().fd_step
 

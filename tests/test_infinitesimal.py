@@ -58,6 +58,16 @@ class TestCentralDerivative:
         with pytest.raises(DifferentiationError, match="converge"):
             central_derivative(curve, step=1e-4)
 
+    def test_stencil_error_names_the_worst_generator(self):
+        # so3 scaled by (1e4, 1, 3e4): X_1's gap (2.757e+02) is the first to
+        # exceed the gate, but X_3's (2.378e+04, 0.86 of its scale against
+        # 0.028) is the largest relative to scale, the quantity the gate tests
+        spec, ext = catalog_entry("so3")
+        scaled = replace(spec, generators=spec.generators * np.array([1e4, 1, 3e4])[:, None, None])
+        with pytest.raises(DifferentiationError, match=r"did not converge: "
+                           r"stencil disagreement 2\.378e\+04 at X_3 \(step 0\.0001\)$"):
+            generator_basis(scaled, ext, mode="fd")
+
     def test_curve_sampled_once_per_abscissa(self):
         ts = []
         central_derivative(lambda t: ts.append(t) or np.eye(2), step=1e-4)
@@ -424,12 +434,36 @@ class TestStackedExtraction:
         assert calls == [(spec.n, spec.d, spec.d)] * 6
 
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
-    @pytest.mark.parametrize("mode, bases", [("exact", 1), ("fd", 2)])
-    def test_run_verification_classifies_once_per_basis(self, name, mode, bases, monkeypatch):
-        # exact mode builds the exact basis alone; fd mode also builds it to compare
+    @pytest.mark.parametrize("mode", ["exact", "fd"])
+    def test_run_verification_classifies_once_per_basis(self, name, mode, monkeypatch):
+        # fd mode compares with the exact blocks inside generator_basis, so
+        # either mode builds one basis and classifies once
+        bases = count_calls(monkeypatch, infinitesimal.generator_basis)
         calls = count_calls(monkeypatch, group_core.classify_coirrep)
         run_verification(config_for_catalog(name), mode=mode)
-        assert len(calls) == bases
+        assert (len(bases), len(calls)) == (1, 1)
+
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    def test_report_echoes_the_basis_fd_diff(self, name):
+        spec, ext = catalog_entry(name)
+        diff = generator_basis(spec, ext, mode="fd").fd_max_abs_diff
+        report = run_verification(config_for_catalog(name), mode="fd")
+        assert 0 < diff < 1e-6
+        assert report.generators["fd_max_abs_diff"] == diff
+
+    @pytest.mark.parametrize("agree", [0.0, -1.0, float("nan"), float("inf")])
+    def test_invalid_fd_agree_rejected(self, agree):
+        # 0 would divide every gap by zero, and nan or a negative bound would never gate
+        spec, ext = catalog_entry("so3")
+        with pytest.raises(ValueError, match="fd-agree"):
+            generator_basis(spec, ext, mode="fd", agree=agree)
+
+    def test_fd_diff_is_none_without_differentiation(self):
+        spec, ext = catalog_entry("so3")
+        basis = generator_basis(spec, ext)
+        assert basis.fd_max_abs_diff is None
+        direct = GeneratorBasis(basis.subgroup_blocks, basis.coset_blocks, basis.ctype, basis.to_x)
+        assert direct.fd_max_abs_diff is None
 
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
     @pytest.mark.parametrize("mode, expms, stencils", [("exact", 0, 0), ("fd", 6, 1)])
