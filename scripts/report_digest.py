@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every reference machine report, one line each.
+"""Print the sha256 and byte length of every reference machine report, one
+line each.
 
 The reports cover the builtin catalog, su(2..5) with N = E, and spin
 2j in {1, 2, 3, 15, 16, 47, 48} with time reversal (the last two from
 perfbench/inputs.py), in exact and fd mode, at (xi, delta_alpha0) = (0, 0)
 and (0.7, -1.3): 60 lines of the form
 
-    <input>/<mode>/<xi>,<delta_alpha0> <sha256>
+    <input>/<mode>/<xi>,<delta_alpha0> <sha256> <bytes>
 
 The phases are echoed, never applied: a report at (0.7, -1.3) differs from
 its (0, 0) report only in the fields xi and delta_alpha0, so each phased
@@ -45,19 +46,19 @@ def configs():
 
 
 def digests():
-    """(key, sha256 hex digest) of each report."""
+    """(key, sha256 hex digest, byte length) of each report."""
     for cfg in configs():
         for mode in MODES:
             for xi, delta_alpha0 in PHASES:
                 report = run_verification(with_overrides(cfg, xi=xi, delta_alpha0=delta_alpha0), mode=mode)
-                text = emit_machine(report)
+                data = emit_machine(report).encode()
                 key = f"{cfg.spec.name}/{mode}/{xi:g},{delta_alpha0:g}"
-                yield key, hashlib.sha256(text.encode()).hexdigest()
+                yield key, hashlib.sha256(data).hexdigest(), len(data)
 
 
 def main() -> int:
-    for key, digest in digests():
-        print(key, digest)
+    for key, digest, size in digests():
+        print(key, digest, size)
     return 0
 
 

@@ -2,10 +2,12 @@
 
 The machine format is one JSON document with sorted keys, floats in their
 shortest round-trip form, integral values as integers, and complex numbers
-as a trailing [re, im] axis. Each closure family is one block of dense
-arrays with a row per bracket pair; generators are stored as d x d upper
-blocks (type b: blockdiag(X, X) and blockdiag(X', -X')). Two runs on the same
-configuration at one BLAS thread count (OPENBLAS_NUM_THREADS) produce
+as a trailing [re, im] axis. Every array is written dense (nested lists) or
+sparse ({"shape", "index", "value"}, the nonzero entries only), as
+json_numbers's rule picks; dense() reads either form. Each closure family is
+one block of arrays with a row per bracket pair; generators are stored as
+d x d upper blocks (type b: blockdiag(X, X) and blockdiag(X', -X')). Two runs
+on the same configuration at one BLAS thread count (OPENBLAS_NUM_THREADS) produce
 byte-identical documents, so wall time is never part of the machine report;
 the CLI prints it separately in human mode.
 """
@@ -27,25 +29,54 @@ from .algebra import (
 from .config import GroupConfig
 from .infinitesimal import generator_basis
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
+
+
+def _plain(a: np.ndarray):
+    """A float array as nested lists, integral values (within +-2^53) as ints.
+    Up to 64 numbers a Python loop is cheaper than numpy's per-call cost."""
+    if a.size <= 64:
+        flat = [int(x) if x.is_integer() and abs(x) < 2**53 else x for x in a.ravel().tolist()]
+        if a.ndim == 1:
+            return flat
+        out = np.empty(a.size, dtype=object)
+        out[:] = flat
+        return out.reshape(a.shape).tolist()
+    integral = np.trunc(a) == a
+    integral &= np.abs(a) < 2.0**53
+    out = a.astype(object)
+    out[integral] = a[integral].astype(np.int64)
+    return out.tolist()
 
 
 def json_numbers(a):
     """A number or an array as the machine format holds it: an integral
     float (negative zero included, within +-2^53) becomes an int, any other
     float stays a float, and complex entries gain a trailing [re, im] axis.
-    An array is converted in one numpy pass."""
+    An array is written sparse, as {"shape", "index", "value"} with the
+    row-major positions and values of its nonzero entries, exactly when that
+    lists fewer than half as many numbers as the dense nested lists:
+    2 * (ndim + 2 * nnz) < size. A number (0-d) stays a number."""
     if isinstance(a, float):  # a lone number skips numpy's per-call cost
         return int(a) if a.is_integer() and abs(a) < 2**53 else float(a)
     a = np.asarray(a)
     if a.dtype.kind == "c":
         a = np.ascontiguousarray(a, dtype=complex).view(float).reshape(*a.shape, 2)
     a = a.astype(float, copy=False)
-    integral = np.trunc(a) == a
-    integral &= np.abs(a) < 2.0**53
-    out = a.astype(object)
-    out[integral] = a[integral].astype(np.int64)
-    return out.tolist()
+    flat = a.ravel()
+    index = flat.nonzero()[0]
+    if a.ndim and 2 * (a.ndim + 2 * index.size) < a.size:
+        return {"shape": list(a.shape), "index": index.tolist(), "value": _plain(flat[index])}
+    return _plain(a)
+
+
+def dense(value) -> np.ndarray:
+    """A machine-format array, dense or sparse, as a float array."""
+    if isinstance(value, dict):
+        out = np.zeros(value["shape"])
+        out.flat[value["index"]] = value["value"]
+        return out
+    return np.array(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -74,7 +105,7 @@ class RunReport:
 
 
 def _closure_to_dict(rep: ClosureReport) -> dict:
-    """One family as dense arrays, one row per pair, converted by column; the
+    """One family as arrays, one row per pair, converted by column; the
     complex fallback coefficients are kept only for the failing pairs."""
     pairs = rep.pairs
     failing = pairs["residual"] >= rep.tolerance
@@ -197,7 +228,7 @@ def _human_closure(rep_dict: dict) -> list:
         f"complex fallback max {_fmt(rep_dict['max_complex_residual'])})"
     ]
     for (left, right), coeffs, residual, complex_residual in zip(
-        rep_dict["pairs"], rep_dict["coeffs"], rep_dict["residuals"], rep_dict["complex_residuals"]
+        rep_dict["pairs"], *(dense(rep_dict[key]) for key in ("coeffs", "residuals", "complex_residuals"))
     ):
         lines.append(
             f"    ({left},{right}): residual {_fmt(residual)}"

@@ -6,7 +6,8 @@ membership is exercised by generating combinations forward, and the closure
 families are rebuilt one bracket and one solve at a time in plain numpy.
 All functions involved are linear, so the central differences are exact up
 to roundoff for any step size. The config reader's oracle checks and converts
-each [re, im] entry of a matrix stack on its own, with complex(re, im).
+each [re, im] entry of a matrix stack on its own, with complex(re, im). The
+machine format's dense form (schema 5's only form) is built number by number.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from coreplie import ConfigError
+from coreplie.report import dense
 
 FD_STEP = 0.05
 
@@ -130,3 +132,30 @@ def parse_matrix_stack(value, path: str, shape: tuple) -> np.ndarray:
         _require(isinstance(row, list) and len(row) == d, f"{path}[{i}]", f"expected a row of {d} entries")
         rows.append([_complex_entry(z, f"{path}[{i}][{j}]") for j, z in enumerate(row)])
     return np.array(rows, dtype=complex)
+
+
+def dense_numbers(a):
+    """An array in the machine format's dense form, number by number: nested
+    lists, complex entries as [re, im], and an integral float within +-2^53
+    (negative zero included) as an int."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        a = np.stack([a.real, a.imag], axis=-1)
+
+    def convert(v):
+        if isinstance(v, list):
+            return [convert(w) for w in v]
+        return int(v) if v.is_integer() and abs(v) < 2**53 else v
+
+    return convert(a.astype(float).tolist())
+
+
+def densified(doc):
+    """A machine document with every sparse array rewritten in dense form."""
+    if isinstance(doc, dict):
+        if doc.keys() == {"shape", "index", "value"}:
+            return dense_numbers(dense(doc))
+        return {key: densified(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [densified(value) for value in doc]
+    return doc

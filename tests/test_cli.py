@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from coreplie import catalog_entry, group_core
 from coreplie.cli import _build_parser, main
+from coreplie.report import dense, emit_document
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
 EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -146,9 +148,9 @@ class TestGenerators:
     def test_type_b_listing_holds_the_blocks(self, capsys):
         code, out, _ = run(capsys, "generators", "--group", "su2-tr", "--format", "machine")
         doc = json.loads(out)
-        assert (code, doc["schema"], doc["classification"]) == (0, 5, "b")
-        assert np.shape(doc["subgroup"]) == (3, 2, 2, 2)
-        assert np.shape(doc["coset"]) == (4, 2, 2, 2)
+        assert (code, doc["schema"], doc["classification"]) == (0, 6, "b")
+        assert dense(doc["subgroup"]).shape == (3, 2, 2, 2)
+        assert dense(doc["coset"]).shape == (4, 2, 2, 2)
 
     def test_machine_listing_without_extension(self, capsys, tmp_path):
         path = tmp_path / "noext.json"
@@ -165,12 +167,12 @@ class TestGenerators:
         exact = json.loads(exact_out)
         fd = json.loads(fd_out)
         for family in ("subgroup", "coset"):
-            for a, b in zip(exact[family], fd[family]):
-                diff = np.abs(np.array(a) - np.array(b)).max()
-                assert diff < 1e-6
+            assert np.abs(dense(exact[family]) - dense(fd[family])).max() < 1e-6
 
     # sha256 of `generators --mode fd --format machine` stdout, recorded before
-    # the fd-agree gate moved into generator_basis: passing the gate changes no byte
+    # the fd-agree gate moved into generator_basis: passing the gate changes no
+    # byte. The pins are schema-5 documents; a schema-6 one is compared with
+    # every array rewritten dense under its old schema number.
     FD_LISTING_SHA256 = {
         "so2-conj": "e664de4c9916fa32d19fe4acb1791fd5729052ffc83a77fe77ef09cd15cccd9a",
         "su2-tr": "dd2e1163a8e87366169a972ad4260a80f9b3b8b57ed834650c4a878bfb7af91d",
@@ -181,7 +183,10 @@ class TestGenerators:
     @pytest.mark.parametrize("group", sorted(FD_LISTING_SHA256))
     def test_fd_listing_bytes_unchanged(self, capsys, group):
         code, out, _ = run(capsys, "generators", "--group", group, "--mode", "fd", "--format", "machine")
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, self.FD_LISTING_SHA256[group])
+        doc = json.loads(out)
+        assert doc["schema"] == 6
+        text = emit_document({**oracle.densified(doc), "schema": 5}) + "\n"
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, self.FD_LISTING_SHA256[group])
 
     def test_without_extension_coset_absent(self, capsys, tmp_path):
         path = tmp_path / "noext.json"
@@ -211,17 +216,17 @@ class TestCommutators:
         code, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--format", "machine")
         assert code == 0
         doc = json.loads(out)
-        c = np.array(doc["c"])
+        c = dense(doc["c"])
         assert abs(c[0, 1, 2] + 1.0) < 1e-9
         assert doc["passed"] is True
 
     def test_matches_report_structure_constants(self, capsys):
         _, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--format", "machine")
         _, report_out, _ = run(capsys, "report", "--group", "su2-tr")
-        c = np.array(json.loads(out)["c"])
+        c = dense(json.loads(out)["c"])
         sub_sub = json.loads(report_out)["closures"]["sub-sub"]
         left, right = np.array(sub_sub["pairs"]).T
-        ref = np.array(sub_sub["coeffs"])
+        ref = dense(sub_sub["coeffs"])
         assert c[left, right].shape == ref.shape
         assert np.abs(c[left, right] - ref).max() < 1e-12
 
@@ -359,7 +364,7 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--group", "so2-conj")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 5
+        assert doc["schema"] == 6
 
     def test_report_matches_verify_machine_output(self, capsys):
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")

@@ -9,6 +9,7 @@ import pytest
 
 from dataclasses import replace
 
+import oracle
 from coreplie import (
     CATALOG_NAMES,
     ConfigError,
@@ -26,10 +27,10 @@ from coreplie import (
 from coreplie import config
 from coreplie.cli import main
 from coreplie.config import config_for_catalog, load_config, with_overrides
-from coreplie.report import emit_machine, format_human
+from coreplie.report import dense, emit_document, emit_machine, format_human
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from inputs import spin_document  # noqa: E402
+from inputs import spin_document, su_document  # noqa: E402
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
 EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -330,18 +331,19 @@ class TestRunReport:
         for family, rep in closure_reports(cfg, mode).items():
             fam = report.closures[family]
             assert fam["pairs"] == [[p.left, p.right] for p in rep.pairs]
-            assert fam["coeffs"] == [list(p.coeffs) for p in rep.pairs]
-            assert fam["residuals"] == [p.residual for p in rep.pairs]
-            assert fam["complex_residuals"] == [p.complex_residual for p in rep.pairs]
+            assert dense(fam["coeffs"]).tolist() == [list(p.coeffs) for p in rep.pairs]
+            assert dense(fam["residuals"]).tolist() == [p.residual for p in rep.pairs]
+            assert dense(fam["complex_residuals"]).tolist() == [p.complex_residual for p in rep.pairs]
             failing = [p.complex_coeffs for p in rep.pairs if p.residual >= rep.tolerance]
-            assert fam["complex_coeffs"] == [[[z.real, z.imag] for z in row] for row in failing]
-            assert len(fam["complex_coeffs"]) == sum(r >= fam["tolerance"] for r in fam["residuals"])
+            complex_coeffs = dense(fam["complex_coeffs"])
+            assert complex_coeffs.tolist() == [[[z.real, z.imag] for z in row] for row in failing]
+            assert len(complex_coeffs) == sum(r >= fam["tolerance"] for r in dense(fam["residuals"]))
 
     def test_complex_coeffs_kept_for_failing_pairs_only(self):
         report = run_verification(config_for_catalog("su2-tr"))
-        rows = {family: len(fam["complex_coeffs"]) for family, fam in report.closures.items()}
+        rows = {family: len(dense(fam["complex_coeffs"])) for family, fam in report.closures.items()}
         assert rows == {"sub-sub": 0, "coset-coset": 2, "sub-coset": 4}
-        assert np.shape(report.closures["sub-coset"]["complex_coeffs"]) == (4, 4, 2)
+        assert dense(report.closures["sub-coset"]["complex_coeffs"]).shape == (4, 4, 2)
 
     def test_integral_floats_emit_as_integers(self):
         doc = so2_document()
@@ -366,7 +368,7 @@ class TestRunReport:
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))
-        assert doc["schema"] == 5
+        assert doc["schema"] == 6
         assert doc["classification"] == "b"
         assert doc["a0_sign"] == -1
         assert doc["dimension"]["computed"] == 7
@@ -410,10 +412,7 @@ class TestRunReport:
 def doubled_from_report(doc: dict):
     """The generator stacks of a report (schema 4 on): its d x d blocks, doubled
     to blockdiag(X, X) and blockdiag(X', -X') when the classification is b."""
-    sub, coset = (
-        np.ascontiguousarray(doc["generators"][key], dtype=float).view(complex)[..., 0]
-        for key in ("subgroup", "coset")
-    )
+    sub, coset = (dense(doc["generators"][key]).view(complex)[..., 0] for key in ("subgroup", "coset"))
     if doc["classification"] == "a":
         return sub, coset
     zs, zc = np.zeros_like(sub), np.zeros_like(coset)
@@ -426,12 +425,56 @@ class TestSchema4Generators:
         cfg = parse_config(spin_document(3)) if name == "spin3-2" else config_for_catalog(name)
         n, d = cfg.spec.n, cfg.spec.d
         doc = json.loads(emit_machine(run_verification(cfg)))
-        assert doc["schema"] == 5
-        assert np.shape(doc["generators"]["subgroup"]) == (n, d, d, 2)
-        assert np.shape(doc["generators"]["coset"]) == (n + 1, d, d, 2)
+        assert doc["schema"] == 6
+        assert dense(doc["generators"]["subgroup"]).shape == (n, d, d, 2)
+        assert dense(doc["generators"]["coset"]).shape == (n + 1, d, d, 2)
         basis = generator_basis(cfg.spec, cfg.extension)
         sub, coset = doubled_from_report(doc)
         # exact values; the report writes every zero as 0 (as schema 3 did),
         # so signed zeros are pinned in memory by test_b_type_doubling_keeps_signed_zeros
         assert sub.dtype == basis.subgroup.dtype and np.array_equal(sub, basis.subgroup)
         assert coset.dtype == basis.coset.dtype and np.array_equal(coset, basis.coset)
+
+
+SPARSE_CONFIGS = {
+    **{name: config_for_catalog(name) for name in CATALOG_NAMES},
+    **{f"su{n}": parse_config(su_document(n)) for n in (2, 3, 4)},
+    **{f"spin{two_j}-2": parse_config(spin_document(two_j)) for two_j in (1, 2, 3, 15)},
+}
+SPARSE_INPUTS = [(name, "exact") for name in SPARSE_CONFIGS] + [(name, "fd") for name in CATALOG_NAMES]
+
+
+def assert_decodes_to(value, expected):
+    """dense(value) is expected exactly; an empty array's dense form keeps no shape."""
+    got, complex_axis = dense(value), (2,) * (expected.dtype.kind == "c")
+    assert got.shape == expected.shape + complex_axis or got.size == expected.size == 0
+    got = got.reshape(expected.shape + complex_axis)
+    assert np.array_equal(got.view(complex)[..., 0] if complex_axis else got, expected)
+
+
+class TestSchema6Arrays:
+    @pytest.mark.parametrize("name, mode", SPARSE_INPUTS)
+    def test_no_report_grows_and_every_array_decodes(self, name, mode):
+        cfg = SPARSE_CONFIGS[name]
+        text = emit_machine(run_verification(cfg, mode=mode))
+        doc = json.loads(text)
+        assert len(text) <= len(emit_document(oracle.densified(doc)))
+        tol = cfg.tolerances
+        basis = generator_basis(cfg.spec, cfg.extension, mode=mode, step=tol.fd_step, agree=tol.fd_agree)
+        assert_decodes_to(doc["generators"]["subgroup"], basis.subgroup_blocks)
+        assert_decodes_to(doc["generators"]["coset"], basis.coset_blocks)
+        for family, rep in closure_reports(cfg, mode).items():
+            fam, pairs = doc["closures"][family], rep.pairs
+            assert_decodes_to(fam["pairs"], np.stack([pairs["left"], pairs["right"]], axis=-1))
+            assert_decodes_to(fam["coeffs"], pairs["coeffs"])
+            assert_decodes_to(fam["residuals"], pairs["residual"])
+            assert_decodes_to(fam["complex_residuals"], pairs["complex_residual"])
+            failing = pairs["residual"] >= rep.tolerance
+            assert_decodes_to(fam["complex_coeffs"], pairs["complex_coeffs"][failing])
+
+    def test_zeros_are_left_out_of_a_banded_stack(self):
+        # spin 15/2 (d = 16): every generator block is banded or antidiagonal
+        doc = json.loads(emit_machine(run_verification(SPARSE_CONFIGS["spin15-2"])))
+        coset = doc["generators"]["coset"]
+        assert coset["shape"] == [4, 16, 16, 2]
+        assert 0 not in coset["value"] and coset["index"] == sorted(coset["index"])

@@ -1,10 +1,13 @@
-"""Property-based checks of the algebraic invariants and of the config reader."""
+"""Property-based checks of the algebraic invariants, of the config reader and
+of the machine format's array encoding."""
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 import oracle
@@ -22,7 +25,7 @@ from coreplie import (
 )
 from coreplie.algebra import _expand
 from coreplie.config import _parse_matrices, config_for_catalog, with_overrides
-from coreplie.report import json_numbers
+from coreplie.report import dense, json_numbers
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import spin_document  # noqa: E402
@@ -210,3 +213,47 @@ def test_one_bad_node_gets_the_reference_error(case, data):
     assert read_outcome(_parse_matrices, stack, path, shape) == read_outcome(
         oracle.parse_matrix_stack, stack, path, shape
     )
+
+
+# every real an array entry may hold: signed zeros, integral values just
+# inside +-2**53 (written as ints) and at or past it (kept as floats),
+# round-off and any finite float
+array_reals = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53), 2.0**53 + 2, 1e-17]),
+    st.integers(-9, 9).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sparse_candidates(draw):
+    """A real or complex array of 0 to 4 dimensions (empty ones included) with
+    a random fraction of its entries set to +0 or -0."""
+    shape = tuple(draw(st.lists(st.integers(0, 6), max_size=4)))
+    parts = [draw(arrays(float, shape, elements=array_reals)) for _ in range(1 + draw(st.booleans()))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_fraction = draw(st.sampled_from([0.0, 0.5, 0.8, 0.9, 0.99, 1.0]) | st.floats(0.0, 1.0))
+    for part in parts:
+        part[rng.random(shape) < zero_fraction] = rng.choice([0.0, -0.0])
+    if len(parts) == 1:
+        return parts[0]
+    a = np.empty(shape, dtype=complex)
+    a.real, a.imag = parts
+    return a
+
+
+@settings(max_examples=300)
+@given(sparse_candidates())
+def test_array_encoding_is_the_dense_form_or_its_sparse_half(a):
+    encoded = json_numbers(a)
+    numbers = np.stack([a.real, a.imag], axis=-1) if a.dtype.kind == "c" else a
+    sparse = numbers.ndim > 0 and 2 * (numbers.ndim + 2 * np.count_nonzero(numbers)) < numbers.size
+    assert isinstance(encoded, dict) == sparse  # a number (0-d real) stays a number
+    if sparse:  # the nonzero entries, in order, each converted as the dense form converts it
+        index = np.flatnonzero(numbers)
+        assert (encoded["shape"], encoded["index"]) == (list(numbers.shape), index.tolist())
+        assert json.dumps(encoded["value"]) == json.dumps(oracle.dense_numbers(numbers.ravel()[index]))
+    # lossless: decoded and rewritten dense, it is the dense form to the byte
+    assert json.dumps(oracle.densified(encoded)) == json.dumps(oracle.dense_numbers(a))
+    text = json.dumps(encoded)
+    assert json.loads(text) == encoded and json.dumps(json.loads(text)) == text

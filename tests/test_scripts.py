@@ -1,9 +1,10 @@
 """The scripts run in-process against the library they demonstrate."""
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
 
-from coreplie import CATALOG_NAMES, run_verification
+from coreplie import CATALOG_NAMES, emit_machine, run_verification
 from coreplie.config import with_overrides
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -38,10 +39,15 @@ def test_report_digest_phases_change_only_their_echo():
 
 
 def test_report_digest_prints_one_sha256_per_report(capsys):
-    assert load_script("report_digest").main() == 0
+    digest = load_script("report_digest")
+    assert digest.main() == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert len({key for key, _ in lines}) == len(lines) == 60
-    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in lines)
-    assert [key for key, _ in lines[:4]] == [
+    assert len({key for key, _, _ in lines}) == len(lines) == 60
+    assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for _, sha, _ in lines)
+    assert [key for key, _, _ in lines[:4]] == [
         "so2-conj/exact/0,0", "so2-conj/exact/0.7,-1.3", "so2-conj/fd/0,0", "so2-conj/fd/0.7,-1.3",
     ]
+    # the last column is the report's length in bytes
+    first = emit_machine(run_verification(next(digest.configs()))).encode()
+    assert lines[0][1:] == [hashlib.sha256(first).hexdigest(), str(len(first))]
+    assert all(size.isdigit() for _, _, size in lines)
