@@ -19,7 +19,7 @@ from .algebra import (
     verify_mixed_closure,
 )
 from .catalog import CATALOG_NAMES, catalog_entry
-from .coirrep import CoirrepMatrix, Side, TypeMismatchError, build_a_matrix, build_b_matrix
+from .coirrep import Side, coirrep_matrix
 from .config import ConfigError, GroupConfig, Tolerances, load_config, parse_config
 from .group_core import (
     AntilinearExtension,
@@ -48,7 +48,6 @@ __all__ = [
     "AntilinearExtension",
     "CATALOG_NAMES",
     "ClosureReport",
-    "CoirrepMatrix",
     "CoirrepType",
     "ConfigError",
     "DifferentiationError",
@@ -62,14 +61,12 @@ __all__ = [
     "Side",
     "StructureConstants",
     "Tolerances",
-    "TypeMismatchError",
     "a0_square_sign",
     "algebra_dimension",
-    "build_a_matrix",
-    "build_b_matrix",
     "catalog_entry",
     "central_derivative",
     "classify_coirrep",
+    "coirrep_matrix",
     "compose",
     "emit_machine",
     "exp_curve",

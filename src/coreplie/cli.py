@@ -31,6 +31,17 @@ EXIT_CLOSURE = 3
 EXIT_DIFFERENTIATION = 4
 
 
+_OPTIONS = {
+    "mode": dict(choices=("exact", "fd"), default="exact", help="generator extraction mode used for the analysis"),
+    "xi": dict(type=float, help="override the phase xi of the extension"),
+    "delta-alpha0": dict(type=float,
+                         help="override the coset phase delta_alpha0 of the extension (report metadata)"),
+    "tol": dict(type=float, help="override the closure tolerance"),
+    "format": dict(choices=("human", "machine"), default="human", help="output format"),
+    "perturb": dict(type=float, help="testing aid: add this value to one generator entry"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coreplie",
@@ -41,34 +52,23 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, help, takes --mode, takes --format
-    for name, help_text, has_mode, has_format in (
-        ("classify", "report the coirrep type and the sign of a0 squared", False, True),
-        ("generators", "list subgroup and coset generators", True, True),
-        ("commutators", "list structure constants of the subgroup algebra", False, True),
-        ("verify", "run the full closure and dimension verification", True, True),
-        ("report", "run the full verification and emit the machine report", True, False),
+    # --mode only where an extraction feeds the output, --format where there
+    # is a human form, and each override only where the command reads it
+    for name, options, help_text in (
+        ("classify", "xi delta-alpha0 format", "report the coirrep type and the sign of a0 squared"),
+        ("generators", "mode xi delta-alpha0 format perturb", "list subgroup and coset generators"),
+        ("commutators", "tol format perturb", "list structure constants of the subgroup algebra"),
+        ("verify", "mode xi delta-alpha0 tol format perturb", "run the full closure and dimension verification"),
+        ("report", "mode xi delta-alpha0 tol perturb", "run the full verification and emit the machine report"),
     ):
         p = sub.add_parser(name, help=help_text)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", metavar="PATH", help="JSON configuration file")
         src.add_argument("--group", metavar="NAME", help="builtin catalog group name")
-        if has_mode:
-            p.add_argument("--mode", choices=("exact", "fd"), default="exact",
-                           help="generator extraction mode used for the analysis")
-        p.add_argument("--xi", type=float, default=None,
-                       help="override the phase xi of the extension")
-        p.add_argument("--delta-alpha0", type=float, default=None,
-                       help="override the coset phase delta_alpha0 of the extension (report metadata)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the closure tolerance")
-        if has_format:
-            p.add_argument("--format", choices=("human", "machine"), default="human",
-                           help="output format")
-        else:
-            p.set_defaults(format="machine")
-        p.add_argument("--perturb", type=float, default=None,
-                       help="testing aid: add this value to one generator entry")
+        # an option a command does not take reads as absent; report prints machine JSON
+        p.set_defaults(xi=None, delta_alpha0=None, tol=None, perturb=None, format="machine")
+        for option in options.split():
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 

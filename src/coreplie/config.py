@@ -45,7 +45,7 @@ class Tolerances:
         # every construction, from a config file or a --tol override, lands here
         for key, value in self.as_dict().items():
             _expect(
-                np.isfinite(value) and value > 0.0,
+                np.isfinite(_as_float(value, f"tolerances.{key}")) and value > 0.0,
                 f"tolerances.{key}",
                 f"expected a finite positive number, got {value}",
             )
@@ -84,10 +84,15 @@ def _parse_complex(value, path: str):
     for k, x in enumerate(value):
         _expect(isinstance(x, (int, float)) and not isinstance(x, bool), f"{path}[{k}]", "expected a real number")
     for k, x in enumerate(value):
-        try:
-            float(x)
-        except OverflowError:
-            raise ConfigError(f"{path}[{k}]: expected a real number within float range") from None
+        _as_float(x, f"{path}[{k}]")
+
+
+def _as_float(value, path: str) -> float:
+    """float(value), with an integer beyond float range a ConfigError under path."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: expected a real number within float range") from None
 
 
 def _locate(value, path: str, shape: tuple):
@@ -128,7 +133,7 @@ def _parse_real(value, path: str, default=None) -> float:
     if value is None and default is not None:
         return default
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a real number")
-    return float(value)
+    return _as_float(value, path)
 
 
 def _parse_group(value):
@@ -219,7 +224,7 @@ def load_config(path: str) -> GroupConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
@@ -249,5 +254,7 @@ def with_overrides(
         gens = spec.generators.copy()
         gens[0, 0, 0] += perturb
         spec = replace(spec, generators=gens)
-    tolerances = cfg.tolerances if tol is None else replace(cfg.tolerances, closure=float(tol))
+    tolerances = cfg.tolerances
+    if tol is not None:
+        tolerances = replace(tolerances, closure=_as_float(tol, "tolerances.closure"))
     return GroupConfig(spec=spec, extension=ext, tolerances=tolerances, source=cfg.source)

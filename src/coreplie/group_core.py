@@ -9,6 +9,7 @@ combine like Z2.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -132,7 +133,7 @@ def exp_curve(spec: LieGroupSpec, alpha) -> GroupElement:
 class AntilinearExtension:
     """The antilinear operation a0 of the extension block: its matrix N, the
     declared sign s of a0 squared, the phase xi with mu/lambda = exp(i*xi)
-    (read by build_a_matrix) and the coset phase delta_alpha0; the verify
+    (read by coirrep_matrix) and the coset phase delta_alpha0; the verify
     path only echoes the phases. Each field is checked here, once."""
 
     N: np.ndarray
@@ -151,7 +152,11 @@ class AntilinearExtension:
 
     def _set_phases(self, **phases):
         for name, value in phases.items():
-            if not (isinstance(value, Real) and not isinstance(value, bool) and np.isfinite(value)):
+            try:
+                ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            except OverflowError:  # an integer beyond float range
+                raise ExtensionFieldError(name, "expected a real number within float range") from None
+            if not ok:
                 raise ExtensionFieldError(name, f"expected a finite number, got {value}")
             object.__setattr__(self, name, value)
 

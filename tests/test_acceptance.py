@@ -30,7 +30,7 @@ from coreplie import (
 )
 from coreplie.algebra import algebra_dimension
 from coreplie.cli import main
-from coreplie.coirrep import Side, build_b_matrix
+from coreplie.coirrep import Side, coirrep_matrix
 
 from oracle import commutator_on_coordinates
 from sampling import default_rng
@@ -75,8 +75,8 @@ def test_criterion_2_coset_product_law():
                     failures.append(f"{name}: flag not linear")
                     break
             else:
-                a = build_b_matrix(g, ext, Side.COSET_GA0).as_group_element()
-                b = build_b_matrix(h, ext, Side.COSET_A0G).as_group_element()
+                a = coirrep_matrix(g, ext, Side.COSET_GA0)
+                b = coirrep_matrix(h, ext, Side.COSET_A0G)
                 prod = compose(a, b)
                 d = spec.d
                 off = max(

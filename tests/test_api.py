@@ -7,8 +7,11 @@ kernel (algebra.field_bracket, generator_basis), the per-pair ClosurePair
 in favour of ClosureReport.pairs, one record array, the transport layer
 in favour of the x' -> x map that GeneratorBasis carries, the coirrep
 point layer (coordinate vectors, frames, block orders and the per-point
-actions) in favour of the coirrep matrices, and the type and sign helpers in
-favour of AntilinearExtension.ctype and .a0_sign; their names must stay gone.
+actions) in favour of the coirrep matrices, the type and sign helpers in
+favour of AntilinearExtension.ctype and .a0_sign, and the two per-type
+builders with their tag wrapper and type check in favour of
+coirrep_matrix, which reads the type from the extension; their names must
+stay gone.
 """
 import ast
 import importlib
@@ -49,6 +52,10 @@ REMOVED = (
     "as_complex_vector",
     "coirrep_type",
     "a0_sign_of_type",
+    "CoirrepMatrix",
+    "TypeMismatchError",
+    "build_a_matrix",
+    "build_b_matrix",
 )
 
 
@@ -115,9 +122,6 @@ ARRAY_HOLDERS = {
     "GroupElement": lambda: coreplie.GroupElement(np.eye(3)),
     "LieGroupSpec": lambda: coreplie.catalog_entry("so3")[0],
     "AntilinearExtension": _so3_ext,
-    "CoirrepMatrix": lambda: coreplie.CoirrepMatrix(
-        np.eye(6), coreplie.Side.SUBGROUP, coreplie.CoirrepType.B
-    ),
     "GeneratorBasis": _so3_basis,
     "StructureConstants": lambda: coreplie.structure_constants_subgroup(
         coreplie.catalog_entry("so3")[0].generators

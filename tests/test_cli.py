@@ -373,11 +373,14 @@ class TestReportCommand:
 
 
 class TestCommandLine:
-    COMMON = {"-h", "--help", "--config", "--group", "--xi", "--delta-alpha0", "--tol", "--perturb"}
+    COMMON = {"-h", "--help", "--config", "--group"}
+    PHASES = {"--xi", "--delta-alpha0"}
 
     def test_each_subcommand_takes_only_the_options_it_uses(self):
         # --mode only where an extraction feeds the output, --format only
-        # where there is a human form; the config overrides are everywhere
+        # where there is a human form, --tol only where closure is checked,
+        # --perturb wherever the generators are read, and the phases
+        # wherever the extension is read
         subparsers = next(
             a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
@@ -386,11 +389,11 @@ class TestCommandLine:
             for name, p in subparsers.choices.items()
         }
         assert options == {
-            "classify": self.COMMON | {"--format"},
-            "generators": self.COMMON | {"--mode", "--format"},
-            "commutators": self.COMMON | {"--format"},
-            "verify": self.COMMON | {"--mode", "--format"},
-            "report": self.COMMON | {"--mode"},
+            "classify": self.COMMON | self.PHASES | {"--format"},
+            "generators": self.COMMON | self.PHASES | {"--mode", "--format", "--perturb"},
+            "commutators": self.COMMON | {"--format", "--tol", "--perturb"},
+            "verify": self.COMMON | self.PHASES | {"--mode", "--format", "--tol", "--perturb"},
+            "report": self.COMMON | self.PHASES | {"--mode", "--tol", "--perturb"},
         }
 
     @pytest.mark.parametrize(
@@ -403,6 +406,11 @@ class TestCommandLine:
             (("verify", "--group", "u1", "--mode", "slow"), "invalid choice: 'slow'"),
             (("verify",), "one of the arguments --config --group is required"),
             (("frobnicate",), "invalid choice: 'frobnicate'"),
+            (("classify", "--group", "so3", "--tol", "1e-3"), "unrecognized arguments: --tol"),
+            (("classify", "--group", "so3", "--perturb", "0.5"), "unrecognized arguments: --perturb"),
+            (("generators", "--group", "su2-tr", "--tol", "5"), "unrecognized arguments: --tol"),
+            (("commutators", "--group", "so3", "--xi", "0.3"), "unrecognized arguments: --xi"),
+            (("commutators", "--group", "so3", "--delta-alpha0", "0.3"), "unrecognized arguments: --delta-alpha0"),
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):

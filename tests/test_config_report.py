@@ -12,6 +12,7 @@ from dataclasses import replace
 import oracle
 from coreplie import (
     CATALOG_NAMES,
+    AntilinearExtension,
     ConfigError,
     Tolerances,
     algebra_dimension,
@@ -167,6 +168,37 @@ class TestParseConfig:
         assert captured.out == ""
         assert f"extension.{key}" in captured.err
 
+    @pytest.mark.parametrize(
+        "field, via",
+        [(f"tolerances.{key}", "file") for key in ("closure", "rank", "fd-step", "fd-agree")]
+        + [("extension.xi", "file"), ("extension.delta-alpha0", "file"), ("xi", "AntilinearExtension"),
+           ("extension.xi", "with_overrides"), ("tolerances.closure", "with_overrides"),
+           ("tolerances.rank", "Tolerances")],
+    )
+    def test_integer_beyond_float_range_in_a_scalar_is_named(self, field, via, tmp_path, capsys):
+        big = 10**400
+        expected = f"{field}: expected a real number within float range"
+        if via == "AntilinearExtension":
+            call = lambda: AntilinearExtension(np.eye(2), xi=big)
+        elif via == "Tolerances":
+            call = lambda: Tolerances(rank=big)
+        elif via == "with_overrides":
+            override = {"extension.xi": "xi", "tolerances.closure": "tol"}[field]
+            call = lambda: with_overrides(config_for_catalog("so3"), **{override: big})
+        else:
+            block, key = field.split(".")
+            doc = so2_document()
+            doc.setdefault(block, {})[key] = big
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(doc))
+            assert main(["verify", "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"config error: {expected}" in captured.err
+            call = lambda: parse_config(doc)
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == expected
+
     def test_complex_entry_errors_name_the_cell(self):
         doc = so2_document()
         doc["extension"]["N"] = [[[1, 0], [0, "x"]], [[0, 0], [1, 0]]]
@@ -178,6 +210,15 @@ class TestParseConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(p))
+
+    def test_load_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ConfigError, match=r"utf-8") as info:
+            load_config(str(p))
+        assert str(info.value).startswith(f"cannot read config file {p}: ")
+        assert main(["verify", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {p}: ")
 
     def test_load_config_round_trip(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -12,11 +12,10 @@ from coreplie import (
     DifferentiationError,
     GeneratorBasis,
     LieGroupSpec,
-    build_a_matrix,
-    build_b_matrix,
     catalog_entry,
     central_derivative,
     classify_coirrep,
+    coirrep_matrix,
     exp_curve,
     field_bracket,
     generator_basis,
@@ -153,22 +152,20 @@ class TestCosetExtraction:
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
     def test_full_matrix_differentiation_cross_check(self, name):
         # independent route: differentiate the coset matrix of g(da) a0 with
-        # its phase exp(i da0). Type a takes the d x d block of build_a_matrix.
-        # Type b takes the full 2d build_b_matrix composed with the block swap
-        # that the coset action applies to the stacked point. The coset-a0g
-        # side is left out: its derivative is theta(X_sigma) N with
+        # its phase exp(i da0). Type a takes the d x d coirrep_matrix as it
+        # is. Type b composes the 2d one with the block swap that the coset
+        # action applies to the stacked point. The coset-a0g side is left
+        # out: its derivative is theta(X_sigma) N with
         # theta(X) = N conj(X) N^-1, which differs from X_sigma N where theta
         # is not the identity (by 2.0 on u1).
         spec, ext = catalog_entry(name)
         n, d = spec.n, spec.d
-        if classify_coirrep(spec, ext) is CoirrepType.A:
-            def coset_matrix(g):
-                return build_a_matrix(g, ext, Side.COSET_GA0).matrix
-        else:
+        swap = np.eye(d)
+        if classify_coirrep(spec, ext) is CoirrepType.B:
             swap = np.block([[np.zeros((d, d)), np.eye(d)], [np.eye(d), np.zeros((d, d))]])
 
-            def coset_matrix(g):
-                return build_b_matrix(g, ext, Side.COSET_GA0).matrix @ swap
+        def coset_matrix(g):
+            return coirrep_matrix(g, ext, Side.COSET_GA0).matrix @ swap
 
         def coset_action(alpha0, alpha):
             return cmath.exp(1j * alpha0) * coset_matrix(exp_curve(spec, alpha))
