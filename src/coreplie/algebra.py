@@ -6,11 +6,11 @@ vectorized matrices. A complex-coefficient projection is computed alongside
 as a separate fallback diagnostic and is never merged into the real
 results; the pass verdicts always refer to the real residuals.
 
-Every bracket family goes through one kernel: its brackets are formed by
-one broadcast field_bracket and expanded by one real and one complex
-least-squares solve, with one right-hand side per bracket. Type b runs on
-the d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of the
-same signs have the blocks' coefficients and sqrt(2) times their remainders.
+Every bracket family goes through one kernel: its brackets are formed by one
+broadcast field_bracket and expanded over a RealSpan of the basis (sub-sub and
+coset-coset share one) by one real and one complex pseudo-inverse matmul. Type b
+runs on the d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of
+the same signs have the blocks' coefficients and sqrt(2) times their remainders.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .group_core import CoirrepType
 from .infinitesimal import GeneratorBasis
-from .matrices import real_vectorization
+from .matrices import RealSpan, real_vectorization
 
 CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -33,29 +33,6 @@ def field_bracket(a, b) -> np.ndarray:
     """Bracket [J_A, J_B] = J_{BA - AB} of the fields J_A = A_ij x_j d/dx_i:
     the negative matrix commutator, broadcast over stacks (..., d, d)."""
     return b @ a - a @ b
-
-
-def _expand(targets: np.ndarray, span: np.ndarray, scale: float = 1.0):
-    """Least-squares expansion of a (p, d, d) stack over an (m, d, d) span.
-
-    Returns (coeffs, residuals, complex_coeffs, complex_residuals): real
-    coefficients (p, m) minimizing the Frobenius norm of each remainder
-    C - sum_k c_k B_k, the complex-coefficient analogue, and the norms (p,)
-    of the reconstructed remainders, times scale.
-    """
-    if len(span) == 0:
-        raise ValueError("basis must be nonempty")
-    real = np.linalg.lstsq(
-        real_vectorization(span).T, real_vectorization(targets).T, rcond=None
-    )[0].T
-    cplx = np.linalg.lstsq(
-        span.reshape(len(span), -1).T, targets.reshape(len(targets), -1).T, rcond=None
-    )[0].T
-
-    def remainder_norms(coeffs):
-        return scale * np.linalg.norm(targets - np.tensordot(coeffs, span, axes=1), axis=(1, 2))
-
-    return real, remainder_norms(real), cplx, remainder_norms(cplx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +50,9 @@ class StructureConstants:
     passed: bool
 
     @classmethod
-    def from_report(cls, rep: ClosureReport, n: int) -> "StructureConstants":
+    def from_report(cls, rep: ClosureReport) -> "StructureConstants":
         pairs = rep.pairs
+        n = pairs.dtype["coeffs"].shape[0]
         left, right = pairs["left"], pairs["right"]
         c = np.zeros((n, n, n))
         c[left, right] = pairs["coeffs"]
@@ -97,8 +75,7 @@ def structure_constants_subgroup(generators, tol: float = CLOSURE_TOL) -> Struct
     The pair (sigma, rho) expands field_bracket(X_sigma, X_rho); passed is
     false when a residual is not below tol.
     """
-    gens = np.asarray(generators, dtype=complex)
-    return StructureConstants.from_report(_sub_sub(gens, tol), len(gens))
+    return StructureConstants.from_report(_sub_sub(RealSpan(np.asarray(generators, dtype=complex)), tol))
 
 
 def _pair_dtype(m: int) -> np.dtype:
@@ -132,25 +109,26 @@ class ClosureReport:
 
 def _closure_report(family, lefts, rights, index_pairs, span, tol, scale=1.0) -> ClosureReport:
     """Report of one family: the brackets of lefts[i] with rights[j], one per
-    index pair (i, j), expanded over the span and stored column by column;
+    index pair (i, j), expanded over the RealSpan and stored column by column;
     passed uses the same strict < predicate for every family."""
     left, right = np.array(list(index_pairs), dtype=np.intp).reshape(-1, 2).T
-    pairs = np.empty(len(left), _pair_dtype(len(span)))
+    pairs = np.empty(len(left), _pair_dtype(len(span.stack)))
     pairs["left"], pairs["right"] = left, right
     if len(pairs):
         (pairs["coeffs"], pairs["residual"], pairs["complex_coeffs"],
-         pairs["complex_residual"]) = _expand(field_bracket(lefts[left], rights[right]), span, scale)
+         pairs["complex_residual"]) = span.expand(field_bracket(lefts[left], rights[right]), scale)
     pairs.flags.writeable = False
     return ClosureReport(family, pairs, tol, bool((pairs["residual"] < tol).all()))
 
 
-def _sub_sub(gens: np.ndarray, tol: float, scale: float = 1.0) -> ClosureReport:
-    return _closure_report("sub-sub", gens, gens, combinations(range(len(gens)), 2), gens, tol, scale)
+def _sub_sub(span: RealSpan, tol: float, scale: float = 1.0) -> ClosureReport:
+    gens = span.stack
+    return _closure_report("sub-sub", gens, gens, combinations(range(len(gens)), 2), span, tol, scale)
 
 
 def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
     """Subgroup-subgroup family: brackets expand over the subgroup span."""
-    return _sub_sub(basis.subgroup_blocks, tol, BLOCK_SCALE[basis.ctype])
+    return _sub_sub(basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 def verify_coset_coset_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
@@ -158,8 +136,7 @@ def verify_coset_coset_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) 
     the real span of the subgroup generators."""
     coset = basis.coset_x
     pairs = combinations(range(len(coset)), 2)
-    sub = basis.subgroup_blocks
-    return _closure_report("coset-coset", coset, coset, pairs, sub, tol, BLOCK_SCALE[basis.ctype])
+    return _closure_report("coset-coset", coset, coset, pairs, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 def verify_mixed_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
@@ -169,7 +146,7 @@ def verify_mixed_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> Clo
     moved = basis.to_x_inverse @ basis.subgroup_blocks @ basis.to_x
     coset = basis.coset_blocks
     pairs = product(range(basis.n), range(len(coset)))
-    return _closure_report("sub-coset", moved, coset, pairs, coset, tol, BLOCK_SCALE[basis.ctype])
+    return _closure_report("sub-coset", moved, coset, pairs, basis.coset_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 @dataclass(frozen=True, eq=False)

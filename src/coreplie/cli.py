@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # is a human form, and each override only where the command reads it
     for name, options, help_text in (
         ("classify", "xi delta-alpha0 format", "report the coirrep type and the sign of a0 squared"),
-        ("generators", "mode xi delta-alpha0 format perturb", "list subgroup and coset generators"),
+        ("generators", "mode format perturb", "list subgroup and coset generators"),
         ("commutators", "tol format perturb", "list structure constants of the subgroup algebra"),
         ("verify", "mode xi delta-alpha0 tol format perturb", "run the full closure and dimension verification"),
         ("report", "mode xi delta-alpha0 tol perturb", "run the full verification and emit the machine report"),

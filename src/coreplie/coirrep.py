@@ -14,8 +14,10 @@ from __future__ import annotations
 import cmath
 from enum import Enum
 
+import numpy as np
+
 from .group_core import AntilinearExtension, CoirrepType, GroupElement, Linearity
-from .matrices import block_antidiag2, block_diag2
+from .matrices import block_diag2
 
 
 class Side(Enum):
@@ -37,5 +39,6 @@ def coirrep_matrix(g: GroupElement, ext: AntilinearExtension, side: Side) -> Gro
     if side is Side.SUBGROUP:
         return GroupElement(block_diag2(g.matrix, g.matrix) if b_type else g.matrix)
     block = g.matrix @ ext.N if side is Side.COSET_GA0 else ext.N @ g.matrix.conj()
-    m = block_antidiag2(block, -block) if b_type else cmath.exp(1j * ext.xi) * block
+    zero = np.zeros_like(block)
+    m = np.block([[zero, block], [-block, zero]]) if b_type else cmath.exp(1j * ext.xi) * block
     return GroupElement(m, Linearity.ANTILINEAR)

@@ -253,7 +253,10 @@ def with_overrides(
     if perturb:
         gens = spec.generators.copy()
         gens[0, 0, 0] += perturb
-        spec = replace(spec, generators=gens)
+        try:  # a value that swamps every other entry leaves the generators dependent
+            spec = replace(spec, generators=gens)
+        except ValueError as exc:
+            raise ConfigError(f"--perturb: {exc}") from exc
     tolerances = cfg.tolerances
     if tol is not None:
         tolerances = replace(tolerances, closure=_as_float(tol, "tolerances.closure"))

@@ -23,7 +23,7 @@ from .group_core import (
     LieGroupSpec,
     classify_coirrep,
 )
-from .matrices import as_square_complex, block_diag2, expm
+from .matrices import RealSpan, as_square_complex, block_diag2, expm
 
 FD_STEP = 1e-4  # default stencil step of central_derivative and generator_basis
 FD_STENCIL_TOL = 1e-4  # the two stencil widths may differ by this times max(1, |derivative|)
@@ -91,6 +91,10 @@ class GeneratorBasis:
         out = self.to_x @ self.coset_blocks @ self.to_x_inverse
         out.setflags(write=False)
         return out
+
+    # the spans the closure families expand over, each factored once per basis
+    subgroup_span = cached_property(lambda self: RealSpan(self.subgroup_blocks))
+    coset_span = cached_property(lambda self: RealSpan(self.coset_blocks))
 
     @property
     def subgroup(self) -> np.ndarray:

@@ -7,6 +7,8 @@ entry magnitude involved (dimensions stay small, conditioning is benign).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +57,6 @@ def block_diag2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((*a.shape[:-2], 2 * d, 2 * d), dtype=complex)
     out[..., :d, :d] = a
     out[..., d:, d:] = b
-    return out
-
-
-def block_antidiag2(upper_right: np.ndarray, lower_left: np.ndarray) -> np.ndarray:
-    d = upper_right.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, d:] = upper_right
-    out[d:, :d] = lower_left
     return out
 
 
@@ -127,3 +121,41 @@ def real_vectorization(a: np.ndarray) -> np.ndarray:
     stack of matrices (..., d, d) gives one such vector per matrix."""
     flat = np.asarray(a, dtype=complex).reshape(*np.shape(a)[:-2], -1)
     return np.concatenate([flat.real, flat.imag], axis=-1)
+
+
+def _factor(rows: np.ndarray) -> tuple:
+    """An (m, M) row stack, its pseudo-inverse (M, m) cut off as lstsq cuts at eps * max(m, M) * s_max,
+    and its resolution eps * max(m, M) / s_min (least kept); the SVD is of the tall, faster side."""
+    u, s, vh = np.linalg.svd(rows.T, full_matrices=False)
+    rcond = np.finfo(float).eps * max(rows.shape)
+    k = int(np.count_nonzero(s > rcond * s[0]))
+    return rows, (u[:, :k] / s[:k]).conj() @ vh[:k].conj(), (rcond / s[k - 1] if k else 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class RealSpan:
+    """The span of a stack (m, d, d), factored by one real and one complex SVD on the first
+    expand. A target C expands by the real (complex) c minimizing ||C - sum_k c_k B_k||_F,
+    the minimum-norm c on a rank-deficient span, read at the solve's resolution: a real or
+    imaginary part with |c| <= resolution * ||C||_F is written as 0, remainders follow it."""
+
+    stack: np.ndarray
+
+    @cached_property
+    def _solves(self) -> tuple:
+        return _factor(real_vectorization(self.stack)), _factor(self.stack.reshape(len(self.stack), -1))
+
+    def expand(self, targets: np.ndarray, scale: float = 1.0) -> tuple:
+        """Real then complex coefficients (p, m) and remainder norms (p,) times scale of (p, d, d) targets."""
+        if not len(self.stack):
+            raise ValueError("basis must be nonempty")
+        real = real_vectorization(targets)
+        size = np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]  # ||C||_F
+        out = ()
+        for rows, (span, pinv, resolution) in zip((real, targets.reshape(len(targets), -1)), self._solves):
+            coeffs = rows @ pinv
+            parts = coeffs.view(float)  # complex: real and imaginary parts side by side
+            parts[np.abs(parts) <= resolution * size] = 0.0
+            rest = (rows - coeffs @ span).view(float)
+            out += (coeffs, scale * np.sqrt(np.einsum("ij,ij->i", rest, rest)))
+        return out

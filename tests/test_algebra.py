@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -5,26 +6,29 @@ import numpy as np
 import pytest
 
 from coreplie import (
+    CATALOG_NAMES,
     AntilinearExtension,
     CoirrepType,
     GeneratorBasis,
     LieGroupSpec,
     algebra_dimension,
     catalog_entry,
+    emit_machine,
     generator_basis,
     parse_config,
+    run_verification,
     structure_constants_subgroup,
     sub_sub_closure_report,
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
-from coreplie.algebra import _expand
-from coreplie.matrices import block_diag2
+from coreplie.matrices import RealSpan, block_diag2
+from coreplie.report import dense
 
 from oracle import closure_families, conjugate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from inputs import spin_document  # noqa: E402
+from inputs import spin_document, su_document  # noqa: E402
 
 EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -45,7 +49,7 @@ def so2_setup():
 class TestProjectOntoSpan:
     def test_basis_element_recovered(self, rng):
         basis = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
-        (coeffs,), (residual,), _, _ = _expand(np.array([basis[0]]), np.array(basis))
+        (coeffs,), (residual,), _, _ = RealSpan(np.array(basis)).expand(np.array([basis[0]]))
         assert np.abs(coeffs - np.array([1.0, 0.0, 0.0])).max() < 1e-10
         assert residual < 1e-10
 
@@ -53,7 +57,7 @@ class TestProjectOntoSpan:
         # iE is orthogonal to the real span of {E}: coefficients vanish and
         # the residual is the full Frobenius norm sqrt(d)
         d = 3
-        (coeffs,), (residual,), _, _ = _expand(np.array([1j * np.eye(d)]), np.array([np.eye(d)]))
+        (coeffs,), (residual,), _, _ = RealSpan(np.array([np.eye(d)])).expand(np.array([1j * np.eye(d)]))
         assert np.abs(coeffs).max() < 1e-12
         assert abs(residual - np.sqrt(d)) < 1e-12
 
@@ -62,16 +66,16 @@ class TestProjectOntoSpan:
         basis = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(5)]
         weights = rng.standard_normal(5)
         target = sum(w * b for w, b in zip(weights, basis))
-        (coeffs,), (residual,), _, _ = _expand(np.array([target]), np.array(basis))
+        (coeffs,), (residual,), _, _ = RealSpan(np.array(basis)).expand(np.array([target]))
         assert np.abs(coeffs - weights).max() < 1e-10
         assert residual < 1e-10
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            _expand(np.array([np.eye(2)]), np.zeros((0, 2, 2)))
+            RealSpan(np.zeros((0, 2, 2))).expand(np.array([np.eye(2)]))
 
     def test_complex_fallback_absorbs_phase(self):
-        _, _, (coeffs,), (residual,) = _expand(np.array([1j * np.eye(2)]), np.array([np.eye(2)]))
+        _, _, (coeffs,), (residual,) = RealSpan(np.array([np.eye(2)])).expand(np.array([1j * np.eye(2)]))
         assert abs(coeffs[0] - 1j) < 1e-12
         assert residual < 1e-12
 
@@ -261,6 +265,45 @@ class TestKernelAgainstPerPairOracle:
         basis = kernel_case("so3-no-coset")
         for rep in (verify_coset_coset_closure(basis), verify_mixed_closure(basis)):
             assert len(rep.pairs) == 0 and rep.passed
+
+
+ZERO_CASES = ("so3", "su2-tr", "su2", "su3", "su4")
+
+
+def zero_case(name):
+    cfg = parse_config({"group": name} if name in CATALOG_NAMES else su_document(int(name[2:])))
+    return cfg, generator_basis(cfg.spec, cfg.extension)
+
+
+def zero_parts(c):
+    """Where the real parts, then the imaginary parts, of an array are exactly 0."""
+    c = np.asarray(c)
+    return np.stack([c.real == 0, c.imag == 0])
+
+
+class TestExactZeros:
+    """A coefficient is written at the resolution of the solve: a real or
+    imaginary part whose per-pair lstsq value is below 1e-12 is exactly 0."""
+
+    @pytest.mark.parametrize("name", ZERO_CASES)
+    def test_coefficients_below_the_resolution_are_exact_zeros(self, name):
+        cfg, basis = zero_case(name)
+        oracle = closure_families(basis.subgroup, basis.coset, full_to_x(basis))
+        closures = json.loads(emit_machine(run_verification(cfg)))["closures"]
+        for rep in (sub_sub_closure_report(basis), verify_coset_coset_closure(basis), verify_mixed_closure(basis)):
+            expected = [oracle[rep.family][(p.left, p.right)] for p in rep.pairs]
+            written = closures[rep.family]
+            failing = rep.pairs["residual"] >= rep.tolerance
+            complex_written = dense(written["complex_coeffs"]).reshape(-1, len(rep.pairs[0].coeffs), 2)
+            assert np.array_equal(dense(written["coeffs"]), rep.pairs["coeffs"])
+            assert np.array_equal(complex_written[..., 0] + 1j * complex_written[..., 1],
+                                  rep.pairs["complex_coeffs"][failing])
+            for got, want in ((rep.pairs["coeffs"], [e[0] for e in expected]),
+                              (rep.pairs["complex_coeffs"], [e[2] for e in expected])):
+                want = np.asarray(want)
+                small = np.stack([np.abs(want.real) < 1e-12, np.abs(want.imag) < 1e-12])
+                assert zero_parts(got)[small].all(), rep.family
+                assert np.abs(got - want).max() < 1e-12, rep.family
 
 
 class TestAlgebraDimension:

@@ -25,30 +25,30 @@ group su2-tr (n=3, d=2, mode=exact)
 classification: b-type, a0^2 sign -1
 xi = 0, delta_alpha0 = 0
 closure families:
-  family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 2.71948e-16)
-    (0,1): residual 2.22045e-16  coeffs [0, 0, -1]  complex residual 2.71948e-16
-    (0,2): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.22045e-16
-    (1,2): residual 2.22045e-16  coeffs [-1, 0, 0]  complex residual 2.71948e-16
-  family coset-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 5.43896e-16)
-    (0,1): residual 2  coeffs [0, 4.71028e-16, 0]  complex residual 5.43896e-16
+  family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 3.33067e-16)
+    (0,1): residual 1.11022e-16  coeffs [0, 0, -1]  complex residual 2.22045e-16
+    (0,2): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 3.33067e-16
+    (1,2): residual 1.11022e-16  coeffs [-1, 0, 0]  complex residual 2.22045e-16
+  family coset-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 4.44089e-16)
+    (0,1): residual 2  coeffs [0, 0, 0]  complex residual 4.44089e-16
     (0,2): residual 0  coeffs [0, 0, 0]  complex residual 0
-    (0,3): residual 2  coeffs [0, 0, 0]  complex residual 5.43896e-16
+    (0,3): residual 2  coeffs [0, 0, 0]  complex residual 4.44089e-16
     (1,2): residual 0  coeffs [0, 0, 0]  complex residual 0
-    (1,3): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 2.22045e-16
+    (1,3): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 3.33067e-16
     (2,3): residual 0  coeffs [0, 0, 0]  complex residual 0
-  family sub-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 3.14018e-16)
-    (0,0): residual 2  coeffs [0, 0, 1.57009e-16, 0]  complex residual 0
-    (0,1): residual 1  coeffs [0, 0, 0, -7.85046e-17]  complex residual 3.14018e-16
+  family sub-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 2.22045e-16)
+    (0,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 0
+    (0,1): residual 1  coeffs [0, 0, 0, 0]  complex residual 2.22045e-16
     (0,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
     (0,3): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
     (1,0): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (1,1): residual 2.22045e-16  coeffs [0, 0, 0, 1]  complex residual 1.57009e-16
+    (1,1): residual 1.11022e-16  coeffs [0, 0, 0, 1]  complex residual 1.11022e-16
     (1,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (1,3): residual 2.22045e-16  coeffs [0, -1, 0, 0]  complex residual 0
-    (2,0): residual 2  coeffs [0, 0, 0, -1.57009e-16]  complex residual 3.14018e-16
+    (1,3): residual 1.11022e-16  coeffs [0, -1, 0, 0]  complex residual 0
+    (2,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 2.22045e-16
     (2,1): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
     (2,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (2,3): residual 1  coeffs [0, 0, 0, -7.85046e-17]  complex residual 3.14018e-16
+    (2,3): residual 1  coeffs [0, 0, 0, 0]  complex residual 2.22045e-16
 algebra dimension: 7 (expected 7, b-full)
 overall: FAIL"""
 
@@ -206,7 +206,7 @@ class TestGenerators:
     def test_xi_without_extension_exits_1(self, capsys, tmp_path, flag, value):
         path = tmp_path / "noext.json"
         path.write_text(json.dumps({"group": "so2-conj", "extension": {}}))
-        code, out, err = run(capsys, "generators", "--config", str(path), flag, value)
+        code, out, err = run(capsys, "verify", "--config", str(path), flag, value)
         assert (code, out) == (1, "")
         assert "extension." + flag[2:] in err
 
@@ -252,7 +252,8 @@ class TestVerify:
         assert doc["closures"]["coset-coset"]["max_complex_residual"] < 1e-12
         assert doc["dimension"]["computed"] == 7
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    # 1e308 is finite but swamps every other entry: the perturbed generators are dependent
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
     def test_non_finite_perturb_exits_1(self, capsys, value):
         code, out, err = run(capsys, "verify", "--group", "so3", "--perturb", value)
         assert (code, out) == (1, "")
@@ -379,8 +380,8 @@ class TestCommandLine:
     def test_each_subcommand_takes_only_the_options_it_uses(self):
         # --mode only where an extraction feeds the output, --format only
         # where there is a human form, --tol only where closure is checked,
-        # --perturb wherever the generators are read, and the phases
-        # wherever the extension is read
+        # --perturb wherever the generators are read, and the phases where
+        # the report echoes them and on classify (generators output no phase)
         subparsers = next(
             a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         )
@@ -390,7 +391,7 @@ class TestCommandLine:
         }
         assert options == {
             "classify": self.COMMON | self.PHASES | {"--format"},
-            "generators": self.COMMON | self.PHASES | {"--mode", "--format", "--perturb"},
+            "generators": self.COMMON | {"--mode", "--format", "--perturb"},
             "commutators": self.COMMON | {"--format", "--tol", "--perturb"},
             "verify": self.COMMON | self.PHASES | {"--mode", "--format", "--tol", "--perturb"},
             "report": self.COMMON | self.PHASES | {"--mode", "--tol", "--perturb"},
@@ -409,6 +410,8 @@ class TestCommandLine:
             (("classify", "--group", "so3", "--tol", "1e-3"), "unrecognized arguments: --tol"),
             (("classify", "--group", "so3", "--perturb", "0.5"), "unrecognized arguments: --perturb"),
             (("generators", "--group", "su2-tr", "--tol", "5"), "unrecognized arguments: --tol"),
+            (("generators", "--group", "so3", "--xi", "0.3"), "unrecognized arguments: --xi"),
+            (("generators", "--group", "so3", "--delta-alpha0", "0.3"), "unrecognized arguments: --delta-alpha0"),
             (("commutators", "--group", "so3", "--xi", "0.3"), "unrecognized arguments: --xi"),
             (("commutators", "--group", "so3", "--delta-alpha0", "0.3"), "unrecognized arguments: --delta-alpha0"),
         ],

@@ -19,11 +19,13 @@ from coreplie import (
     exp_curve,
     field_bracket,
     generator_basis,
+    sub_sub_closure_report,
+    verify_coset_coset_closure,
 )
-from coreplie import group_core, infinitesimal, matrices
+from coreplie import algebra, group_core, infinitesimal, matrices
 from coreplie.coirrep import Side
 from coreplie.config import config_for_catalog, with_overrides
-from coreplie.matrices import block_diag2
+from coreplie.matrices import RealSpan, block_diag2
 from coreplie.matrices import expm as pade_expm
 from coreplie.report import run_verification
 
@@ -481,15 +483,37 @@ class TestStackedExtraction:
         assert len(svd_checks) == 1
 
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
-    def test_run_verification_makes_one_svd(self, name, monkeypatch):
-        # the dimension's SVD is the only one: N was checked where it entered,
-        # so the x' -> x map is inverted without a second invertibility SVD
+    def test_run_verification_factors_each_span_once(self, name, monkeypatch):
+        # one real and one complex SVD per span, sub-sub and coset-coset sharing
+        # the subgroup span, and the dimension's SVD; N was checked where it
+        # entered, so the x' -> x map is inverted without an invertibility SVD
         cfg = config_for_catalog(name)
-        calls = []
-        real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or real(*a, **k))
+        svds, spans = [], {}
+        real_svd, closure_report = np.linalg.svd, algebra._closure_report
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: svds.append(a.dtype.kind) or real_svd(a, *r, **k))
+
+        def recording(family, lefts, rights, pairs, span, *rest):
+            spans[family] = span
+            return closure_report(family, lefts, rights, pairs, span, *rest)
+
+        monkeypatch.setattr(algebra, "_closure_report", recording)
         run_verification(cfg)
-        assert len(calls) == 1
+        assert all(isinstance(span, RealSpan) for span in spans.values())
+        assert spans["sub-sub"] is spans["coset-coset"] is not spans["sub-coset"]
+        assert sorted(svds) == ["c", "c", "f", "f", "f"]
+
+    def test_basis_spans_are_cached_and_factored_lazily(self, monkeypatch):
+        spec, ext = catalog_entry("so3")
+        basis = generator_basis(spec, ext)
+        svds = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or real_svd(*a, **k))
+        span = basis.subgroup_span
+        assert span is basis.subgroup_span and basis.coset_span is basis.coset_span
+        assert np.array_equal(span.stack, basis.subgroup_blocks) and not svds
+        sub_sub_closure_report(basis)
+        verify_coset_coset_closure(basis)
+        assert len(svds) == 2
 
 
 def count_calls(monkeypatch, original) -> list:

@@ -15,20 +15,25 @@ from coreplie import (
     CATALOG_NAMES,
     ConfigError,
     GroupElement,
+    LieGroupSpec,
     Linearity,
     catalog_entry,
     compose,
     exp_curve,
     field_bracket,
+    generator_basis,
     parse_config,
     run_verification,
+    sub_sub_closure_report,
+    verify_coset_coset_closure,
+    verify_mixed_closure,
 )
-from coreplie.algebra import _expand
 from coreplie.config import _parse_matrices, config_for_catalog, with_overrides
+from coreplie.matrices import RealSpan
 from coreplie.report import dense, json_numbers
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from inputs import spin_document  # noqa: E402
+from inputs import spin_document, su_document  # noqa: E402
 
 finite_reals = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -120,7 +125,7 @@ def test_projection_recovers_real_combinations(weights):
     spec, _ = catalog_entry("su2-tr")
     basis = list(spec.generators)
     target = sum(w * b for w, b in zip(weights, basis))
-    (coeffs,), (residual,), _, _ = _expand(np.array([target]), np.array(basis))
+    (coeffs,), (residual,), _, _ = RealSpan(np.array(basis)).expand(np.array([target]))
     assert np.abs(coeffs - np.array(weights)).max() < 1e-9
     assert residual < 1e-9
 
@@ -140,6 +145,32 @@ def test_report_does_not_depend_on_the_phases(cfg, mode, xi, delta_alpha0):
     assert (moved.pop("xi"), moved.pop("delta_alpha0")) == (json_numbers(xi), json_numbers(delta_alpha0))
     del base["xi"], base["delta_alpha0"]
     assert moved == base
+
+
+SCALE_CONFIGS = {g: config_for_catalog(g) for g in ("so3", "su2-tr")} | {
+    f"su{n}": parse_config(su_document(n)) for n in (2, 3, 4)
+}
+FAMILIES = (sub_sub_closure_report, verify_coset_coset_closure, verify_mixed_closure)
+
+
+def zero_pattern(rep) -> list:
+    return [c == 0 for c in (rep.pairs["coeffs"], rep.pairs["complex_coeffs"].real, rep.pairs["complex_coeffs"].imag)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(SCALE_CONFIGS)), st.floats(min_value=-3.0, max_value=3.0))
+def test_zero_pattern_and_verdicts_do_not_depend_on_the_scale(name, k):
+    # the generators times 10**k: X'_sigma = X_sigma N scale with them and
+    # X'_0 = iN does not, so the coset span's conditioning moves with k
+    cfg = SCALE_CONFIGS[name]
+    spec = cfg.spec
+    scaled = LieGroupSpec(spec.n, spec.d, 10**k * spec.generators, spec.name)
+    basis, moved_basis = generator_basis(spec, cfg.extension), generator_basis(scaled, cfg.extension)
+    for family in FAMILIES:
+        base, moved = family(basis), family(moved_basis)
+        assert moved.passed == base.passed, family.__name__
+        for got, want in zip(zero_pattern(moved), zero_pattern(base)):
+            assert np.array_equal(got, want), family.__name__
 
 
 # every real a config entry may hold: ints and floats mixed, signed zeros, and
