@@ -156,7 +156,7 @@ class AlgebraDimension:
     classification is 'a-degenerate' when the rank is n+1, 'b-full' when it
     is 2n+1, and 'other' otherwise; 'other' comes with the dependency
     certificate (the combination of generators realizing the near
-    dependency).
+    dependency, signed so that its largest-magnitude entry is positive).
     """
 
     computed: int
@@ -183,7 +183,7 @@ def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> 
     if basis.ctype is CoirrepType.B:  # (X, X) is orthogonal to (X', -X'): split the columns
         sub = np.arange(len(vecs))[:, None] < basis.n
         vecs = np.hstack([vecs * sub, vecs * ~sub])
-    u, svals, _ = np.linalg.svd(vecs, full_matrices=False)
+    _, svals, uh = np.linalg.svd(vecs.T, full_matrices=False)  # the tall side: uh holds u.T
     svals *= BLOCK_SCALE[basis.ctype]
     threshold = rank_tol * float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > threshold))
@@ -192,6 +192,6 @@ def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> 
     margin = float(kept[-1] / threshold) if (kept.size and threshold > 0) else float("inf")
     certificate = None
     if classification == "other" and rank < svals.size:
-        # combination of generators realizing the first near dependency
-        certificate = u[:, rank].copy()
+        # combination of generators realizing the first near dependency, its largest entry positive
+        certificate = uh[rank] * np.sign(uh[rank, np.argmax(np.abs(uh[rank]))])
     return AlgebraDimension(rank, expected, classification, svals, threshold, margin, certificate)

@@ -13,12 +13,14 @@ nested arrays are row-major:
 "group" is either a catalog name or an explicit
 {"name", "n", "d", "generators"} object. The extension block is optional;
 without it only subgroup-side operations are available. Parse errors carry
-the JSON path of the offending field. Each matrix stack is read in one
-numpy pass and walked cell by cell only to name a failing cell.
+the JSON path of the offending field. Each matrix stack is flattened to its
+numbers by one scan per nesting level and read by one np.array call; it is
+walked cell by cell only to name a failing cell.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 
@@ -84,7 +86,7 @@ def _parse_complex(value, path: str):
     for k, x in enumerate(value):
         _expect(isinstance(x, (int, float)) and not isinstance(x, bool), f"{path}[{k}]", "expected a real number")
     for k, x in enumerate(value):
-        _as_float(x, f"{path}[{k}]")
+        _expect(math.isfinite(_as_float(x, f"{path}[{k}]")), f"{path}[{k}]", "expected a finite real number")
 
 
 def _as_float(value, path: str) -> float:
@@ -107,25 +109,23 @@ def _locate(value, path: str, shape: tuple):
 
 
 def _parse_matrices(value, path: str, shape: tuple) -> np.ndarray:
-    """Complex array of `shape`: one type scan per nesting level, one np.array call. A stack
-    that fails goes to _locate, which accepts exactly the same stacks, to name its bad cell."""
+    """Complex array of `shape`: one type and length scan per nesting level flattens the stack
+    to its numbers, which one np.array call reads. A stack that fails goes to _locate, which
+    accepts exactly the same stacks, to name its bad cell."""
     level, a = [value], None
-    for kinds in (list,) * len(shape) + ((list, tuple),):
-        if not all(issubclass(t, kinds) for t in set(map(type, level))):
+    for size, kinds in zip((*shape, 2), (list,) * len(shape) + ((list, tuple),)):
+        if not (all(issubclass(t, kinds) for t in set(map(type, level))) and set(map(len, level)) == {size}):
             break
         level = list(chain.from_iterable(level))
     else:
         if all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, level))):
             try:
-                a = np.array(value, dtype=float)
-            except (ValueError, OverflowError):  # ragged nesting, an integer beyond float range
+                a = np.array(level, dtype=float)
+            except OverflowError:  # an integer beyond float range
                 pass
-    if a is None or a.shape != (*shape, 2):
+    if a is None or not np.isfinite(a).all():
         _locate(value, path, shape)
         raise AssertionError(f"{path}: the walk accepted a stack that the one-pass reader rejected")
-    if not np.isfinite(a).all():
-        cell = "".join(f"[{i}]" for i in np.argwhere(~np.isfinite(a))[0])
-        raise ConfigError(f"{path}{cell}: expected a finite real number")
     return a.view(complex).reshape(shape)
 
 

@@ -112,8 +112,7 @@ class LieGroupSpec:
             raise ValueError(
                 f"generators have shape {gens.shape}, expected ({self.n}, {self.d}, {self.d})"
             )
-        vecs = real_vectorization(gens)
-        rank = np.linalg.matrix_rank(vecs, tol=RANK_TOL * max(1.0, float(np.abs(vecs).max(initial=0.0))))
+        rank = np.linalg.matrix_rank(real_vectorization(gens).T, rtol=RANK_TOL)
         if rank != self.n:
             raise ValueError(f"generators are not real-linearly independent (rank {rank} < {self.n})")
         object.__setattr__(self, "generators", gens)

@@ -22,6 +22,7 @@ from coreplie import (
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
+from coreplie.algebra import RANK_REL_TOL
 from coreplie.matrices import RealSpan, block_diag2
 from coreplie.report import dense
 
@@ -340,7 +341,9 @@ class TestAlgebraDimension:
         dim = algebra_dimension(basis)
         assert dim.computed == 1
         assert dim.classification == "other"
-        assert dim.certificate is not None
+        # X_0, X'_0 = iN = i and X'_1 = X_0 N: the null combination 2 X_0 - X'_0 - X'_1,
+        # signed so that its largest entry is positive
+        assert np.abs(dim.certificate - np.array([2.0, -1.0, -1.0]) / 6**0.5).max() < 1e-12
 
     def test_invariant_under_subgroup_basis_change(self, rng):
         spec, ext = catalog_entry("su2-tr")
@@ -368,6 +371,10 @@ BLOCK_CASES = {
     "spin1-2": lambda: spin_entry(1),
     "spin3-2": lambda: spin_entry(3),
 }
+
+
+# both types: half-integer spin is b (doubled by the oracle), integer spin is a
+SVD_CASES = BLOCK_CASES | {f"spin{two_j}-2": (lambda two_j=two_j: spin_entry(two_j)) for two_j in (2, 15, 16)}
 
 
 def block_case(name):
@@ -412,15 +419,23 @@ class TestBlockKernelAgainstDoubled:
                 assert abs(p.complex_residual - cres) <= 1e-12 * (1 + cres)
             assert rep.passed == all(r[1] < rep.tolerance for r in expected.values())
 
-    @pytest.mark.parametrize("name", BLOCK_CASES)
+    @pytest.mark.parametrize("name", SVD_CASES)
     def test_singular_values_match_doubled_svd(self, name):
-        basis = block_case(name)
-        sub, coset, to_x = doubled(basis)
-        ref = np.linalg.svd(realified(np.concatenate([sub, conjugate(to_x, coset)])),
-                            compute_uv=False)
+        basis = generator_basis(*SVD_CASES[name]())
+        sub, coset, to_x = doubled(basis) if basis.ctype is CoirrepType.B else (
+            basis.subgroup_blocks, basis.coset_blocks, basis.to_x)
+        # the oracle factors the (2n+1, 2D^2) matrix on its wide side
+        u, ref, _ = np.linalg.svd(realified(np.concatenate([sub, conjugate(to_x, coset)])), full_matrices=False)
         dim = algebra_dimension(basis)
         assert np.abs(dim.singular_values - ref).max() <= 1e-12 * ref[0]
-        assert dim.computed == int(np.sum(ref > dim.threshold))
+        threshold = RANK_REL_TOL * ref[0]
+        rank = int(np.sum(ref > threshold))
+        assert dim.computed == rank and abs(dim.threshold - threshold) <= 1e-12 * threshold
+        assert abs(dim.margin - ref[rank - 1] / threshold) <= 1e-12 * ref[0] / threshold
+        if rank < len(ref):  # spin 2j = 2 only: dimension 6 of 7
+            assert np.abs(np.abs(dim.certificate) - np.abs(u[:, rank])).max() < 1e-12
+        else:
+            assert dim.certificate is None
 
     def test_certificate_matches_doubled_null_direction(self, rng):
         # X_2 = 2 X_1, so the doubled generators have one null combination
@@ -434,5 +449,5 @@ class TestBlockKernelAgainstDoubled:
         dim = algebra_dimension(basis)
         assert (dim.computed, dim.classification) == (4, "other")
         assert abs(abs(np.dot(dim.certificate, u[:, 4])) - 1.0) < 1e-12
-        assert np.abs(np.abs(dim.certificate) - np.array([2, 1, 0, 0, 0]) / 5**0.5).max() < 1e-12
+        assert np.abs(dim.certificate - np.array([2, -1, 0, 0, 0]) / 5**0.5).max() < 1e-12
 

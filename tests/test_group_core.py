@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -16,6 +19,10 @@ from coreplie import (
     exp_curve,
 )
 from coreplie import group_core
+from coreplie.config import parse_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import su_document  # noqa: E402
 
 E2 = np.eye(2, dtype=complex)
 ISY = np.array([[0, 1], [-1, 0]], dtype=complex)  # i * sigma_y
@@ -153,6 +160,17 @@ class TestLieGroupSpec:
     def test_ragged_generators_named(self):
         with pytest.raises(ValueError, match="^generators must be square, got a ragged"):
             LieGroupSpec(n=2, d=2, generators=(np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    @pytest.mark.parametrize("name", ["so3", "su2-tr", "su3"])
+    def test_independence_does_not_depend_on_the_scale(self, name, k):
+        # the rank threshold is relative to the largest singular value, so
+        # 10**k X is independent exactly when X is, and a repeat never is
+        spec = parse_config(su_document(3)).spec if name == "su3" else catalog_entry(name)[0]
+        gens = 10.0**k * spec.generators
+        assert np.array_equal(LieGroupSpec(spec.n, spec.d, gens).generators, gens)
+        with pytest.raises(ValueError, match=rf"\(rank {spec.n} < {spec.n + 1}\)"):
+            LieGroupSpec(spec.n + 1, spec.d, np.concatenate([gens, gens[-1:]]))
 
 
 class TestAntilinearExtension:

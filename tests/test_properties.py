@@ -185,9 +185,9 @@ config_reals = st.one_of(
 
 @st.composite
 def config_stacks(draw, pairs=st.sampled_from([list, tuple])):
-    """(stack, path, shape): a generator list (n, d, d) or one N (d, d) as
-    nested [re, im] pairs."""
-    d = draw(st.integers(1, 3))
+    """(stack, path, shape): a generator list (n, d, d) or one N (d, d), d in
+    1..6, as nested [re, im] pairs."""
+    d = draw(st.integers(1, 6))
     shape = draw(st.sampled_from([(1, d, d), (2, d, d), (d, d)]))
 
     def build(dims):
@@ -214,6 +214,7 @@ def test_stack_reader_matches_per_entry_reference(case):
     want = oracle.parse_matrix_stack(stack, path, shape)
     assert got.shape == want.shape == shape
     assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+    assert got.tobytes() == np.array(stack, dtype=float).view(complex)[..., 0].tobytes()
 
 
 bad_nodes = st.sampled_from(
