@@ -183,7 +183,8 @@ def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> 
     if basis.ctype is CoirrepType.B:  # (X, X) is orthogonal to (X', -X'): split the columns
         sub = np.arange(len(vecs))[:, None] < basis.n
         vecs = np.hstack([vecs * sub, vecs * ~sub])
-    _, svals, uh = np.linalg.svd(vecs.T, full_matrices=False)  # the tall side: uh holds u.T
+    # (columns, k): tall unless k > columns (u1's 3 > 2); uh holds u.T on either side
+    _, svals, uh = np.linalg.svd(vecs.T, full_matrices=False)
     svals *= BLOCK_SCALE[basis.ctype]
     threshold = rank_tol * float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > threshold))

@@ -112,7 +112,8 @@ class LieGroupSpec:
             raise ValueError(
                 f"generators have shape {gens.shape}, expected ({self.n}, {self.d}, {self.d})"
             )
-        rank = np.linalg.matrix_rank(real_vectorization(gens).T, rtol=RANK_TOL)
+        svals = np.linalg.svd(real_vectorization(gens).T, compute_uv=False)
+        rank = int(np.sum(svals > RANK_TOL * svals.max(initial=0.0)))
         if rank != self.n:
             raise ValueError(f"generators are not real-linearly independent (rank {rank} < {self.n})")
         object.__setattr__(self, "generators", gens)

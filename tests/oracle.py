@@ -11,6 +11,7 @@ machine format's dense form (schema 5's only form) is built number by number.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -112,6 +113,12 @@ def _complex_entry(value, path: str) -> complex:
     re, im = value
     _require(isinstance(re, (int, float)) and not isinstance(re, bool), f"{path}[0]", "expected a real number")
     _require(isinstance(im, (int, float)) and not isinstance(im, bool), f"{path}[1]", "expected a real number")
+    for k, x in enumerate(value):
+        try:
+            x = float(x)
+        except OverflowError:
+            raise ConfigError(f"{path}[{k}]: expected a real number within float range") from None
+        _require(math.isfinite(x), f"{path}[{k}]", "expected a finite real number")
     return complex(re, im)
 
 

@@ -270,6 +270,10 @@ class TestMatrixCellErrors:
             (set_cell(1, 1, [None, 0]), "[1][1][0]", "expected a real number"),
             (lambda m: m[1].pop(), "[1]", "expected a row of 2 entries"),
             (lambda m: m.pop(), "", "expected a 2x2 matrix"),
+            (lambda m: m[1].append(m[1][0]), "[1]", "expected a row of 2 entries"),
+            (lambda m: m.append(m[0]), "", "expected a 2x2 matrix"),
+            (lambda m: m.__setitem__(0, tuple(m[0])), "[0]", "expected a row of 2 entries"),
+            (set_cell(0, 0, [1.5]), "[0][0]", "expected a [re, im] pair"),
             (set_cell(0, 0, [1, 0, 0]), "[0][0]", "expected a [re, im] pair"),
             (set_cell(0, 1, [[1], 0]), "[0][1][0]", "expected a real number"),
         ],
@@ -334,89 +338,6 @@ class TestMatrixCellErrors:
         doc["extension"]["N"][47][0][1] = True
         assert parse_error(doc) == "extension.N[47][0][1]: expected a real number"
         assert walked[-1] == "extension.N[47][0]"
-
-
-def mixed_stack(shape):
-    """A valid stack of `shape`: ints and floats mixed, every other cell a tuple."""
-    count = iter(range(int(np.prod(shape))))
-
-    def build(dims):
-        if not dims:
-            k = next(count)
-            return (k, 0.5 * k) if k % 2 else [float(k), -k]
-        return [build(dims[1:]) for _ in range(dims[0])]
-
-    return build(shape)
-
-
-def node_at(stack, index):
-    for i in index:
-        stack = stack[i]
-    return stack
-
-
-def drop(stack, index):
-    node_at(stack, index).pop()
-
-
-def repeat(stack, index):
-    node = node_at(stack, index)
-    node.append(node[0])
-
-
-def put(value):
-    """An edit that writes value at an index, rebuilding a tuple cell around it."""
-    def edit(stack, index):
-        *head, last = index
-        node = node_at(stack, head)
-        if isinstance(node, tuple):
-            node_at(stack, head[:-1])[head[-1]] = node[:last] + (value,) + node[last + 1:]
-        else:
-            node[last] = value
-    return edit
-
-
-def as_tuple(stack, index):
-    put(tuple(node_at(stack, index)))(stack, index)
-
-
-# name: (index into a (2, 3, 3) stack, edit, the path suffix and message it must get)
-READER_MUTATIONS = {
-    "short row": ((1, 2), drop, "[1][2]", "expected a row of 3 entries"),
-    "long row": ((0, 1), repeat, "[0][1]", "expected a row of 3 entries"),
-    "tuple row": ((0, 0), as_tuple, "[0][0]", "expected a row of 3 entries"),
-    "short matrix": ((1,), drop, "[1]", "expected a 3x3 matrix"),
-    "long matrix": ((0,), repeat, "[0]", "expected a 3x3 matrix"),
-    "short stack": ((), drop, "", "expected a list of 2 matrices"),
-    "long stack": ((), repeat, "", "expected a list of 2 matrices"),
-    "1-element cell": ((0, 1, 2), put([1.5]), "[0][1][2]", "expected a [re, im] pair"),
-    "3-element cell": ((0, 1, 1), put((1, 2, 3)), "[0][1][1]", "expected a [re, im] pair"),
-    "bool": ((1, 0, 1, 0), put(True), "[1][0][1][0]", "expected a real number"),
-    "str": ((1, 0, 2, 1), put("1"), "[1][0][2][1]", "expected a real number"),
-    "None": ((0, 2, 2, 0), put(None), "[0][2][2][0]", "expected a real number"),
-    "list for a number": ((1, 2, 2, 1), put([0]), "[1][2][2][1]", "expected a real number"),
-    "int beyond float range": ((1, 1, 0, 0), put(10**400), "[1][1][0][0]", "expected a real number within float range"),
-    "nan": ((0, 0, 1, 1), put(float("nan")), "[0][0][1][1]", "expected a finite real number"),
-    "inf": ((1, 2, 1, 0), put(float("inf")), "[1][2][1][0]", "expected a finite real number"),
-    "-inf": ((0, 2, 0, 1), put(-float("inf")), "[0][2][0][1]", "expected a finite real number"),
-}
-
-
-class TestStackReader:
-    """On a bad stack the one-pass reader raises the message of the cell-by-cell
-    walk (test_properties.py checks it on valid stacks)."""
-
-    SHAPE = (2, 3, 3)
-
-    @pytest.mark.parametrize("index, edit, where, message", READER_MUTATIONS.values(), ids=READER_MUTATIONS)
-    def test_each_mutation_gets_the_walk_message(self, index, edit, where, message):
-        stack, path = mixed_stack(self.SHAPE), "group.generators"
-        edit(stack, index)
-        with pytest.raises(ConfigError) as walked:
-            config._locate(stack, path, self.SHAPE)
-        with pytest.raises(ConfigError) as read:
-            config._parse_matrices(stack, path, self.SHAPE)
-        assert str(read.value) == str(walked.value) == f"{path}{where}: {message}"
 
 
 class TestOverrides:

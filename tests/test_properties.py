@@ -219,7 +219,7 @@ def test_stack_reader_matches_per_entry_reference(case):
 
 bad_nodes = st.sampled_from(
     [True, False, "x", "1", None, {}, [], [1], [1, 2, 3], [[1], 0], [0, True], [None, 0], 1.5, (1, 2), [[1, 0]]]
-)
+) | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])  # well typed, out of range
 
 
 @settings(max_examples=300)
