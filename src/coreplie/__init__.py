@@ -10,10 +10,8 @@ algebra dimension is.
 from .algebra import (
     AlgebraDimension,
     ClosureReport,
-    StructureConstants,
     algebra_dimension,
     field_bracket,
-    structure_constants_subgroup,
     sub_sub_closure_report,
     verify_coset_coset_closure,
     verify_mixed_closure,
@@ -59,7 +57,6 @@ __all__ = [
     "Linearity",
     "RunReport",
     "Side",
-    "StructureConstants",
     "Tolerances",
     "a0_square_sign",
     "algebra_dimension",
@@ -77,7 +74,6 @@ __all__ = [
     "parse_config",
     "parse_machine",
     "run_verification",
-    "structure_constants_subgroup",
     "sub_sub_closure_report",
     "verify_coset_coset_closure",
     "verify_mixed_closure",

@@ -1,4 +1,4 @@
-"""Structure constants, closure verification, and algebra dimension.
+"""Closure verification and algebra dimension.
 
 Spans and ranks are taken over the real field: coefficient vectors are
 solved by least squares on the stacked real and imaginary parts of the
@@ -21,7 +21,7 @@ import numpy as np
 
 from .group_core import CoirrepType
 from .infinitesimal import GeneratorBasis
-from .matrices import RealSpan, real_vectorization
+from .matrices import real_vectorization
 
 CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -33,49 +33,6 @@ def field_bracket(a, b) -> np.ndarray:
     """Bracket [J_A, J_B] = J_{BA - AB} of the fields J_A = A_ij x_j d/dx_i:
     the negative matrix commutator, broadcast over stacks (..., d, d)."""
     return b @ a - a @ b
-
-
-@dataclass(frozen=True, eq=False)
-class StructureConstants:
-    """Real tensor c[sigma, rho, tau] with [J_sigma, J_rho] = c^tau J_tau.
-
-    A view of the sub-sub closure report: antisymmetry in (sigma, rho) is
-    exact, since each pair's expansion fills one triangle and is mirrored.
-    residuals[sigma, rho] is the off-span remainder of the pair and passed
-    is the report's verdict.
-    """
-
-    c: np.ndarray
-    residuals: np.ndarray
-    passed: bool
-
-    @classmethod
-    def from_report(cls, rep: ClosureReport) -> "StructureConstants":
-        pairs = rep.pairs
-        n = pairs.dtype["coeffs"].shape[0]
-        left, right = pairs["left"], pairs["right"]
-        c = np.zeros((n, n, n))
-        c[left, right] = pairs["coeffs"]
-        c[right, left] = -pairs["coeffs"]
-        residuals = np.zeros((n, n))
-        residuals[left, right] = residuals[right, left] = pairs["residual"]
-        return cls(c, residuals, rep.passed)
-
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
-    def max_residual(self) -> float:
-        return float(self.residuals.max(initial=0.0))
-
-
-def structure_constants_subgroup(generators, tol: float = CLOSURE_TOL) -> StructureConstants:
-    """Expand every subgroup bracket over the generator span.
-
-    The pair (sigma, rho) expands field_bracket(X_sigma, X_rho); passed is
-    false when a residual is not below tol.
-    """
-    return StructureConstants.from_report(_sub_sub(RealSpan(np.asarray(generators, dtype=complex)), tol))
 
 
 def _pair_dtype(m: int) -> np.dtype:
@@ -107,7 +64,7 @@ class ClosureReport:
         return float(self.pairs["complex_residual"].max(initial=0.0))
 
 
-def _closure_report(family, lefts, rights, index_pairs, span, tol, scale=1.0) -> ClosureReport:
+def _closure_report(family, lefts, rights, index_pairs, span, tol, scale) -> ClosureReport:
     """Report of one family: the brackets of lefts[i] with rights[j], one per
     index pair (i, j), expanded over the RealSpan and stored column by column;
     passed uses the same strict < predicate for every family."""
@@ -121,14 +78,16 @@ def _closure_report(family, lefts, rights, index_pairs, span, tol, scale=1.0) ->
     return ClosureReport(family, pairs, tol, bool((pairs["residual"] < tol).all()))
 
 
-def _sub_sub(span: RealSpan, tol: float, scale: float = 1.0) -> ClosureReport:
-    gens = span.stack
-    return _closure_report("sub-sub", gens, gens, combinations(range(len(gens)), 2), span, tol, scale)
-
-
 def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
-    """Subgroup-subgroup family: brackets expand over the subgroup span."""
-    return _sub_sub(basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
+    """Subgroup-subgroup family: brackets expand over the subgroup span.
+
+    Its coeffs are the structure constants: the row of pair (sigma, rho),
+    sigma < rho, holds c[sigma, rho, :] of [J_sigma, J_rho] = c^tau J_tau, and
+    c[rho, sigma] = -c[sigma, rho]. generator_basis(spec, None) gives those of
+    spec.generators as supplied."""
+    gens = basis.subgroup_blocks
+    pairs = combinations(range(basis.n), 2)
+    return _closure_report("sub-sub", gens, gens, pairs, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 def verify_coset_coset_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
@@ -181,8 +140,10 @@ def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> 
         return AlgebraDimension(0, expected, "other", np.zeros(0), 0.0, 0.0)
     vecs = real_vectorization(stack)
     if basis.ctype is CoirrepType.B:  # (X, X) is orthogonal to (X', -X'): split the columns
-        sub = np.arange(len(vecs))[:, None] < basis.n
-        vecs = np.hstack([vecs * sub, vecs * ~sub])
+        n, width = basis.n, vecs.shape[1]
+        split = np.zeros((len(vecs), 2 * width))
+        split[:n, :width], split[n:, width:] = vecs[:n], vecs[n:]
+        vecs = split
     # (columns, k): tall unless k > columns (u1's 3 > 2); uh holds u.T on either side
     _, svals, uh = np.linalg.svd(vecs.T, full_matrices=False)
     svals *= BLOCK_SCALE[basis.ctype]

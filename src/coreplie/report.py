@@ -29,7 +29,7 @@ from .algebra import (
 from .config import GroupConfig
 from .infinitesimal import generator_basis
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _plain(a: np.ndarray):

@@ -103,6 +103,19 @@ def closure_families(subgroup, coset, to_x: np.ndarray) -> dict:
     return out
 
 
+def structure_tensor(rep) -> tuple:
+    """A sub-sub ClosureReport as the dense tensor c[sigma, rho, tau] of its
+    structure constants and the (n, n) matrix of its residuals: each pair's
+    coeffs go to c[sigma, rho] and, negated, to c[rho, sigma], its residual
+    to both (sigma, rho) and (rho, sigma)."""
+    n = rep.pairs.dtype["coeffs"].shape[0]
+    c, residuals = np.zeros((n, n, n)), np.zeros((n, n))
+    for p in rep.pairs:
+        c[p.left, p.right], c[p.right, p.left] = p.coeffs, -p.coeffs
+        residuals[p.left, p.right] = residuals[p.right, p.left] = p.residual
+    return c, residuals
+
+
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(f"{path}: {message}")

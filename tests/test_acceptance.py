@@ -24,7 +24,7 @@ from coreplie import (
     exp_curve,
     field_bracket,
     generator_basis,
-    structure_constants_subgroup,
+    sub_sub_closure_report,
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
@@ -32,7 +32,7 @@ from coreplie.algebra import algebra_dimension
 from coreplie.cli import main
 from coreplie.coirrep import Side, coirrep_matrix
 
-from oracle import commutator_on_coordinates
+from oracle import commutator_on_coordinates, structure_tensor
 from sampling import default_rng
 
 CATALOG = ("so2-conj", "su2-tr", "u1", "so3")
@@ -141,19 +141,19 @@ def test_criterion_5_su2_structure_constants():
     convention (c = -epsilon); the Jacobi residual of the fitted tensor c
     stays below 1e-10."""
     spec, _ = catalog_entry("su2-tr")
-    sc = structure_constants_subgroup(spec.generators)
+    c, _ = structure_tensor(sub_sub_closure_report(generator_basis(spec, None)))
     eps = np.zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k] = 1.0
         eps[i, k, j] = -1.0
-    pattern_err = float(np.abs(np.abs(sc.c) - np.abs(eps)).max())
-    sign_err = float(np.abs(sc.c - (-eps)).max())
+    pattern_err = float(np.abs(np.abs(c) - np.abs(eps)).max())
+    sign_err = float(np.abs(c - (-eps)).max())
     # c_ab^d c_dc^e + cyclic in (a, b, c): unlike the matrix-bracket
     # identity, this fails when the expansion fits a wrong tensor
     cycle = (
-        np.einsum("abd,dce->abce", sc.c, sc.c)
-        + np.einsum("bcd,dae->abce", sc.c, sc.c)
-        + np.einsum("cad,dbe->abce", sc.c, sc.c)
+        np.einsum("abd,dce->abce", c, c)
+        + np.einsum("bcd,dae->abce", c, c)
+        + np.einsum("cad,dbe->abce", c, c)
     )
     jac = float(np.abs(cycle).max())
     passed = pattern_err < 1e-9 and sign_err < 1e-9 and jac < 1e-10

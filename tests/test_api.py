@@ -123,9 +123,6 @@ ARRAY_HOLDERS = {
     "LieGroupSpec": lambda: coreplie.catalog_entry("so3")[0],
     "AntilinearExtension": _so3_ext,
     "GeneratorBasis": _so3_basis,
-    "StructureConstants": lambda: coreplie.structure_constants_subgroup(
-        coreplie.catalog_entry("so3")[0].generators
-    ),
     "ClosureReport": lambda: coreplie.sub_sub_closure_report(_so3_basis()),
     "AlgebraDimension": lambda: coreplie.algebra_dimension(_so3_basis()),
     "GroupConfig": lambda: config_for_catalog("so3"),

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 import oracle
-from coreplie import catalog_entry, group_core
+from coreplie import CATALOG_NAMES, catalog_entry, generator_basis, group_core, sub_sub_closure_report
+from coreplie.algebra import BLOCK_SCALE
 from coreplie.cli import _build_parser, main
 from coreplie.report import dense, emit_document
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import spin_document, su_document  # noqa: E402
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
 EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -148,7 +152,7 @@ class TestGenerators:
     def test_type_b_listing_holds_the_blocks(self, capsys):
         code, out, _ = run(capsys, "generators", "--group", "su2-tr", "--format", "machine")
         doc = json.loads(out)
-        assert (code, doc["schema"], doc["classification"]) == (0, 6, "b")
+        assert (code, doc["schema"], doc["classification"]) == (0, 7, "b")
         assert dense(doc["subgroup"]).shape == (3, 2, 2, 2)
         assert dense(doc["coset"]).shape == (4, 2, 2, 2)
 
@@ -171,7 +175,7 @@ class TestGenerators:
 
     # sha256 of `generators --mode fd --format machine` stdout, recorded before
     # the fd-agree gate moved into generator_basis: passing the gate changes no
-    # byte. The pins are schema-5 documents; a schema-6 one is compared with
+    # byte. The pins are schema-5 documents; a later one is compared with
     # every array rewritten dense under its old schema number.
     FD_LISTING_SHA256 = {
         "so2-conj": "e664de4c9916fa32d19fe4acb1791fd5729052ffc83a77fe77ef09cd15cccd9a",
@@ -184,7 +188,7 @@ class TestGenerators:
     def test_fd_listing_bytes_unchanged(self, capsys, group):
         code, out, _ = run(capsys, "generators", "--group", group, "--mode", "fd", "--format", "machine")
         doc = json.loads(out)
-        assert doc["schema"] == 6
+        assert doc["schema"] == 7
         text = emit_document({**oracle.densified(doc), "schema": 5}) + "\n"
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, self.FD_LISTING_SHA256[group])
 
@@ -216,24 +220,59 @@ class TestCommutators:
         code, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--format", "machine")
         assert code == 0
         doc = json.loads(out)
-        c = dense(doc["c"])
-        assert abs(c[0, 1, 2] + 1.0) < 1e-9
-        assert doc["passed"] is True
+        assert set(doc) == {"schema", "command", "group", "closures"}
+        block = doc["closures"]["sub-sub"]
+        assert block["pairs"][0] == [0, 1]
+        assert abs(dense(block["coeffs"])[0, 2] + 1.0) < 1e-9
+        assert block["passed"] is True
 
-    def test_matches_report_structure_constants(self, capsys):
-        _, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--format", "machine")
-        _, report_out, _ = run(capsys, "report", "--group", "su2-tr")
-        c = dense(json.loads(out)["c"])
-        sub_sub = json.loads(report_out)["closures"]["sub-sub"]
-        left, right = np.array(sub_sub["pairs"]).T
-        ref = dense(sub_sub["coeffs"])
-        assert c[left, right].shape == ref.shape
-        assert np.abs(c[left, right] - ref).max() < 1e-12
+    @pytest.mark.parametrize("group", CATALOG_NAMES)
+    def test_matches_report_structure_constants(self, capsys, group):
+        _, out, _ = run(capsys, "commutators", "--group", group, "--format", "machine")
+        _, report_out, _ = run(capsys, "report", "--group", group)
+        block = json.loads(out)["closures"]["sub-sub"]
+        # the block decodes to the sub-sub report of the generators as supplied
+        rep = sub_sub_closure_report(generator_basis(catalog_entry(group)[0], None))
+        assert block["pairs"] == [[p.left, p.right] for p in rep.pairs]
+        assert np.array_equal(dense(block["coeffs"]).reshape(rep.pairs["coeffs"].shape), rep.pairs["coeffs"])
+        assert np.array_equal(dense(block["residuals"]), rep.pairs["residual"])
+        # the report's sub-sub family is the same family, its remainders those of the full generators
+        report_block = json.loads(report_out)["closures"]["sub-sub"]
+        ctype = group_core.CoirrepType(json.loads(report_out)["classification"])
+        if ctype is group_core.CoirrepType.A:
+            assert emit_document(block) == emit_document(report_block)
+        else:
+            assert report_block["coeffs"] == block["coeffs"]
+            for key in ("residuals", "complex_residuals"):
+                assert np.array_equal(dense(report_block[key]), BLOCK_SCALE[ctype] * dense(block[key]))
 
-    def test_perturbation_exits_3(self, capsys):
-        code, out, _ = run(capsys, "commutators", "--group", "su2-tr", "--perturb", "1e-2")
-        assert code == 3
-        assert "FAIL" in out
+    # sha256 and exit code of `commutators` human stdout, recorded before the
+    # command read the sub-sub report; su3 and spin3-2 are perfbench inputs
+    HUMAN_SHA256 = {
+        ("so2-conj", None): (0, "dce5d1a0f4bd8b48529ca680bef2c85cf1363a8d18d7093e0948ca184b2965e3"),
+        ("so3", None): (0, "556eeffab44bc40219dcfe897d6ed40fd4b3fff23c17cb9274f27615c3480a43"),
+        ("so3", "1e-2"): (3, "f1260109528a02585979d4ba074683b57601ca2847744f93d7d78217839b8fb8"),
+        ("su2-tr", None): (0, "668a257aebabdb686542a93fb580e966c2507b15c09bebdf1a36f42f4cb6802a"),
+        ("su2-tr", "1e-2"): (3, "10536bdd5a098ed30d4d7a3a64c182da80373bab45bd72b737e601a861f10e05"),
+        ("u1", None): (0, "2fc6e8c3b88ad7a69084c967a6eb979def00bc637cb9ddc6241776d125065bb3"),
+        ("su3", None): (0, "85a8a55b72b35bcc2abb2c24adec0b59e9a25308e3a38b6f455d02aa5d1dff6b"),
+        ("su3", "1e-2"): (3, "7fd6b37400874723f43dcecc5dd92f11b97b23deb68ac0d57831aa41621e2133"),
+        ("spin3-2", None): (0, "4140b3f27c16ef3d98dffaff8ce675cab317631b7121a6d9ec841ea08aeda7a7"),
+        ("spin3-2", "1e-2"): (3, "8ea46279e1c6dd25a1ccdc8a1a6dec6508f39246884019756ff0316d567ec6af"),
+    }
+
+    @pytest.mark.parametrize("name, perturb", sorted(HUMAN_SHA256, key=str))
+    def test_human_bytes_unchanged(self, capsys, tmp_path, name, perturb):
+        documents = {"su3": su_document(3), "spin3-2": spin_document(3)}
+        if name in documents:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(documents[name]))
+            source = ("--config", str(path))
+        else:
+            source = ("--group", name)
+        code, out, _ = run(capsys, "commutators", *source, *(("--perturb", perturb) if perturb else ()))
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.HUMAN_SHA256[name, perturb]
+        assert ("FAIL" in out) == (code == 3)
 
 
 class TestVerify:
@@ -365,7 +404,7 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--group", "so2-conj")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 6
+        assert doc["schema"] == 7
 
     def test_report_matches_verify_machine_output(self, capsys):
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")

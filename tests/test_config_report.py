@@ -413,7 +413,7 @@ class TestRunReport:
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))
-        assert doc["schema"] == 6
+        assert doc["schema"] == 7
         assert doc["classification"] == "b"
         assert doc["a0_sign"] == -1
         assert doc["dimension"]["computed"] == 7
@@ -470,7 +470,7 @@ class TestSchema4Generators:
         cfg = parse_config(spin_document(3)) if name == "spin3-2" else config_for_catalog(name)
         n, d = cfg.spec.n, cfg.spec.d
         doc = json.loads(emit_machine(run_verification(cfg)))
-        assert doc["schema"] == 6
+        assert doc["schema"] == 7
         assert dense(doc["generators"]["subgroup"]).shape == (n, d, d, 2)
         assert dense(doc["generators"]["coset"]).shape == (n + 1, d, d, 2)
         basis = generator_basis(cfg.spec, cfg.extension)
