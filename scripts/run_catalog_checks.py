@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the full verification over every builtin catalog entry.
 
-Prints one summary row per group: classification, a0^2 sign, worst real and
-complex closure residuals, and the real algebra dimension. The su2-tr row
+Prints one summary row per group: classification, a0^2 sign, worst real
+closure residual, worst complex fallback residual (over the failing pairs,
+0 when none fails), and the real algebra dimension. The su2-tr row
 shows the type-b phenomenon this package surfaces: the three commutator
 families close at machine precision over complex coefficients while the
 brackets against the alpha0-direction generator have order-one residuals

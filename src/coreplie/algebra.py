@@ -2,13 +2,17 @@
 
 Spans and ranks are taken over the real field: coefficient vectors are
 solved by least squares on the stacked real and imaginary parts of the
-vectorized matrices. A complex-coefficient projection is computed alongside
-as a separate fallback diagnostic and is never merged into the real
-results; the pass verdicts always refer to the real residuals.
+vectorized matrices. A complex-coefficient projection is a fallback
+diagnostic for the failing pairs only (real residual not below the
+tolerance), kept in its own record array and never merged into the real
+results; the pass verdicts always refer to the real residuals. A passing
+pair needs none: the complex span contains the real one, so its complex
+residual is at most its real one.
 
 Every bracket family goes through one kernel: its brackets are formed by one
 broadcast field_bracket and expanded over a RealSpan of the basis (sub-sub and
-coset-coset share one) by one real and one complex pseudo-inverse matmul. Type b
+coset-coset share one) by one real pseudo-inverse matmul, and its failing
+pairs by one complex one. Type b
 runs on the d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of
 the same signs have the blocks' coefficients and sqrt(2) times their remainders.
 """
@@ -37,10 +41,15 @@ def field_bracket(a, b) -> np.ndarray:
 
 def _pair_dtype(m: int) -> np.dtype:
     """Record layout of one bracket pair expanded over a span of m generators."""
-    return np.dtype((np.record, [
-        ("left", np.intp), ("right", np.intp), ("coeffs", float, (m,)), ("residual", float),
-        ("complex_coeffs", complex, (m,)), ("complex_residual", float),
-    ]))
+    return np.dtype((np.record, [("left", np.intp), ("right", np.intp), ("coeffs", float, (m,)),
+                                 ("residual", float)]))
+
+
+def _fallback_dtype(m: int) -> np.dtype:
+    """Record layout of one failing pair's complex expansion: its row in pairs,
+    coefficients over the span of m generators and residual."""
+    return np.dtype((np.record, [("pair", np.intp), ("complex_coeffs", complex, (m,)),
+                                 ("complex_residual", float)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,12 +57,16 @@ class ClosureReport:
     """Residual report for one commutator family.
 
     pairs is a read-only record array, one row per bracket pair (see
-    _pair_dtype). passed is true iff every real residual is below the
-    tolerance; the complex fallback never enters the verdict.
+    _pair_dtype). fallback is a read-only record array with one row per
+    failing pair, in pair order (see _fallback_dtype): the pairs whose real
+    residual is not below the tolerance, expanded over complex coefficients.
+    passed is true iff there are none; the complex fallback never enters the
+    verdict.
     """
 
     family: str
     pairs: np.ndarray
+    fallback: np.ndarray
     tolerance: float
     passed: bool
 
@@ -61,21 +74,25 @@ class ClosureReport:
         return float(self.pairs["residual"].max(initial=0.0))
 
     def max_complex_residual(self) -> float:
-        return float(self.pairs["complex_residual"].max(initial=0.0))
+        """The worst failing pair's complex residual, 0.0 when none fails."""
+        return float(self.fallback["complex_residual"].max(initial=0.0))
 
 
 def _closure_report(family, lefts, rights, index_pairs, span, tol, scale) -> ClosureReport:
     """Report of one family: the brackets of lefts[i] with rights[j], one per
     index pair (i, j), expanded over the RealSpan and stored column by column;
-    passed uses the same strict < predicate for every family."""
+    the failing pairs, those not below tol, are the rows of the fallback."""
     left, right = np.array(list(index_pairs), dtype=np.intp).reshape(-1, 2).T
-    pairs = np.empty(len(left), _pair_dtype(len(span.stack)))
+    m = len(span.stack)
+    pairs, fallback = np.empty(len(left), _pair_dtype(m)), np.empty(0, _fallback_dtype(m))
     pairs["left"], pairs["right"] = left, right
     if len(pairs):
-        (pairs["coeffs"], pairs["residual"], pairs["complex_coeffs"],
-         pairs["complex_residual"]) = span.expand(field_bracket(lefts[left], rights[right]), scale)
-    pairs.flags.writeable = False
-    return ClosureReport(family, pairs, tol, bool((pairs["residual"] < tol).all()))
+        brackets = field_bracket(lefts[left], rights[right])
+        pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
+        fallback = np.empty(len(solved[0]), fallback.dtype)
+        fallback["pair"], fallback["complex_coeffs"], fallback["complex_residual"] = solved
+    pairs.flags.writeable = fallback.flags.writeable = False
+    return ClosureReport(family, pairs, fallback, tol, not len(fallback))
 
 
 def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:

@@ -2,7 +2,8 @@
 
 Subcommands: classify, generators, commutators, verify, report. Exit codes:
 0 success, 1 malformed configuration or command line, 2 inconsistent
-extension, 3 closure failure, 4 numerical-differentiation failure.
+extension, 3 closure failure (verify and report then name each failing
+family's worst pair on stderr), 4 numerical-differentiation failure.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .report import (
     _closure_to_dict,
     emit_document,
     emit_machine,
+    format_failures,
     format_human,
     format_matrix,
     json_numbers,
@@ -153,7 +155,10 @@ def cmd_verify(cfg: GroupConfig, args, out) -> int:
     else:
         print(format_human(report), file=out)
         print(f"wall time: {elapsed:.3f} s", file=out)
-    return EXIT_OK if report.passed else EXIT_CLOSURE
+    if report.passed:
+        return EXIT_OK
+    print(format_failures(report), file=sys.stderr)
+    return EXIT_CLOSURE
 
 
 COMMANDS = {

@@ -132,30 +132,41 @@ def _factor(rows: np.ndarray) -> tuple:
     return rows, (u[:, :k] / s[:k]).conj() @ vh[:k].conj(), (rcond / s[k - 1] if k else 0.0)
 
 
+def _solve(rows: np.ndarray, size: np.ndarray, factor: tuple, scale: float) -> tuple:
+    """Coefficients of (p, M) rows over a _factor, parts at or below its resolution * size
+    written as 0, and the remainder norms of the written coefficients times scale."""
+    span, pinv, resolution = factor
+    coeffs = rows @ pinv
+    parts = coeffs.view(float)  # complex: real and imaginary parts side by side
+    parts[np.abs(parts) <= resolution * size] = 0.0
+    rest = (rows - coeffs @ span).view(float)
+    return coeffs, scale * np.sqrt(np.einsum("ij,ij->i", rest, rest))
+
+
 @dataclass(frozen=True, eq=False)
 class RealSpan:
-    """The span of a stack (m, d, d), factored by one real and one complex SVD on the first
-    expand. A target C expands by the real (complex) c minimizing ||C - sum_k c_k B_k||_F,
-    the minimum-norm c on a rank-deficient span, read at the solve's resolution: a real or
-    imaginary part with |c| <= resolution * ||C||_F is written as 0, remainders follow it."""
+    """The span of a stack (m, d, d), factored by one real SVD on the first expand and by one
+    complex SVD on the first expand with a row that falls back. A target C expands by the real
+    (complex) c minimizing ||C - sum_k c_k B_k||_F, the minimum-norm c on a rank-deficient span,
+    read at the solve's resolution: a real or imaginary part with |c| <= resolution * ||C||_F
+    is written as 0, remainders follow it."""
 
     stack: np.ndarray
 
-    @cached_property
-    def _solves(self) -> tuple:
-        return _factor(real_vectorization(self.stack)), _factor(self.stack.reshape(len(self.stack), -1))
+    _real = cached_property(lambda self: _factor(real_vectorization(self.stack)))
+    _complex = cached_property(lambda self: _factor(self.stack.reshape(len(self.stack), -1)))
 
-    def expand(self, targets: np.ndarray, scale: float = 1.0) -> tuple:
-        """Real then complex coefficients (p, m) and remainder norms (p,) times scale of (p, d, d) targets."""
+    def expand(self, targets: np.ndarray, scale: float = 1.0, tol: float = 0.0) -> tuple:
+        """Real coefficients (p, m) and remainder norms (p,) times scale of (p, d, d) targets,
+        then the rows (q,) whose real remainder is not below tol, in order, with their complex
+        coefficients (q, m) and remainder norms (q,) times scale; tol = 0 solves every row."""
         if not len(self.stack):
             raise ValueError("basis must be nonempty")
         real = real_vectorization(targets)
         size = np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]  # ||C||_F
-        out = ()
-        for rows, (span, pinv, resolution) in zip((real, targets.reshape(len(targets), -1)), self._solves):
-            coeffs = rows @ pinv
-            parts = coeffs.view(float)  # complex: real and imaginary parts side by side
-            parts[np.abs(parts) <= resolution * size] = 0.0
-            rest = (rows - coeffs @ span).view(float)
-            out += (coeffs, scale * np.sqrt(np.einsum("ij,ij->i", rest, rest)))
-        return out
+        coeffs, residual = _solve(real, size, self._real, scale)
+        rows = np.flatnonzero(~(residual < tol))
+        if not len(rows):
+            return coeffs, residual, rows, np.zeros((0, len(self.stack)), complex), np.zeros(0)
+        flat = targets.reshape(len(targets), -1)[rows]
+        return (coeffs, residual, rows, *_solve(flat, size[rows], self._complex, scale))

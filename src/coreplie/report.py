@@ -29,7 +29,7 @@ from .algebra import (
 from .config import GroupConfig
 from .infinitesimal import generator_basis
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 def _plain(a: np.ndarray):
@@ -105,10 +105,9 @@ class RunReport:
 
 
 def _closure_to_dict(rep: ClosureReport) -> dict:
-    """One family as arrays, one row per pair, converted by column; the
-    complex fallback coefficients are kept only for the failing pairs."""
-    pairs = rep.pairs
-    failing = pairs["residual"] >= rep.tolerance
+    """One family as arrays, converted by column: the real expansion with one
+    row per pair, the complex fallback with one row per failing pair."""
+    pairs, fallback = rep.pairs, rep.fallback
     return {
         "family": rep.family,
         "tolerance": json_numbers(rep.tolerance),
@@ -118,8 +117,8 @@ def _closure_to_dict(rep: ClosureReport) -> dict:
         "pairs": list(map(list, zip(pairs["left"].tolist(), pairs["right"].tolist()))),
         "coeffs": json_numbers(pairs["coeffs"]),
         "residuals": json_numbers(pairs["residual"]),
-        "complex_residuals": json_numbers(pairs["complex_residual"]),
-        "complex_coeffs": json_numbers(pairs["complex_coeffs"][failing]),
+        "complex_residuals": json_numbers(fallback["complex_residual"]),
+        "complex_coeffs": json_numbers(fallback["complex_coeffs"]),
     }
 
 
@@ -227,15 +226,31 @@ def _human_closure(rep_dict: dict) -> list:
         f"tolerance {_fmt(rep_dict['tolerance'])}, "
         f"complex fallback max {_fmt(rep_dict['max_complex_residual'])})"
     ]
-    for (left, right), coeffs, residual, complex_residual in zip(
-        rep_dict["pairs"], *(dense(rep_dict[key]) for key in ("coeffs", "residuals", "complex_residuals"))
-    ):
-        lines.append(
-            f"    ({left},{right}): residual {_fmt(residual)}"
-            f"  coeffs [{', '.join(_fmt(c) for c in coeffs)}]"
-            f"  complex residual {_fmt(complex_residual)}"
-        )
+    coeffs, residuals = dense(rep_dict["coeffs"]), dense(rep_dict["residuals"])
+    complex_residuals = iter(dense(rep_dict["complex_residuals"]))
+    for (left, right), row, residual in zip(rep_dict["pairs"], coeffs, residuals):
+        line = f"    ({left},{right}): residual {_fmt(residual)}  coeffs [{', '.join(_fmt(c) for c in row)}]"
+        if not residual < rep_dict["tolerance"]:  # a failing pair: the next fallback row
+            line += f"  complex residual {_fmt(next(complex_residuals))}"
+        lines.append(line)
     return lines
+
+
+def format_failures(report: RunReport) -> str:
+    """One line per failing family: its worst pair by real residual (the first
+    on a tie), that residual and the pair's complex fallback residual."""
+    lines = []
+    for fam in report.closures.values():
+        if fam["passed"]:
+            continue
+        residuals = dense(fam["residuals"])
+        worst = int(residuals.argmax())
+        row = int(np.count_nonzero(~(residuals[:worst] < fam["tolerance"])))  # its fallback row
+        left, right = fam["pairs"][worst]
+        lines.append(f"closure failure: family {fam['family']}, worst pair ({left},{right}): "
+                     f"residual {_fmt(residuals[worst])}, "
+                     f"complex fallback residual {_fmt(dense(fam['complex_residuals'])[row])}")
+    return "\n".join(lines)
 
 
 def format_human(report: RunReport) -> str:

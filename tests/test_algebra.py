@@ -22,6 +22,7 @@ from coreplie import (
     verify_mixed_closure,
 )
 from coreplie.algebra import RANK_REL_TOL
+from coreplie.config import with_overrides
 from coreplie.matrices import RealSpan, block_diag2
 from coreplie.report import dense
 
@@ -49,7 +50,7 @@ def so2_setup():
 class TestProjectOntoSpan:
     def test_basis_element_recovered(self, rng):
         basis = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
-        (coeffs,), (residual,), _, _ = RealSpan(np.array(basis)).expand(np.array([basis[0]]))
+        (coeffs,), (residual,), *_ = RealSpan(np.array(basis)).expand(np.array([basis[0]]))
         assert np.abs(coeffs - np.array([1.0, 0.0, 0.0])).max() < 1e-10
         assert residual < 1e-10
 
@@ -57,7 +58,7 @@ class TestProjectOntoSpan:
         # iE is orthogonal to the real span of {E}: coefficients vanish and
         # the residual is the full Frobenius norm sqrt(d)
         d = 3
-        (coeffs,), (residual,), _, _ = RealSpan(np.array([np.eye(d)])).expand(np.array([1j * np.eye(d)]))
+        (coeffs,), (residual,), *_ = RealSpan(np.array([np.eye(d)])).expand(np.array([1j * np.eye(d)]))
         assert np.abs(coeffs).max() < 1e-12
         assert abs(residual - np.sqrt(d)) < 1e-12
 
@@ -66,7 +67,7 @@ class TestProjectOntoSpan:
         basis = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(5)]
         weights = rng.standard_normal(5)
         target = sum(w * b for w, b in zip(weights, basis))
-        (coeffs,), (residual,), _, _ = RealSpan(np.array(basis)).expand(np.array([target]))
+        (coeffs,), (residual,), *_ = RealSpan(np.array(basis)).expand(np.array([target]))
         assert np.abs(coeffs - weights).max() < 1e-10
         assert residual < 1e-10
 
@@ -75,9 +76,36 @@ class TestProjectOntoSpan:
             RealSpan(np.zeros((0, 2, 2))).expand(np.array([np.eye(2)]))
 
     def test_complex_fallback_absorbs_phase(self):
-        _, _, (coeffs,), (residual,) = RealSpan(np.array([np.eye(2)])).expand(np.array([1j * np.eye(2)]))
+        span = RealSpan(np.array([np.eye(2)]))
+        _, _, rows, (coeffs,), (residual,) = span.expand(np.array([1j * np.eye(2)]), tol=1e-9)
+        assert rows.tolist() == [0]
         assert abs(coeffs[0] - 1j) < 1e-12
         assert residual < 1e-12
+
+    def test_only_rows_not_below_tol_fall_back(self):
+        # E and 2E lie in the real span of {E}, iE and E + iE do not
+        span = RealSpan(np.array([np.eye(2)]))
+        targets = np.array([np.eye(2), 1j * np.eye(2), 2 * np.eye(2), (1 + 1j) * np.eye(2)])
+        coeffs, residual, rows, ccoeffs, cresidual = span.expand(targets, scale=3.0, tol=1e-9)
+        assert np.allclose(coeffs[:, 0], [1, 0, 2, 1])
+        assert np.allclose(residual, 3 * np.sqrt(2) * np.array([0, 1, 0, 1]))
+        assert rows.tolist() == [1, 3]
+        assert np.allclose(ccoeffs[:, 0], [1j, 1 + 1j]) and np.abs(cresidual).max() < 1e-12
+        # the real results do not depend on tol, and tol = 0 solves every row
+        every = span.expand(targets, scale=3.0)
+        assert np.array_equal(every[0], coeffs) and np.array_equal(every[1], residual)
+        assert every[2].tolist() == [0, 1, 2, 3] and np.allclose(every[3][rows], ccoeffs)
+
+    def test_complex_span_factored_only_when_a_row_falls_back(self, monkeypatch):
+        svds = []
+        real_svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: svds.append(a.dtype.kind) or real_svd(a, *r, **k))
+        span = RealSpan(np.array([np.eye(2)], dtype=complex))
+        _, _, rows, ccoeffs, cresidual = span.expand(np.array([np.eye(2)]), tol=1e-9)
+        assert (rows.shape, ccoeffs.shape, cresidual.shape, svds) == ((0,), (0, 1), (0,), ["f"])
+        span.expand(np.array([1j * np.eye(2)]), tol=1e-9)
+        span.expand(np.array([1j * np.eye(2)]), tol=1e-9)
+        assert svds == ["f", "c"]
 
 
 def structure_constants(generators):
@@ -176,9 +204,12 @@ class TestClosureFamilies:
     def test_real_coefficients_and_complex_fallback_kept_apart(self):
         _, _, basis = su2_setup()
         rep = verify_coset_coset_closure(basis)
-        for p in rep.pairs:
-            assert p.coeffs.dtype.kind == "f"
-            assert p.complex_coeffs.dtype.kind == "c"
+        assert rep.pairs["coeffs"].dtype.kind == "f" and rep.fallback["complex_coeffs"].dtype.kind == "c"
+        assert rep.pairs.dtype.names == ("left", "right", "coeffs", "residual")
+        # the failing pairs (0,1) and (0,3) alone, in pair order
+        assert [tuple(rep.pairs[k])[:2] for k in rep.fallback["pair"]] == [(0, 1), (0, 3)]
+        with pytest.raises(ValueError, match="read-only"):
+            rep.fallback["complex_residual"][...] = 0.0
 
     def test_so3_families_pass(self):
         spec, ext = catalog_entry("so3")
@@ -201,6 +232,22 @@ def su3_gell_mann():
 
 def close(got, ref):
     return np.all(np.abs(np.asarray(got) - ref) <= 1e-12 * (1 + np.abs(ref)))
+
+
+def assert_fallback_matches(rep, expected):
+    """The fallback rows are the pairs whose real residual is not below the
+    tolerance, in pair order, and each holds its pair's complex expansion in
+    expected ((i, j) -> the oracle's (coeffs, residual, complex coeffs,
+    complex residual)); max_complex_residual is the worst of them."""
+    failing = [k for k, p in enumerate(rep.pairs) if not p.residual < rep.tolerance]
+    assert rep.fallback["pair"].tolist() == failing
+    assert rep.passed == (not failing)
+    for row in rep.fallback:
+        p = rep.pairs[row.pair]
+        _, _, ccoeffs, cres = expected[(p.left, p.right)]
+        assert np.abs(row.complex_coeffs - ccoeffs).max() <= 1e-12
+        assert abs(row.complex_residual - cres) <= 1e-12 * (1 + cres)
+    assert rep.max_complex_residual() == max(rep.fallback["complex_residual"], default=0.0)
 
 
 # su2-twisted takes N = diag(exp(0.7i), 1): N conj(N) = E, but unlike the
@@ -247,9 +294,9 @@ class TestKernelAgainstPerPairOracle:
                 rep.pairs["residual"][...] = 0.0
             assert [(p.left, p.right) for p in rep.pairs] == list(expected)
             for p in rep.pairs:
-                coeffs, res, ccoeffs, cres = expected[(p.left, p.right)]
-                assert close(p.coeffs, coeffs) and close(p.complex_coeffs, ccoeffs)
-                assert close(p.residual, res) and close(p.complex_residual, cres)
+                coeffs, res, _, _ = expected[(p.left, p.right)]
+                assert close(p.coeffs, coeffs) and close(p.residual, res)
+            assert_fallback_matches(rep, expected)
             assert rep.passed == all(r[1] < rep.tolerance for r in expected.values())
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -300,17 +347,17 @@ class TestExactZeros:
         for rep in (sub_sub_closure_report(basis), verify_coset_coset_closure(basis), verify_mixed_closure(basis)):
             expected = [oracle[rep.family][(p.left, p.right)] for p in rep.pairs]
             written = closures[rep.family]
-            failing = rep.pairs["residual"] >= rep.tolerance
             complex_written = dense(written["complex_coeffs"]).reshape(-1, len(rep.pairs[0].coeffs), 2)
             assert np.array_equal(dense(written["coeffs"]), rep.pairs["coeffs"])
             assert np.array_equal(complex_written[..., 0] + 1j * complex_written[..., 1],
-                                  rep.pairs["complex_coeffs"][failing])
+                                  rep.fallback["complex_coeffs"])
+            # complex coefficients exist for the failing pairs only
             for got, want in ((rep.pairs["coeffs"], [e[0] for e in expected]),
-                              (rep.pairs["complex_coeffs"], [e[2] for e in expected])):
-                want = np.asarray(want)
+                              (rep.fallback["complex_coeffs"], [expected[k][2] for k in rep.fallback["pair"]])):
+                want = np.asarray(want).reshape(got.shape)
                 small = np.stack([np.abs(want.real) < 1e-12, np.abs(want.imag) < 1e-12])
                 assert zero_parts(got)[small].all(), rep.family
-                assert np.abs(got - want).max() < 1e-12, rep.family
+                assert np.abs(got - want).max(initial=0.0) < 1e-12, rep.family
 
 
 class TestAlgebraDimension:
@@ -418,11 +465,10 @@ class TestBlockKernelAgainstDoubled:
             expected = oracle[rep.family]
             assert [(p.left, p.right) for p in rep.pairs] == list(expected)
             for p in rep.pairs:
-                coeffs, res, ccoeffs, cres = expected[(p.left, p.right)]
+                coeffs, res, _, _ = expected[(p.left, p.right)]
                 assert np.abs(p.coeffs - coeffs).max() <= 1e-12
-                assert np.abs(p.complex_coeffs - ccoeffs).max() <= 1e-12
                 assert abs(p.residual - res) <= 1e-12 * (1 + res)
-                assert abs(p.complex_residual - cres) <= 1e-12 * (1 + cres)
+            assert_fallback_matches(rep, expected)
             assert rep.passed == all(r[1] < rep.tolerance for r in expected.values())
 
     @pytest.mark.parametrize("name", SVD_CASES)
@@ -457,3 +503,32 @@ class TestBlockKernelAgainstDoubled:
         assert abs(abs(np.dot(dim.certificate, u[:, 4])) - 1.0) < 1e-12
         assert np.abs(dim.certificate - np.array([2, -1, 0, 0, 0]) / 5**0.5).max() < 1e-12
 
+
+
+# every input fails somewhere: su2-tr and spin over real coefficients, so3 under a perturbation
+FALLBACK_CASES = {
+    "su2-tr": lambda: parse_config({"group": "su2-tr"}),
+    **{f"spin{two_j}-2": (lambda two_j=two_j: parse_config(spin_document(two_j))) for two_j in (1, 2, 3)},
+    "so3-perturbed": lambda: with_overrides(parse_config({"group": "so3"}), perturb=1e-2),
+}
+
+
+class TestFallbackAgainstOracle:
+    """The complex expansion is a fallback: its rows are exactly the pairs
+    whose real residual is at or above the tolerance, each matching the
+    per-pair lstsq of the oracle (on the doubled stacks for type b)."""
+
+    @pytest.mark.parametrize("name", FALLBACK_CASES)
+    def test_fallback_rows_are_the_failing_pairs(self, name):
+        cfg = FALLBACK_CASES[name]()
+        basis = generator_basis(cfg.spec, cfg.extension)
+        stacks = doubled(basis) if basis.ctype is CoirrepType.B else (
+            basis.subgroup_blocks, basis.coset_blocks, basis.to_x)
+        oracle = closure_families(*stacks)
+        reports = (sub_sub_closure_report(basis), verify_coset_coset_closure(basis), verify_mixed_closure(basis))
+        for rep in reports:
+            expected = oracle[rep.family]
+            failing = [k for k, (_, res, _, _) in enumerate(expected.values()) if res >= rep.tolerance]
+            assert rep.fallback["pair"].tolist() == failing, rep.family
+            assert_fallback_matches(rep, expected)
+        assert not all(rep.passed for rep in reports)

@@ -1,4 +1,4 @@
-"""The public names of the package, and the README sketch that uses them.
+"""The public names of the package, and the README passages that use them.
 
 Every name in coreplie.__all__ must resolve, once, so `from coreplie import *`
 cannot break on a stale export. The per-operator vector-field layer, the
@@ -18,6 +18,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -26,6 +27,9 @@ import pytest
 
 import coreplie
 from coreplie.config import config_for_catalog
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from inputs import spin_document  # noqa: E402
 
 REMOVED = (
     "LinearVectorField",
@@ -152,6 +156,44 @@ def test_readme_library_sketch_runs():
     exec(block, namespace)
     dim = namespace["dim"]
     assert (dim.computed, dim.classification) == (int(computed), classification) == (7, "b-full")
+
+
+def readme_spin_rows() -> dict:
+    """The README's spin table under "A genuine finding": 2j -> its other cells."""
+    section = (ROOT / "README.md").read_text().split("## A genuine finding", 1)[1]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and cells[0].isdigit():
+            rows[int(cells[0])] = cells[1:]
+    return rows
+
+
+def assert_cell_matches(printed: str, value: float):
+    """An order-one cell holds value to its printed digits; a round-off cell
+    says only that value is below 1e-12 (BLAS builds round differently)."""
+    if float(printed) < 1e-12:
+        assert value < 1e-12, (printed, value)
+        return
+    digits = len(printed.split("e")[0].replace(".", "").lstrip("0"))
+    assert float(f"{value:.{digits - 1}e}") == float(printed), (printed, value)
+
+
+def test_readme_spin_table_is_what_the_code_computes():
+    """Each row: the type, each failing family's max_residual and
+    max_complex_residual (real / complex) and the dimension, recomputed."""
+    rows = readme_spin_rows()
+    assert sorted(rows) == [1, 2, 3]
+    for two_j, (ctype, coset_coset, sub_coset, dimension) in rows.items():
+        report = coreplie.run_verification(coreplie.parse_config(spin_document(two_j)))
+        assert ctype == report.classification
+        for cell, family in ((coset_coset, "coset-coset"), (sub_coset, "sub-coset")):
+            real, complex_ = cell.split(" / ")
+            fam = report.closures[family]
+            assert_cell_matches(real, fam["max_residual"])
+            assert_cell_matches(complex_, fam["max_complex_residual"])
+        dim = report.dimension
+        assert dimension == f"{dim['computed']} ({dim['expected']}) {dim['classification']}"
 
 
 @pytest.mark.parametrize("module", ["infinitesimal", "algebra", "report"])

@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 
 import oracle
-from coreplie import CATALOG_NAMES, catalog_entry, generator_basis, group_core, sub_sub_closure_report
+from coreplie import (
+    CATALOG_NAMES,
+    catalog_entry,
+    emit_machine,
+    generator_basis,
+    group_core,
+    parse_config,
+    run_verification,
+    sub_sub_closure_report,
+    verify_coset_coset_closure,
+    verify_mixed_closure,
+)
 from coreplie.algebra import BLOCK_SCALE
 from coreplie.cli import _build_parser, main
 from coreplie.report import dense, emit_document
@@ -23,35 +34,36 @@ EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 BAD_N = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
 
 
-# `verify --group su2-tr` in human form, without its wall-time line
+# `verify --group su2-tr` in human form, without its wall-time line; a
+# complex residual is printed on the failing pairs only
 SU2_TR_HUMAN = """\
 group su2-tr (n=3, d=2, mode=exact)
 classification: b-type, a0^2 sign -1
 xi = 0, delta_alpha0 = 0
 closure families:
-  family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 3.33067e-16)
-    (0,1): residual 1.11022e-16  coeffs [0, 0, -1]  complex residual 2.22045e-16
-    (0,2): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 3.33067e-16
-    (1,2): residual 1.11022e-16  coeffs [-1, 0, 0]  complex residual 2.22045e-16
+  family sub-sub: PASS (max residual 2.22045e-16, tolerance 1e-09, complex fallback max 0)
+    (0,1): residual 1.11022e-16  coeffs [0, 0, -1]
+    (0,2): residual 2.22045e-16  coeffs [0, 1, 0]
+    (1,2): residual 1.11022e-16  coeffs [-1, 0, 0]
   family coset-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 4.44089e-16)
     (0,1): residual 2  coeffs [0, 0, 0]  complex residual 4.44089e-16
-    (0,2): residual 0  coeffs [0, 0, 0]  complex residual 0
+    (0,2): residual 0  coeffs [0, 0, 0]
     (0,3): residual 2  coeffs [0, 0, 0]  complex residual 4.44089e-16
-    (1,2): residual 0  coeffs [0, 0, 0]  complex residual 0
-    (1,3): residual 2.22045e-16  coeffs [0, 1, 0]  complex residual 3.33067e-16
-    (2,3): residual 0  coeffs [0, 0, 0]  complex residual 0
+    (1,2): residual 0  coeffs [0, 0, 0]
+    (1,3): residual 2.22045e-16  coeffs [0, 1, 0]
+    (2,3): residual 0  coeffs [0, 0, 0]
   family sub-coset: FAIL (max residual 2, tolerance 1e-09, complex fallback max 2.22045e-16)
     (0,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 0
     (0,1): residual 1  coeffs [0, 0, 0, 0]  complex residual 2.22045e-16
-    (0,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (0,3): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (1,0): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (1,1): residual 1.11022e-16  coeffs [0, 0, 0, 1]  complex residual 1.11022e-16
-    (1,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (1,3): residual 1.11022e-16  coeffs [0, -1, 0, 0]  complex residual 0
+    (0,2): residual 0  coeffs [0, 0, 0, 0]
+    (0,3): residual 0  coeffs [0, 0, 0, 0]
+    (1,0): residual 0  coeffs [0, 0, 0, 0]
+    (1,1): residual 1.11022e-16  coeffs [0, 0, 0, 1]
+    (1,2): residual 0  coeffs [0, 0, 0, 0]
+    (1,3): residual 1.11022e-16  coeffs [0, -1, 0, 0]
     (2,0): residual 2  coeffs [0, 0, 0, 0]  complex residual 2.22045e-16
-    (2,1): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
-    (2,2): residual 0  coeffs [0, 0, 0, 0]  complex residual 0
+    (2,1): residual 0  coeffs [0, 0, 0, 0]
+    (2,2): residual 0  coeffs [0, 0, 0, 0]
     (2,3): residual 1  coeffs [0, 0, 0, 0]  complex residual 2.22045e-16
 algebra dimension: 7 (expected 7, b-full)
 overall: FAIL"""
@@ -152,7 +164,7 @@ class TestGenerators:
     def test_type_b_listing_holds_the_blocks(self, capsys):
         code, out, _ = run(capsys, "generators", "--group", "su2-tr", "--format", "machine")
         doc = json.loads(out)
-        assert (code, doc["schema"], doc["classification"]) == (0, 7, "b")
+        assert (code, doc["schema"], doc["classification"]) == (0, 8, "b")
         assert dense(doc["subgroup"]).shape == (3, 2, 2, 2)
         assert dense(doc["coset"]).shape == (4, 2, 2, 2)
 
@@ -188,7 +200,7 @@ class TestGenerators:
     def test_fd_listing_bytes_unchanged(self, capsys, group):
         code, out, _ = run(capsys, "generators", "--group", group, "--mode", "fd", "--format", "machine")
         doc = json.loads(out)
-        assert doc["schema"] == 7
+        assert doc["schema"] == 8
         text = emit_document({**oracle.densified(doc), "schema": 5}) + "\n"
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, self.FD_LISTING_SHA256[group])
 
@@ -290,6 +302,38 @@ class TestVerify:
         assert doc["closures"]["coset-coset"]["max_residual"] == pytest.approx(2.0)
         assert doc["closures"]["coset-coset"]["max_complex_residual"] < 1e-12
         assert doc["dimension"]["computed"] == 7
+
+    # the order-one real residual of each failing family's worst pair, as printed
+    FAILURES = {
+        "su2-tr": {"coset-coset": "2", "sub-coset": "2"},
+        "spin2-2": {"coset-coset": "2.82843", "sub-coset": "2.82843"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAILURES))
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_exit_3_names_each_failing_familys_worst_pair_on_stderr(self, capsys, tmp_path, command, name):
+        if name == "su2-tr":
+            cfg, source = parse_config({"group": name}), ("--group", name)
+        else:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(spin_document(2)))
+            cfg, source = parse_config(spin_document(2)), ("--config", str(path))
+        # stdout is the machine report alone (report prints no other format)
+        code, out, err = run(capsys, command, *source, *(("--format", "machine") if command == "verify" else ()))
+        assert (code, out) == (3, emit_machine(run_verification(cfg)) + "\n")
+        basis = generator_basis(cfg.spec, cfg.extension)
+        expected = []
+        for rep in (verify_coset_coset_closure(basis), verify_mixed_closure(basis)):
+            worst = int(np.argmax(rep.pairs["residual"]))
+            (row,) = rep.fallback[rep.fallback["pair"] == worst]
+            p = rep.pairs[worst]
+            assert format(p.residual, ".6g") == self.FAILURES[name][rep.family]
+            expected.append(f"closure failure: family {rep.family}, worst pair ({p.left},{p.right}): "
+                            f"residual {p.residual:.6g}, complex fallback residual {row.complex_residual:.6g}")
+        assert err.splitlines() == expected
+
+    def test_passing_run_writes_no_stderr(self, capsys):
+        assert run(capsys, "verify", "--group", "so3")[::2] == (0, "")
 
     # 1e308 is finite but swamps every other entry: the perturbed generators are dependent
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
@@ -404,7 +448,7 @@ class TestReportCommand:
         code, out, _ = run(capsys, "report", "--group", "so2-conj")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == 7
+        assert doc["schema"] == 8
 
     def test_report_matches_verify_machine_output(self, capsys):
         _, verify_out, _ = run(capsys, "verify", "--group", "so3", "--format", "machine")

@@ -378,17 +378,20 @@ class TestRunReport:
             assert fam["pairs"] == [[p.left, p.right] for p in rep.pairs]
             assert dense(fam["coeffs"]).tolist() == [list(p.coeffs) for p in rep.pairs]
             assert dense(fam["residuals"]).tolist() == [p.residual for p in rep.pairs]
-            assert dense(fam["complex_residuals"]).tolist() == [p.complex_residual for p in rep.pairs]
-            failing = [p.complex_coeffs for p in rep.pairs if p.residual >= rep.tolerance]
+            # the complex fallback: one row per failing pair, in pair order
+            assert dense(fam["complex_residuals"]).tolist() == [row.complex_residual for row in rep.fallback]
             complex_coeffs = dense(fam["complex_coeffs"])
-            assert complex_coeffs.tolist() == [[[z.real, z.imag] for z in row] for row in failing]
+            assert complex_coeffs.tolist() == [[[z.real, z.imag] for z in row.complex_coeffs] for row in rep.fallback]
             assert len(complex_coeffs) == sum(r >= fam["tolerance"] for r in dense(fam["residuals"]))
+            assert fam["max_complex_residual"] == max(dense(fam["complex_residuals"]), default=0)
 
     def test_complex_coeffs_kept_for_failing_pairs_only(self):
         report = run_verification(config_for_catalog("su2-tr"))
-        rows = {family: len(dense(fam["complex_coeffs"])) for family, fam in report.closures.items()}
-        assert rows == {"sub-sub": 0, "coset-coset": 2, "sub-coset": 4}
+        for key in ("complex_coeffs", "complex_residuals"):
+            rows = {family: len(dense(fam[key])) for family, fam in report.closures.items()}
+            assert rows == {"sub-sub": 0, "coset-coset": 2, "sub-coset": 4}
         assert dense(report.closures["sub-coset"]["complex_coeffs"]).shape == (4, 4, 2)
+        assert report.closures["sub-sub"]["max_complex_residual"] == 0
 
     def test_integral_floats_emit_as_integers(self):
         doc = so2_document()
@@ -413,7 +416,7 @@ class TestRunReport:
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))
-        assert doc["schema"] == 7
+        assert doc["schema"] == 8
         assert doc["classification"] == "b"
         assert doc["a0_sign"] == -1
         assert doc["dimension"]["computed"] == 7
@@ -470,7 +473,7 @@ class TestSchema4Generators:
         cfg = parse_config(spin_document(3)) if name == "spin3-2" else config_for_catalog(name)
         n, d = cfg.spec.n, cfg.spec.d
         doc = json.loads(emit_machine(run_verification(cfg)))
-        assert doc["schema"] == 7
+        assert doc["schema"] == 8
         assert dense(doc["generators"]["subgroup"]).shape == (n, d, d, 2)
         assert dense(doc["generators"]["coset"]).shape == (n + 1, d, d, 2)
         basis = generator_basis(cfg.spec, cfg.extension)
@@ -513,9 +516,8 @@ class TestSchema6Arrays:
             assert_decodes_to(fam["pairs"], np.stack([pairs["left"], pairs["right"]], axis=-1))
             assert_decodes_to(fam["coeffs"], pairs["coeffs"])
             assert_decodes_to(fam["residuals"], pairs["residual"])
-            assert_decodes_to(fam["complex_residuals"], pairs["complex_residual"])
-            failing = pairs["residual"] >= rep.tolerance
-            assert_decodes_to(fam["complex_coeffs"], pairs["complex_coeffs"][failing])
+            assert_decodes_to(fam["complex_residuals"], rep.fallback["complex_residual"])
+            assert_decodes_to(fam["complex_coeffs"], rep.fallback["complex_coeffs"])
 
     def test_zeros_are_left_out_of_a_banded_stack(self):
         # spin 15/2 (d = 16): every generator block is banded or antidiagonal

@@ -482,11 +482,20 @@ class TestStackedExtraction:
         assert len(composed) == 0
         assert len(svd_checks) == 1
 
-    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    # the SVDs of one run by dtype: one real SVD per span, sub-sub and
+    # coset-coset sharing the subgroup span, a complex one per span only where
+    # some family over it has a failing pair (su2-tr fails over both), and the
+    # dimension's; N was checked where it entered, so the x' -> x map is
+    # inverted without an invertibility SVD
+    SVDS = {
+        "so2-conj": ["f", "f", "f"],
+        "so3": ["f", "f", "f"],
+        "su2-tr": ["c", "c", "f", "f", "f"],
+        "u1": ["f", "f", "f"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SVDS))
     def test_run_verification_factors_each_span_once(self, name, monkeypatch):
-        # one real and one complex SVD per span, sub-sub and coset-coset sharing
-        # the subgroup span, and the dimension's SVD; N was checked where it
-        # entered, so the x' -> x map is inverted without an invertibility SVD
         cfg = config_for_catalog(name)
         svds, spans = [], {}
         real_svd, closure_report = np.linalg.svd, algebra._closure_report
@@ -500,7 +509,7 @@ class TestStackedExtraction:
         run_verification(cfg)
         assert all(isinstance(span, RealSpan) for span in spans.values())
         assert spans["sub-sub"] is spans["coset-coset"] is not spans["sub-coset"]
-        assert sorted(svds) == ["c", "c", "f", "f", "f"]
+        assert sorted(svds) == self.SVDS[name]
 
     def test_basis_spans_are_cached_and_factored_lazily(self, monkeypatch):
         spec, ext = catalog_entry("so3")
@@ -513,7 +522,8 @@ class TestStackedExtraction:
         assert np.array_equal(span.stack, basis.subgroup_blocks) and not svds
         sub_sub_closure_report(basis)
         verify_coset_coset_closure(basis)
-        assert len(svds) == 2
+        # the shared span's real SVD; no pair fails, so it needs no complex one
+        assert len(svds) == 1
 
 
 def count_calls(monkeypatch, original) -> list:

@@ -125,7 +125,7 @@ def test_projection_recovers_real_combinations(weights):
     spec, _ = catalog_entry("su2-tr")
     basis = list(spec.generators)
     target = sum(w * b for w, b in zip(weights, basis))
-    (coeffs,), (residual,), _, _ = RealSpan(np.array(basis)).expand(np.array([target]))
+    (coeffs,), (residual,), *_ = RealSpan(np.array(basis)).expand(np.array([target]))
     assert np.abs(coeffs - np.array(weights)).max() < 1e-9
     assert residual < 1e-9
 
@@ -154,7 +154,9 @@ FAMILIES = (sub_sub_closure_report, verify_coset_coset_closure, verify_mixed_clo
 
 
 def zero_pattern(rep) -> list:
-    return [c == 0 for c in (rep.pairs["coeffs"], rep.pairs["complex_coeffs"].real, rep.pairs["complex_coeffs"].imag)]
+    """Where the real coefficients and the failing pairs' complex ones are 0, and which pairs fail."""
+    ccoeffs = rep.fallback["complex_coeffs"]
+    return [rep.fallback["pair"], *(c == 0 for c in (rep.pairs["coeffs"], ccoeffs.real, ccoeffs.imag))]
 
 
 @settings(max_examples=40, deadline=None)
