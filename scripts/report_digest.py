@@ -1,58 +1,88 @@
 #!/usr/bin/env python3
-"""Print the sha256 and byte length of every reference machine report, one
+"""Print the sha256 and byte length of every reference machine document, one
 line each.
 
-The reports cover the builtin catalog, su(2..5) with N = E, and spin
+The inputs are the builtin catalog, su(2..5) with N = E, and spin
 2j in {1, 2, 3, 15, 16, 47, 48} with time reversal (the last two from
-perfbench/inputs.py), in exact and fd mode, at (xi, delta_alpha0) = (0, 0)
-and (0.7, -1.3): 60 lines of the form
+perfbench/inputs.py). Each gives four reports, in exact and fd mode at
+(xi, delta_alpha0) = (0, 0) and (0.7, -1.3), then the machine stdout of
+`classify`, `generators --mode exact`, `generators --mode fd` and
+`commutators`: 120 lines of the form
 
     <input>/<mode>/<xi>,<delta_alpha0> <sha256> <bytes>
+    <input>/<command>[/<mode>] <sha256> <bytes>
 
 The phases are echoed, never applied: a report at (0.7, -1.3) differs from
 its (0, 0) report only in the fields xi and delta_alpha0, so each phased
 digest differs from its (0, 0) digest through those two fields alone.
-Reports are byte-deterministic for a fixed BLAS thread count; compare
+Documents are byte-deterministic for a fixed BLAS thread count; compare
 digests made with the same OPENBLAS_NUM_THREADS (1 is the reference).
 
-Only parse_config, config_for_catalog, with_overrides, run_verification and
-emit_machine are used, so two source trees can be compared byte for byte:
+Only parse_config, with_overrides, run_verification, emit_machine and the
+command line's main (each input written to a temporary config file) are
+used, so two source trees can be compared byte for byte:
 
     PYTHONPATH=src python scripts/report_digest.py > after.txt
     PYTHONPATH=/path/to/other/src python scripts/report_digest.py > before.txt
     diff before.txt after.txt
 """
+import contextlib
 import hashlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from coreplie import CATALOG_NAMES, emit_machine, parse_config, run_verification  # noqa: E402
-from coreplie.config import config_for_catalog, with_overrides  # noqa: E402
+from coreplie.cli import main as cli_main  # noqa: E402
+from coreplie.config import with_overrides  # noqa: E402
 from inputs import spin_document, su_document  # noqa: E402
 
 SU_RANKS = (2, 3, 4, 5)
 SPIN_TWO_J = (1, 2, 3, 15, 16, 47, 48)
 MODES = ("exact", "fd")
 PHASES = ((0.0, 0.0), (0.7, -1.3))
+COMMANDS = (("classify",), ("generators", "--mode", "exact"), ("generators", "--mode", "fd"), ("commutators",))
+
+
+def documents():
+    """Every input's config document, catalog first."""
+    yield from ({"group": name} for name in CATALOG_NAMES)
+    yield from map(su_document, SU_RANKS)
+    yield from map(spin_document, SPIN_TWO_J)
 
 
 def configs():
-    """Every input's parsed config, catalog first."""
-    yield from map(config_for_catalog, CATALOG_NAMES)
-    yield from (parse_config(su_document(n)) for n in SU_RANKS)
-    yield from (parse_config(spin_document(two_j)) for two_j in SPIN_TWO_J)
+    """Every input's parsed config, in the order of documents()."""
+    return map(parse_config, documents())
+
+
+def command_stdout(command: tuple, path: str) -> bytes:
+    """The machine stdout of one command-line call on a config file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli_main([*command, "--config", path, "--format", "machine"])
+    return out.getvalue().encode()
 
 
 def digests():
-    """(key, sha256 hex digest, byte length) of each report."""
-    for cfg in configs():
-        for mode in MODES:
-            for xi, delta_alpha0 in PHASES:
-                report = run_verification(with_overrides(cfg, xi=xi, delta_alpha0=delta_alpha0), mode=mode)
-                data = emit_machine(report).encode()
-                key = f"{cfg.spec.name}/{mode}/{xi:g},{delta_alpha0:g}"
+    """(key, sha256 hex digest, byte length) of each document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, document in enumerate(documents()):
+            cfg = parse_config(document)
+            for mode in MODES:
+                for xi, delta_alpha0 in PHASES:
+                    report = run_verification(with_overrides(cfg, xi=xi, delta_alpha0=delta_alpha0), mode=mode)
+                    data = emit_machine(report).encode()
+                    yield f"{cfg.spec.name}/{mode}/{xi:g},{delta_alpha0:g}", hashlib.sha256(data).hexdigest(), len(data)
+            path = Path(tmp) / f"{k}.json"
+            path.write_text(json.dumps(document))
+            for command in COMMANDS:
+                data = command_stdout(command, str(path))
+                key = "/".join([cfg.spec.name, command[0], *command[2:]])
                 yield key, hashlib.sha256(data).hexdigest(), len(data)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .group_core import CoirrepType
 from .infinitesimal import GeneratorBasis
-from .matrices import real_vectorization
+from .matrices import RealSpan
 
 CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -147,28 +147,23 @@ class AlgebraDimension:
 def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> AlgebraDimension:
     """Dimension of the real span of all generators in one common frame.
 
-    Coset generators are transported to the x frame; the real rank of the
-    stacked real+imaginary vectorizations is computed from singular values
-    with threshold rank_tol * sigma_max.
+    Coset generators are transported to the x frame; the real rank is the
+    count of the RealSpan's singular values above rank_tol * sigma_max.
     """
     stack = np.concatenate([basis.subgroup_blocks, basis.coset_x])
     expected = basis.n + 1 if basis.ctype is CoirrepType.A else 2 * basis.n + 1
     if not len(stack):
         return AlgebraDimension(0, expected, "other", np.zeros(0), 0.0, 0.0)
-    vecs = real_vectorization(stack)
-    if basis.ctype is CoirrepType.B:  # (X, X) is orthogonal to (X', -X'): split the columns
-        n, width = basis.n, vecs.shape[1]
-        split = np.zeros((len(vecs), 2 * width))
-        split[:n, :width], split[n:, width:] = vecs[:n], vecs[n:]
-        vecs = split
-    # (columns, k): tall unless k > columns (u1's 3 > 2); uh holds u.T on either side
-    _, svals, uh = np.linalg.svd(vecs.T, full_matrices=False)
-    svals *= BLOCK_SCALE[basis.ctype]
-    threshold = rank_tol * float(svals[0]) if svals.size else 0.0
+    if basis.ctype is CoirrepType.B:  # (X, X) is orthogonal to (X', -X'): one half each
+        halves = np.zeros((len(stack), 2, *stack.shape[1:]), complex)
+        halves[:basis.n, 0], halves[basis.n:, 1] = stack[:basis.n], stack[basis.n:]
+        stack = halves
+    _, svals, uh = RealSpan(stack).svd
+    svals = svals * BLOCK_SCALE[basis.ctype]
+    threshold = rank_tol * float(svals[0])
     rank = int(np.sum(svals > threshold))
     classification = {basis.n + 1: "a-degenerate", 2 * basis.n + 1: "b-full"}.get(rank, "other")
-    kept = svals[svals > threshold]
-    margin = float(kept[-1] / threshold) if (kept.size and threshold > 0) else float("inf")
+    margin = float(svals[rank - 1] / threshold) if (rank and threshold > 0) else float("inf")
     certificate = None
     if classification == "other" and rank < svals.size:
         # combination of generators realizing the first near dependency, its largest entry positive

@@ -22,16 +22,15 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _so2_spec() -> LieGroupSpec:
-    return LieGroupSpec(n=1, d=2, generators=[[[0.0, -1.0], [1.0, 0.0]]], name="so2-conj")
+    return LieGroupSpec([[[0.0, -1.0], [1.0, 0.0]]], name="so2-conj")
 
 
 def _su2_spec() -> LieGroupSpec:
-    gens = -0.5j * np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
-    return LieGroupSpec(n=3, d=2, generators=gens, name="su2-tr")
+    return LieGroupSpec(-0.5j * np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), name="su2-tr")
 
 
 def _u1_spec() -> LieGroupSpec:
-    return LieGroupSpec(n=1, d=1, generators=[[[1j]]], name="u1")
+    return LieGroupSpec([[[1j]]], name="u1")
 
 
 def _so3_spec() -> LieGroupSpec:
@@ -39,7 +38,7 @@ def _so3_spec() -> LieGroupSpec:
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[a, b, c] = 1.0
         eps[a, c, b] = -1.0
-    return LieGroupSpec(n=3, d=3, generators=-eps, name="so3")
+    return LieGroupSpec(-eps, name="so3")
 
 
 _BUILDERS = {

@@ -127,8 +127,8 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
 
 
 def cmd_commutators(cfg: GroupConfig, args, out) -> int:
-    # the structure constants are the sub-sub family of the generators as supplied
-    rep = sub_sub_closure_report(generator_basis(cfg.spec, None), tol=cfg.tolerances.closure)
+    # the structure constants are the report's sub-sub family, over the basis generators and verify build
+    rep = sub_sub_closure_report(generator_basis(cfg.spec, cfg.extension), tol=cfg.tolerances.closure)
     if args.format == "machine":
         doc = {
             "schema": SCHEMA_VERSION,

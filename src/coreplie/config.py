@@ -157,7 +157,7 @@ def _parse_group(value):
     name = value.get("name", "custom")
     _expect(isinstance(name, str), "group.name", "expected a string")
     try:
-        return LieGroupSpec(n=n, d=d, generators=gens, name=name), None
+        return LieGroupSpec(gens, name), None
     except ValueError as exc:
         raise ConfigError(f"group: {exc}") from exc
 

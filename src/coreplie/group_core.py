@@ -19,11 +19,11 @@ import numpy as np
 
 from .matrices import (
     RANK_TOL,
+    RealSpan,
     as_square_complex,
     entries_close,
     expm,
     is_invertible,
-    real_vectorization,
 )
 
 
@@ -96,27 +96,26 @@ def compose(a: GroupElement, b: GroupElement) -> GroupElement:
 class LieGroupSpec:
     """Subgroup G presented by n real parameters and n generator matrices.
 
-    The generators X_sigma, one read-only complex (n, d, d) stack, are the
-    matrix basis of the algebra of the d-dimensional irrep of G; the
+    The generators X_sigma, one read-only complex (n, d, d) stack that sets n and
+    d, are a real basis of the algebra of the d-dimensional irrep of G; the
     one-parameter family is g(alpha) = exp(sum_sigma alpha_sigma X_sigma).
     """
 
-    n: int
-    d: int
     generators: np.ndarray
     name: str = "custom"
 
     def __post_init__(self):
         gens = as_square_complex(self.generators, "generators", ndim=3)
-        if gens.shape != (self.n, self.d, self.d):
-            raise ValueError(
-                f"generators have shape {gens.shape}, expected ({self.n}, {self.d}, {self.d})"
-            )
-        svals = np.linalg.svd(real_vectorization(gens).T, compute_uv=False)
-        rank = int(np.sum(svals > RANK_TOL * svals.max(initial=0.0)))
-        if rank != self.n:
-            raise ValueError(f"generators are not real-linearly independent (rank {rank} < {self.n})")
+        if not gens.size:
+            raise ValueError(f"generators must be a nonempty stack of nonempty matrices, got shape {gens.shape}")
+        svals = RealSpan(gens).svd[1]
+        rank = int(np.sum(svals > RANK_TOL * svals[0]))
+        if rank != len(gens):
+            raise ValueError(f"generators are not real-linearly independent (rank {rank} < {len(gens)})")
         object.__setattr__(self, "generators", gens)
+
+    n = property(lambda self: len(self.generators))
+    d = property(lambda self: self.generators.shape[-1])
 
 
 def exp_curve(spec: LieGroupSpec, alpha) -> GroupElement:

@@ -117,16 +117,16 @@ def expm(a) -> np.ndarray:
 
 
 def real_vectorization(a: np.ndarray) -> np.ndarray:
-    """Stacked real and imaginary parts of vec(a), as one real vector; a
-    stack of matrices (..., d, d) gives one such vector per matrix."""
+    """One real row per member of a stack (m, ...): the stacked real and imaginary
+    parts of vec of each matrix in the member's last two axes, in order."""
     flat = np.asarray(a, dtype=complex).reshape(*np.shape(a)[:-2], -1)
-    return np.concatenate([flat.real, flat.imag], axis=-1)
+    return np.concatenate([flat.real, flat.imag], axis=-1).reshape(len(a), -1)
 
 
-def _factor(rows: np.ndarray) -> tuple:
+def _factor(rows: np.ndarray, svd: tuple | None = None) -> tuple:
     """An (m, M) row stack, its pseudo-inverse (M, m) cut off as lstsq cuts at eps * max(m, M) * s_max,
-    and its resolution eps * max(m, M) / s_min (least kept); the SVD is of the tall, faster side."""
-    u, s, vh = np.linalg.svd(rows.T, full_matrices=False)
+    and its resolution eps * max(m, M) / s_min (least kept); svd is that of rows.T, taken if not given."""
+    u, s, vh = np.linalg.svd(rows.T, full_matrices=False) if svd is None else svd
     rcond = np.finfo(float).eps * max(rows.shape)
     k = int(np.count_nonzero(s > rcond * s[0]))
     return rows, (u[:, :k] / s[:k]).conj() @ vh[:k].conj(), (rcond / s[k - 1] if k else 0.0)
@@ -145,21 +145,26 @@ def _solve(rows: np.ndarray, size: np.ndarray, factor: tuple, scale: float) -> t
 
 @dataclass(frozen=True, eq=False)
 class RealSpan:
-    """The span of a stack (m, d, d), factored by one real SVD on the first expand and by one
-    complex SVD on the first expand with a row that falls back. A target C expands by the real
-    (complex) c minimizing ||C - sum_k c_k B_k||_F, the minimum-norm c on a rank-deficient span,
-    read at the solve's resolution: a real or imaginary part with |c| <= resolution * ||C||_F
-    is written as 0, remainders follow it."""
+    """The real span of a stack (m, ...) of complex arrays, its real_vectorization rows.
+    svd, made on first use, is the thin SVD (u, s, vh) of the rows transposed, (M, m), the
+    tall and faster side unless m > M: s holds the real singular values, largest first, and
+    vh's rows are combinations of the members. A target C expands by the real (complex) c
+    minimizing ||C - sum_k c_k B_k||_F, the minimum-norm c on a rank-deficient span, read at
+    the solve's resolution: a real or imaginary part with |c| <= resolution * ||C||_F is written
+    as 0, remainders follow it. The complex SVD is taken on the first expand with a row that
+    falls back."""
 
     stack: np.ndarray
 
-    _real = cached_property(lambda self: _factor(real_vectorization(self.stack)))
+    _rows = cached_property(lambda self: real_vectorization(self.stack))
+    svd = cached_property(lambda self: np.linalg.svd(self._rows.T, full_matrices=False))
+    _real = cached_property(lambda self: _factor(self._rows, self.svd))
     _complex = cached_property(lambda self: _factor(self.stack.reshape(len(self.stack), -1)))
 
     def expand(self, targets: np.ndarray, scale: float = 1.0, tol: float = 0.0) -> tuple:
-        """Real coefficients (p, m) and remainder norms (p,) times scale of (p, d, d) targets,
-        then the rows (q,) whose real remainder is not below tol, in order, with their complex
-        coefficients (q, m) and remainder norms (q,) times scale; tol = 0 solves every row."""
+        """Real coefficients (p, m) and remainder norms (p,) times scale of p targets shaped as the
+        members, then the rows (q,) whose real remainder is not below tol, in order, with their
+        complex coefficients (q, m) and remainder norms (q,) times scale; tol = 0 solves every row."""
         if not len(self.stack):
             raise ValueError("basis must be nonempty")
         real = real_vectorization(targets)

@@ -237,14 +237,15 @@ def _human_closure(rep_dict: dict) -> list:
 
 
 def format_failures(report: RunReport) -> str:
-    """One line per failing family: its worst pair by real residual (the first
-    on a tie), that residual and the pair's complex fallback residual."""
+    """One line per failing family: its worst pair, the first whose real residual is
+    within the family's tolerance of the largest (so round-off cannot pick among
+    ties), that residual and the pair's complex fallback residual."""
     lines = []
     for fam in report.closures.values():
         if fam["passed"]:
             continue
         residuals = dense(fam["residuals"])
-        worst = int(residuals.argmax())
+        worst = int(np.argmax(residuals.max() - residuals <= fam["tolerance"]))
         row = int(np.count_nonzero(~(residuals[:worst] < fam["tolerance"])))  # its fallback row
         left, right = fam["pairs"][worst]
         lines.append(f"closure failure: family {fam['family']}, worst pair ({left},{right}): "

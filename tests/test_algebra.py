@@ -112,7 +112,7 @@ def structure_constants(generators):
     """c and its residual matrix for generators as supplied, the route of
     `commutators`: the sub-sub report of their basis without an extension."""
     gens = np.asarray(generators, dtype=complex)
-    return structure_tensor(sub_sub_closure_report(generator_basis(LieGroupSpec(*gens.shape[:2], gens), None)))
+    return structure_tensor(sub_sub_closure_report(generator_basis(LieGroupSpec(gens), None)))
 
 
 class TestStructureConstants:
@@ -147,7 +147,7 @@ class TestStructureConstants:
             np.array([[0, 1], [0, 0]], dtype=complex),
             np.array([[0, 0], [1, 0]], dtype=complex),
         )
-        spec = LieGroupSpec(2, 2, gens)
+        spec = LieGroupSpec(gens)
         rep = sub_sub_closure_report(generator_basis(spec, None))
         assert rep.max_residual() > 1e-4
         assert not rep.passed
@@ -226,7 +226,7 @@ def su3_gell_mann():
         lam[2 * k + 1][j, l], lam[2 * k + 1][l, j] = -1j, 1j
     lam[6] = np.diag([1.0, -1.0, 0.0])
     lam[7] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)
-    spec = LieGroupSpec(n=8, d=3, generators=tuple(-0.5j * lam), name="su3")
+    spec = LieGroupSpec(tuple(-0.5j * lam), name="su3")
     return spec, AntilinearExtension(np.eye(3), s=+1)
 
 

@@ -11,7 +11,6 @@ import pytest
 
 import oracle
 from coreplie import (
-    CATALOG_NAMES,
     catalog_entry,
     emit_machine,
     generator_basis,
@@ -22,8 +21,7 @@ from coreplie import (
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
-from coreplie.algebra import BLOCK_SCALE
-from coreplie.cli import _build_parser, main
+from coreplie.cli import _build_parser, _load, main
 from coreplie.report import dense, emit_document
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -115,7 +113,7 @@ class TestClassify:
         )
 
     @pytest.mark.parametrize("command, exit_code", [
-        ("classify", 0), ("generators", 0), ("verify", 3), ("report", 3),
+        ("classify", 0), ("generators", 0), ("commutators", 0), ("verify", 3), ("report", 3),
     ])
     def test_a0_squared_once(self, capsys, monkeypatch, command, exit_code):
         calls = []
@@ -135,7 +133,7 @@ class TestClassify:
         assert command != "classify" or out == "group su2-tr: b-type coirrep, a0^2 sign -1\n"
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("command", ["classify", "verify", "generators"])
+    @pytest.mark.parametrize("command", ["classify", "verify", "generators", "commutators"])
     def test_nearly_singular_n_is_an_inconsistent_extension(self, capsys, tmp_path, command):
         # N = diag(1, 1e-6) is invertible, but N conj(N) = diag(1, 1e-12) is not +-E
         doc = {
@@ -238,53 +236,60 @@ class TestCommutators:
         assert abs(dense(block["coeffs"])[0, 2] + 1.0) < 1e-9
         assert block["passed"] is True
 
-    @pytest.mark.parametrize("group", CATALOG_NAMES)
-    def test_matches_report_structure_constants(self, capsys, group):
-        _, out, _ = run(capsys, "commutators", "--group", group, "--format", "machine")
-        _, report_out, _ = run(capsys, "report", "--group", group)
-        block = json.loads(out)["closures"]["sub-sub"]
-        # the block decodes to the sub-sub report of the generators as supplied
-        rep = sub_sub_closure_report(generator_basis(catalog_entry(group)[0], None))
-        assert block["pairs"] == [[p.left, p.right] for p in rep.pairs]
-        assert np.array_equal(dense(block["coeffs"]).reshape(rep.pairs["coeffs"].shape), rep.pairs["coeffs"])
-        assert np.array_equal(dense(block["residuals"]), rep.pairs["residual"])
-        # the report's sub-sub family is the same family, its remainders those of the full generators
-        report_block = json.loads(report_out)["closures"]["sub-sub"]
-        ctype = group_core.CoirrepType(json.loads(report_out)["classification"])
-        if ctype is group_core.CoirrepType.A:
-            assert emit_document(block) == emit_document(report_block)
-        else:
-            assert report_block["coeffs"] == block["coeffs"]
-            for key in ("residuals", "complex_residuals"):
-                assert np.array_equal(dense(report_block[key]), BLOCK_SCALE[ctype] * dense(block[key]))
-
-    # sha256 and exit code of `commutators` human stdout, recorded before the
-    # command read the sub-sub report; su3 and spin3-2 are perfbench inputs
+    # sha256 and exit code of `commutators` human stdout; su3 and spin3-2 are
+    # perfbench inputs. The type-b entries (su2-tr, spin3-2) were re-recorded when
+    # the command moved to the coirrep's generators: their residuals scale by sqrt(2)
     HUMAN_SHA256 = {
         ("so2-conj", None): (0, "dce5d1a0f4bd8b48529ca680bef2c85cf1363a8d18d7093e0948ca184b2965e3"),
         ("so3", None): (0, "556eeffab44bc40219dcfe897d6ed40fd4b3fff23c17cb9274f27615c3480a43"),
         ("so3", "1e-2"): (3, "f1260109528a02585979d4ba074683b57601ca2847744f93d7d78217839b8fb8"),
-        ("su2-tr", None): (0, "668a257aebabdb686542a93fb580e966c2507b15c09bebdf1a36f42f4cb6802a"),
-        ("su2-tr", "1e-2"): (3, "10536bdd5a098ed30d4d7a3a64c182da80373bab45bd72b737e601a861f10e05"),
+        ("su2-tr", None): (0, "5e4bcdce446c0ae1d035672f23b61cc30b71f062f2d563c47555707e554204e8"),
+        ("su2-tr", "1e-2"): (3, "ce73e50f2643fe399f8619d0f4615484157d1e0f92407e77c717888caae3651d"),
         ("u1", None): (0, "2fc6e8c3b88ad7a69084c967a6eb979def00bc637cb9ddc6241776d125065bb3"),
         ("su3", None): (0, "85a8a55b72b35bcc2abb2c24adec0b59e9a25308e3a38b6f455d02aa5d1dff6b"),
         ("su3", "1e-2"): (3, "7fd6b37400874723f43dcecc5dd92f11b97b23deb68ac0d57831aa41621e2133"),
-        ("spin3-2", None): (0, "4140b3f27c16ef3d98dffaff8ce675cab317631b7121a6d9ec841ea08aeda7a7"),
-        ("spin3-2", "1e-2"): (3, "8ea46279e1c6dd25a1ccdc8a1a6dec6508f39246884019756ff0316d567ec6af"),
+        ("spin3-2", None): (0, "0077d7c09e019330bf05c32a510382d4523aa71508f13ddf29758a649f02a01f"),
+        ("spin3-2", "1e-2"): (3, "b9d863e142245f2e162749cf1d48e965935ce33fa10a7cc2158a07c080599ff3"),
     }
+
+    @staticmethod
+    def source(tmp_path, name, perturb=None) -> tuple:
+        """Command-line source and --perturb flags of a catalog name, su3 or spin3-2."""
+        documents = {"su3": su_document(3), "spin3-2": spin_document(3)}
+        flags = ("--perturb", perturb) if perturb else ()
+        if name not in documents:
+            return ("--group", name, *flags)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(documents[name]))
+        return ("--config", str(path), *flags)
+
+    @pytest.mark.parametrize("name, perturb", sorted(HUMAN_SHA256, key=str))
+    def test_matches_report_structure_constants(self, capsys, tmp_path, name, perturb):
+        source = self.source(tmp_path, name, perturb)
+        _, out, _ = run(capsys, "commutators", *source, "--format", "machine")
+        _, report_out, _ = run(capsys, "report", *source)
+        block = json.loads(out)["closures"]["sub-sub"]
+        # the block decodes to the sub-sub report of the coirrep's generators
+        cfg = _load(_build_parser().parse_args(["commutators", *source]))
+        rep = sub_sub_closure_report(generator_basis(cfg.spec, cfg.extension))
+        assert block["pairs"] == [[p.left, p.right] for p in rep.pairs]
+        assert np.array_equal(dense(block["coeffs"]).reshape(rep.pairs["coeffs"].shape), rep.pairs["coeffs"])
+        assert np.array_equal(dense(block["residuals"]), rep.pairs["residual"])
+        # and is the report's sub-sub family, byte for byte
+        assert emit_document(block) == emit_document(json.loads(report_out)["closures"]["sub-sub"])
 
     @pytest.mark.parametrize("name, perturb", sorted(HUMAN_SHA256, key=str))
     def test_human_bytes_unchanged(self, capsys, tmp_path, name, perturb):
-        documents = {"su3": su_document(3), "spin3-2": spin_document(3)}
-        if name in documents:
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(documents[name]))
-            source = ("--config", str(path))
-        else:
-            source = ("--group", name)
-        code, out, _ = run(capsys, "commutators", *source, *(("--perturb", perturb) if perturb else ()))
+        code, out, _ = run(capsys, "commutators", *self.source(tmp_path, name, perturb))
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.HUMAN_SHA256[name, perturb]
         assert ("FAIL" in out) == (code == 3)
+
+    def test_exits_3_with_verify_on_a_type_b_perturbation(self, capsys):
+        # 8.2e-10 on an upper block is 1.16e-9 > 1e-9 on the doubled generators,
+        # whose sub-sub family both commands read
+        for command in ("commutators", "verify"):
+            code, out, _ = run(capsys, command, "--group", "su2-tr", "--perturb", "8.2e-10", "--format", "machine")
+            assert (code, json.loads(out)["closures"]["sub-sub"]["passed"]) == (3, False)
 
 
 class TestVerify:
@@ -324,13 +329,24 @@ class TestVerify:
         basis = generator_basis(cfg.spec, cfg.extension)
         expected = []
         for rep in (verify_coset_coset_closure(basis), verify_mixed_closure(basis)):
-            worst = int(np.argmax(rep.pairs["residual"]))
+            residuals = rep.pairs["residual"]
+            worst = next(i for i, r in enumerate(residuals) if residuals.max() - r <= rep.tolerance)
             (row,) = rep.fallback[rep.fallback["pair"] == worst]
             p = rep.pairs[worst]
             assert format(p.residual, ".6g") == self.FAILURES[name][rep.family]
             expected.append(f"closure failure: family {rep.family}, worst pair ({p.left},{p.right}): "
                             f"residual {p.residual:.6g}, complex fallback residual {row.complex_residual:.6g}")
         assert err.splitlines() == expected
+
+    def test_exact_and_fd_mode_name_the_same_worst_pairs(self, capsys):
+        # su2-tr's order-one residuals tie up to round-off, which differs between the modes,
+        # as do the complex residuals: compare the named pairs only
+        named = []
+        for mode in ("exact", "fd"):
+            code, _, err = run(capsys, "verify", "--group", "su2-tr", "--mode", mode)
+            named.append((code, [line.split(":")[1] for line in err.splitlines()]))
+        assert named[0] == named[1] == (3, [" family coset-coset, worst pair (0,1)",
+                                            " family sub-coset, worst pair (0,0)"])
 
     def test_passing_run_writes_no_stderr(self, capsys):
         assert run(capsys, "verify", "--group", "so3")[::2] == (0, "")

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -123,7 +125,7 @@ class TestExpCurve:
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_nilpotent_exponential_exact(self):
-        spec = LieGroupSpec(n=1, d=2, generators=(np.array([[0, 1], [0, 0]], dtype=complex),))
+        spec = LieGroupSpec((np.array([[0, 1], [0, 0]], dtype=complex),))
         g = exp_curve(spec, [1.0])
         assert np.allclose(g.matrix, np.array([[1, 1], [0, 1]]))
 
@@ -147,19 +149,23 @@ class TestLieGroupSpec:
     def test_dependent_generators_rejected(self):
         x = np.array([[0, -1], [1, 0]], dtype=complex)
         with pytest.raises(ValueError, match="independent"):
-            LieGroupSpec(n=2, d=2, generators=(x, 2 * x))
-
-    def test_generator_count_checked(self):
-        with pytest.raises(ValueError, match="generators"):
-            LieGroupSpec(n=2, d=2, generators=(np.eye(2),))
-
-    def test_generator_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            LieGroupSpec(n=1, d=3, generators=(np.eye(2),))
+            LieGroupSpec((x, 2 * x))
 
     def test_ragged_generators_named(self):
         with pytest.raises(ValueError, match="^generators must be square, got a ragged"):
-            LieGroupSpec(n=2, d=2, generators=(np.eye(2), np.eye(3)))
+            LieGroupSpec((np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 0)])
+    def test_empty_stack_named(self, shape):
+        with pytest.raises(ValueError, match=r"^generators must be a nonempty stack .* got shape " + re.escape(str(shape))):
+            LieGroupSpec(np.zeros(shape))
+
+    def test_n_and_d_are_read_from_the_one_stack(self):
+        spec = LieGroupSpec(catalog_entry("su2-tr")[0].generators, "su2")
+        assert [f.name for f in dataclasses.fields(spec)] == ["generators", "name"]
+        assert (spec.n, spec.d, spec.name) == (3, 2, "su2")
+        with pytest.raises(AttributeError):
+            spec.n = 2
 
     @pytest.mark.parametrize("k", range(-12, 13))
     @pytest.mark.parametrize("name", ["so3", "su2-tr", "su3"])
@@ -168,9 +174,9 @@ class TestLieGroupSpec:
         # 10**k X is independent exactly when X is, and a repeat never is
         spec = parse_config(su_document(3)).spec if name == "su3" else catalog_entry(name)[0]
         gens = 10.0**k * spec.generators
-        assert np.array_equal(LieGroupSpec(spec.n, spec.d, gens).generators, gens)
+        assert np.array_equal(LieGroupSpec(gens).generators, gens)
         with pytest.raises(ValueError, match=rf"\(rank {spec.n} < {spec.n + 1}\)"):
-            LieGroupSpec(spec.n + 1, spec.d, np.concatenate([gens, gens[-1:]]))
+            LieGroupSpec(np.concatenate([gens, gens[-1:]]))
 
 
 class TestAntilinearExtension:

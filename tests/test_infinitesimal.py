@@ -380,7 +380,7 @@ def spin_three_halves():
     m = np.array([1.5, 0.5, -0.5, -1.5])
     jp = np.diag(np.sqrt(15 / 4 - m[1:] * (m[1:] + 1)), k=1).astype(complex)
     jx, jy, jz = (jp + jp.T) / 2, (jp - jp.T) / 2j, np.diag(m).astype(complex)
-    spec = LieGroupSpec(n=3, d=4, generators=(-1j * jx, -1j * jy, -1j * jz), name="spin-3/2")
+    spec = LieGroupSpec((-1j * jx, -1j * jy, -1j * jz), name="spin-3/2")
     return spec, AntilinearExtension(expm(-1j * np.pi * jy), s=+1)
 
 

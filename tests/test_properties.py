@@ -166,7 +166,7 @@ def test_zero_pattern_and_verdicts_do_not_depend_on_the_scale(name, k):
     # X'_0 = iN does not, so the coset span's conditioning moves with k
     cfg = SCALE_CONFIGS[name]
     spec = cfg.spec
-    scaled = LieGroupSpec(spec.n, spec.d, 10**k * spec.generators, spec.name)
+    scaled = LieGroupSpec(10**k * spec.generators, spec.name)
     basis, moved_basis = generator_basis(spec, cfg.extension), generator_basis(scaled, cfg.extension)
     for family in FAMILIES:
         base, moved = family(basis), family(moved_basis)

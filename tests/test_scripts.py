@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from coreplie import CATALOG_NAMES, emit_machine, run_verification
+from coreplie.cli import main
 from coreplie.config import with_overrides
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -42,12 +43,21 @@ def test_report_digest_prints_one_sha256_per_report(capsys):
     digest = load_script("report_digest")
     assert digest.main() == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert len({key for key, _, _ in lines}) == len(lines) == 60
+    assert len({key for key, _, _ in lines}) == len(lines) == 120
     assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for _, sha, _ in lines)
-    assert [key for key, _, _ in lines[:4]] == [
+    assert [key for key, _, _ in lines[:8]] == [
         "so2-conj/exact/0,0", "so2-conj/exact/0.7,-1.3", "so2-conj/fd/0,0", "so2-conj/fd/0.7,-1.3",
+        "so2-conj/classify", "so2-conj/generators/exact", "so2-conj/generators/fd", "so2-conj/commutators",
     ]
-    # the last column is the report's length in bytes
+    # the last column is the document's length in bytes
     first = emit_machine(run_verification(next(digest.configs()))).encode()
     assert lines[0][1:] == [hashlib.sha256(first).hexdigest(), str(len(first))]
     assert all(size.isdigit() for _, _, size in lines)
+
+
+def test_report_digest_reads_the_command_lines_machine_stdout(capsys):
+    digest = load_script("report_digest")
+    lines = {key: (sha, int(size)) for key, sha, size in digest.digests()}
+    assert main(["commutators", "--group", "su2-tr", "--format", "machine"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert lines["su2-tr/commutators"] == (hashlib.sha256(out).hexdigest(), len(out))
