@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 and byte length of every reference machine document, one
-line each.
+"""Print the sha256 of the values and the byte length of every reference
+machine document, one line each.
 
 The inputs are the builtin catalog, su(2..5) with N = E, and spin
 2j in {1, 2, 3, 15, 16, 47, 48} with time reversal (the last two from
@@ -15,8 +15,13 @@ perfbench/inputs.py). Each gives four reports, in exact and fd mode at
 The phases are echoed, never applied: a report at (0.7, -1.3) differs from
 its (0, 0) report only in the fields xi and delta_alpha0, so each phased
 digest differs from its (0, 0) digest through those two fields alone.
-Documents are byte-deterministic for a fixed BLAS thread count; compare
-digests made with the same OPENBLAS_NUM_THREADS (1 is the reference).
+The sha256 is that of the document's stdlib canonical form,
+json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")), followed
+by the newline a command prints after it, so it digests the values, not the
+encoder's spelling of them; where stdlib json wrote the documents, that is
+their sha256. The byte length is that of the text as the encoder wrote it.
+Documents are deterministic for a fixed BLAS thread count; compare digests
+made with the same OPENBLAS_NUM_THREADS (1 is the reference).
 
 Only parse_config, with_overrides, run_verification, emit_machine and the
 command line's main (each input written to a temporary config file) are
@@ -60,12 +65,18 @@ def configs():
     return map(parse_config, documents())
 
 
-def command_stdout(command: tuple, path: str) -> bytes:
+def digest(text: str) -> tuple:
+    """(sha256 hex digest of the stdlib canonical form, byte length) of one document."""
+    canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" * text.endswith("\n")
+    return hashlib.sha256(canonical.encode()).hexdigest(), len(text.encode())
+
+
+def command_stdout(command: tuple, path: str) -> str:
     """The machine stdout of one command-line call on a config file."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         cli_main([*command, "--config", path, "--format", "machine"])
-    return out.getvalue().encode()
+    return out.getvalue()
 
 
 def digests():
@@ -76,14 +87,12 @@ def digests():
             for mode in MODES:
                 for xi, delta_alpha0 in PHASES:
                     report = run_verification(with_overrides(cfg, xi=xi, delta_alpha0=delta_alpha0), mode=mode)
-                    data = emit_machine(report).encode()
-                    yield f"{cfg.spec.name}/{mode}/{xi:g},{delta_alpha0:g}", hashlib.sha256(data).hexdigest(), len(data)
+                    yield f"{cfg.spec.name}/{mode}/{xi:g},{delta_alpha0:g}", *digest(emit_machine(report))
             path = Path(tmp) / f"{k}.json"
             path.write_text(json.dumps(document))
             for command in COMMANDS:
-                data = command_stdout(command, str(path))
                 key = "/".join([cfg.spec.name, command[0], *command[2:]])
-                yield key, hashlib.sha256(data).hexdigest(), len(data)
+                yield key, *digest(command_stdout(command, str(path)))
 
 
 def main() -> int:

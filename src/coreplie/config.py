@@ -156,6 +156,10 @@ def _parse_group(value):
     gens = _parse_matrices(value["generators"], "group.generators", (n, d, d))
     name = value.get("name", "custom")
     _expect(isinstance(name, str), "group.name", "expected a string")
+    try:  # a lone surrogate (a \ud800 escape) has no UTF-8 form, so no document could name it
+        name.encode()
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"group.name: expected valid UTF-8 text, got {exc.reason} at index {exc.start}") from None
     try:
         return LieGroupSpec(gens, name), None
     except ValueError as exc:
@@ -220,7 +224,11 @@ def parse_config(document: dict) -> GroupConfig:
 
 
 def load_config(path: str) -> GroupConfig:
-    """Read and parse a JSON config file."""
+    """Read and parse a JSON config file.
+
+    Stdlib json reads it, not the orjson that writes machine documents: it
+    accepts the literals NaN, Infinity and 1e400 (as inf), so the field checks
+    name the field that holds one instead of failing the whole file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)

@@ -99,6 +99,8 @@ class LieGroupSpec:
     The generators X_sigma, one read-only complex (n, d, d) stack that sets n and
     d, are a real basis of the algebra of the d-dimensional irrep of G; the
     one-parameter family is g(alpha) = exp(sum_sigma alpha_sigma X_sigma).
+    .span, set from the generators, is their RealSpan, factored by the
+    independence test; exact-mode generator_basis expands over it.
     """
 
     generators: np.ndarray
@@ -108,11 +110,13 @@ class LieGroupSpec:
         gens = as_square_complex(self.generators, "generators", ndim=3)
         if not gens.size:
             raise ValueError(f"generators must be a nonempty stack of nonempty matrices, got shape {gens.shape}")
-        svals = RealSpan(gens).svd[1]
+        span = RealSpan(gens)
+        svals = span.svd[1]
         rank = int(np.sum(svals > RANK_TOL * svals[0]))
         if rank != len(gens):
             raise ValueError(f"generators are not real-linearly independent (rank {rank} < {len(gens)})")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "span", span)
 
     n = property(lambda self: len(self.generators))
     d = property(lambda self: self.generators.shape[-1])

@@ -12,7 +12,7 @@ their bracket is algebra.field_bracket.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,13 +52,16 @@ class GeneratorBasis:
     of one coirrep, and the d x d block to_x of the x' -> x map, all read-only
     complex copies of the input. .subgroup and .coset are the generators, for
     type b a new blockdiag(X, X) and blockdiag(X', -X'). fd_max_abs_diff is
-    set (to generator_basis's fd-vs-exact gap) in mode 'fd' only."""
+    set (to generator_basis's fd-vs-exact gap) in mode 'fd' only.
+    subgroup_span is the RealSpan of the subgroup blocks, a new one unless
+    given (exact-mode generator_basis hands in the spec's)."""
 
     subgroup_blocks: np.ndarray
     coset_blocks: np.ndarray
     ctype: CoirrepType
     to_x: np.ndarray
     fd_max_abs_diff: float | None = None
+    subgroup_span: RealSpan | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("subgroup", "coset"):
@@ -72,6 +75,10 @@ class GeneratorBasis:
             raise ValueError(f"x' -> x map {to_x.shape} and generator blocks "
                              f"{self.subgroup_blocks.shape[1:]} differ in size")
         object.__setattr__(self, "to_x", to_x)
+        if self.subgroup_span is None:
+            object.__setattr__(self, "subgroup_span", RealSpan(self.subgroup_blocks))
+        elif not np.array_equal(self.subgroup_span.stack, self.subgroup_blocks):
+            raise ValueError("subgroup_span is not the span of the subgroup generators")
 
     @property
     def n(self) -> int:
@@ -92,8 +99,7 @@ class GeneratorBasis:
         out.setflags(write=False)
         return out
 
-    # the spans the closure families expand over, each factored once per basis
-    subgroup_span = cached_property(lambda self: RealSpan(self.subgroup_blocks))
+    # the coset span the sub-coset family expands over, factored once per basis
     coset_span = cached_property(lambda self: RealSpan(self.coset_blocks))
 
     @property
@@ -153,7 +159,8 @@ def generator_basis(
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
     X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
     The x' -> x map is N; a phase on it would cancel from every conjugation.
-    Without an extension: type a, an empty coset stack, x' = x.
+    Without an extension: type a, an empty coset stack, x' = x. The exact
+    subgroup span is spec.span, already factored by the spec's rank test.
 
     Mode 'fd' differentiates the curves exp(t X_sigma), e^{it} N and
     exp(t X_sigma) N instead, each sample one expm of the generator stack,
@@ -173,7 +180,7 @@ def generator_basis(
             return e
         return np.concatenate([e, (phase * n_matrix)[None], e @ n_matrix])
 
-    out, fd_diff = blocks(spec.generators, 1j), None
+    out, fd_diff, span = blocks(spec.generators, 1j), None, spec.span
     if mode == "fd":
         if not (np.isfinite(agree) and agree > 0.0):
             raise ValueError(f"fd-agree tolerance must be finite and positive, got {agree}")
@@ -182,5 +189,5 @@ def generator_basis(
         diff = np.abs(fd - out).max(axis=(-2, -1))
         _gate(diff, agree, names, "finite-difference and exact generators disagree by",
               f"tolerances.fd-agree {agree:g}")
-        out, fd_diff = fd, float(diff.max())
-    return GeneratorBasis(out[:spec.n], out[spec.n:], ctype, to_x, fd_diff)
+        out, fd_diff, span = fd, float(diff.max()), None
+    return GeneratorBasis(out[:spec.n], out[spec.n:], ctype, to_x, fd_diff, span)

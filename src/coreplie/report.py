@@ -10,13 +10,20 @@ d x d upper blocks (type b: blockdiag(X, X) and blockdiag(X', -X')). Two runs
 on the same configuration at one BLAS thread count (OPENBLAS_NUM_THREADS) produce
 byte-identical documents, so wall time is never part of the machine report;
 the CLI prints it separately in human mode.
+
+orjson writes and reads every machine document. It spells floats as 1e-9
+and 0.000015 where stdlib json writes 1e-09 and 1.5e-05, and strings as raw
+UTF-8 without \\u escapes; the values are the ones stdlib json writes.
+Config input stays on stdlib json (config.load_config): its parser accepts
+the literals NaN, Infinity and 1e400, so the field checks can name the field
+that holds one, where orjson would reject the whole file.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
+import orjson
 
 from .algebra import (
     AlgebraDimension,
@@ -182,11 +189,20 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
 
 
 def emit_document(doc: dict) -> str:
-    """Byte-deterministic single-line JSON for any machine document.
+    """Byte-deterministic single-line JSON for any machine document: dicts with
+    str keys, lists, str, int, float, bool and None.
 
-    Raises ValueError on a non-finite float rather than writing NaN.
+    Raises ValueError rather than writing a non-finite float (orjson writes it
+    as null, so a text with a null is read back and must equal doc), an int
+    beyond 64 bits or a string that is not valid UTF-8.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    try:
+        text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
+    except orjson.JSONEncodeError as exc:
+        raise ValueError(f"cannot write machine document: {exc}") from None
+    if b"null" in text and orjson.loads(text) != doc:
+        raise ValueError("cannot write machine document: a non-finite float")
+    return text.decode()
 
 
 def emit_machine(report: RunReport) -> str:
@@ -196,7 +212,7 @@ def emit_machine(report: RunReport) -> str:
 
 def parse_machine(text: str) -> RunReport:
     """Inverse of emit_machine: parse_machine(emit_machine(r)) == r."""
-    return RunReport.from_dict(json.loads(text))
+    return RunReport.from_dict(orjson.loads(text))
 
 
 # --- human formatting ------------------------------------------------------

@@ -7,10 +7,12 @@ families are rebuilt one bracket and one solve at a time in plain numpy.
 All functions involved are linear, so the central differences are exact up
 to roundoff for any step size. The config reader's oracle checks and converts
 each [re, im] entry of a matrix stack on its own, with complex(re, im). The
-machine format's dense form (schema 5's only form) is built number by number.
+machine format's dense form (schema 5's only form) is built number by number,
+and canonical() spells a document the way stdlib json does.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -168,6 +170,12 @@ def dense_numbers(a):
         return int(v) if v.is_integer() and abs(v) < 2**53 else v
 
     return convert(a.astype(float).tolist())
+
+
+def canonical(doc) -> str:
+    """A machine document as stdlib json writes it: sorted keys, no spaces,
+    floats as repr spells them (1e-09, 1.5e-05), non-ASCII as \\u escapes."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def densified(doc):

@@ -185,8 +185,9 @@ class TestGenerators:
 
     # sha256 of `generators --mode fd --format machine` stdout, recorded before
     # the fd-agree gate moved into generator_basis: passing the gate changes no
-    # byte. The pins are schema-5 documents; a later one is compared with
-    # every array rewritten dense under its old schema number.
+    # byte. The pins are schema-5 documents as stdlib json spelled them; a later
+    # one is compared with every array rewritten dense under its old schema
+    # number, in that spelling.
     FD_LISTING_SHA256 = {
         "so2-conj": "e664de4c9916fa32d19fe4acb1791fd5729052ffc83a77fe77ef09cd15cccd9a",
         "su2-tr": "dd2e1163a8e87366169a972ad4260a80f9b3b8b57ed834650c4a878bfb7af91d",
@@ -199,7 +200,7 @@ class TestGenerators:
         code, out, _ = run(capsys, "generators", "--group", group, "--mode", "fd", "--format", "machine")
         doc = json.loads(out)
         assert doc["schema"] == 8
-        text = emit_document({**oracle.densified(doc), "schema": 5}) + "\n"
+        text = oracle.canonical({**oracle.densified(doc), "schema": 5}) + "\n"
         assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, self.FD_LISTING_SHA256[group])
 
     def test_without_extension_coset_absent(self, capsys, tmp_path):
@@ -455,8 +456,23 @@ class TestMachineDocuments:
     def test_output_is_canonical_json(self, capsys, command, group):
         fmt = () if command == "report" else ("--format", "machine")
         _, out, _ = run(capsys, command, "--group", group, *fmt)
-        text = out.rstrip("\n")
-        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        objects = []
+        doc = json.loads(out, object_pairs_hook=lambda pairs: objects.append([k for k, _ in pairs]) or dict(pairs))
+        assert out == emit_document(doc) + "\n"
+        assert objects and all(keys == sorted(keys) for keys in objects)
+
+    @pytest.mark.parametrize("command", ["classify", "generators", "commutators", "verify", "report"])
+    def test_lone_surrogate_name_is_a_config_error(self, capsys, tmp_path, command):
+        # the name enters every machine document, which cannot hold a lone surrogate;
+        # json.dumps writes it as the escape \ud800
+        doc = {"group": {"name": "\ud800", "n": 1, "d": 2, "generators": [SO2_GEN]},
+               "extension": {"N": EYE2, "s": 1}}
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc))
+        assert "\\ud800" in path.read_text()
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == "config error: group.name: expected valid UTF-8 text, got surrogates not allowed at index 0\n"
 
 
 class TestReportCommand:

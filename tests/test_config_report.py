@@ -413,6 +413,38 @@ class TestRunReport:
         with pytest.raises(ValueError):
             emit_machine(report)
 
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param([0.5, NAN, 2], id="nan-in-array"),
+        pytest.param([[1.0], [-INF]], id="-inf-in-nested-array"),
+        pytest.param({"a": {"b": INF}, "c": None}, id="inf-nested-beside-null"),
+        pytest.param({"a": [None, NAN]}, id="nan-beside-null-in-array"),
+        pytest.param(NAN, id="nan-top-level"),
+        pytest.param(INF, id="inf-top-level"),
+        pytest.param(-INF, id="-inf-top-level"),
+        pytest.param({"n": 2**70}, id="int-2**70"),
+        pytest.param([-(2**70)], id="int--2**70"),
+        pytest.param({"name": "\ud800"}, id="lone-surrogate-value"),
+        pytest.param({"\ud800": 1}, id="lone-surrogate-key"),
+    ])
+    def test_emit_document_raises_value_error(self, doc):
+        # never a TypeError (orjson's own encode error is one), never a document
+        with pytest.raises(ValueError) as info:
+            emit_document(doc)
+        assert not isinstance(info.value, TypeError)
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param(None, id="null"),
+        pytest.param({"a": None, "b": [None, 1e-9, -0.0, 1.5e-05]}, id="nulls-and-floats"),
+        pytest.param({"name": "null", "x": [2**63 - 1, -(2**63), 1e300, 5e-324]}, id="extremes"),
+        pytest.param({"name": "\u00e9\u4e2d", "z": [True, False, "tab\t"]}, id="non-ascii"),
+    ])
+    def test_emit_document_writes_the_values_stdlib_json_writes(self, doc):
+        text = emit_document(doc)
+        assert "\n" not in text
+        assert json.loads(text) == doc and oracle.canonical(json.loads(text)) == oracle.canonical(doc)
+
     def test_emitted_document_is_valid_json(self):
         report = run_verification(config_for_catalog("su2-tr"))
         doc = json.loads(emit_machine(report))

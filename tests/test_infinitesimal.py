@@ -21,6 +21,7 @@ from coreplie import (
     generator_basis,
     sub_sub_closure_report,
     verify_coset_coset_closure,
+    verify_mixed_closure,
 )
 from coreplie import algebra, group_core, infinitesimal, matrices
 from coreplie.coirrep import Side
@@ -483,15 +484,16 @@ class TestStackedExtraction:
         assert len(svd_checks) == 1
 
     # the SVDs of one run by dtype: one real SVD per span, sub-sub and
-    # coset-coset sharing the subgroup span, a complex one per span only where
-    # some family over it has a failing pair (su2-tr fails over both), and the
-    # dimension's; N was checked where it entered, so the x' -> x map is
-    # inverted without an invertibility SVD
+    # coset-coset sharing the subgroup span, whose real SVD the spec's
+    # independence test already took when the config was parsed, a complex one
+    # per span only where some family over it has a failing pair (su2-tr fails
+    # over both), and the dimension's; N was checked where it entered, so the
+    # x' -> x map is inverted without an invertibility SVD
     SVDS = {
-        "so2-conj": ["f", "f", "f"],
-        "so3": ["f", "f", "f"],
-        "su2-tr": ["c", "c", "f", "f", "f"],
-        "u1": ["f", "f", "f"],
+        "so2-conj": ["f", "f"],
+        "so3": ["f", "f"],
+        "su2-tr": ["c", "c", "f", "f"],
+        "u1": ["f", "f"],
     }
 
     @pytest.mark.parametrize("name", sorted(SVDS))
@@ -518,12 +520,32 @@ class TestStackedExtraction:
         real_svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or real_svd(*a, **k))
         span = basis.subgroup_span
-        assert span is basis.subgroup_span and basis.coset_span is basis.coset_span
+        assert span is basis.subgroup_span is spec.span and basis.coset_span is basis.coset_span
         assert np.array_equal(span.stack, basis.subgroup_blocks) and not svds
         sub_sub_closure_report(basis)
         verify_coset_coset_closure(basis)
-        # the shared span's real SVD; no pair fails, so it needs no complex one
+        # the shared span was factored with the spec; no pair fails, so it needs no complex SVD
+        assert not svds
+        verify_mixed_closure(basis)
+        # the coset span's real SVD, taken on its first expand
         assert len(svds) == 1
+
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    def test_only_exact_mode_expands_over_the_spec_span(self, name):
+        spec, ext = catalog_entry(name)
+        assert generator_basis(spec, ext).subgroup_span is spec.span
+        assert generator_basis(spec, None).subgroup_span is spec.span
+        fd = generator_basis(spec, ext, mode="fd")
+        assert fd.subgroup_span is not spec.span
+        assert np.array_equal(fd.subgroup_span.stack, fd.subgroup_blocks)
+
+    def test_basis_rejects_the_span_of_other_generators(self):
+        spec, ext = catalog_entry("so3")
+        basis = generator_basis(spec, ext)
+        fields = (basis.subgroup_blocks, basis.coset_blocks, basis.ctype, basis.to_x)
+        assert GeneratorBasis(*fields, None, spec.span).subgroup_span is spec.span
+        with pytest.raises(ValueError, match="subgroup_span"):
+            GeneratorBasis(*fields, None, RealSpan(2 * spec.generators))
 
 
 def count_calls(monkeypatch, original) -> list:

@@ -1,6 +1,7 @@
 """The scripts run in-process against the library they demonstrate."""
 import hashlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -49,9 +50,11 @@ def test_report_digest_prints_one_sha256_per_report(capsys):
         "so2-conj/exact/0,0", "so2-conj/exact/0.7,-1.3", "so2-conj/fd/0,0", "so2-conj/fd/0.7,-1.3",
         "so2-conj/classify", "so2-conj/generators/exact", "so2-conj/generators/fd", "so2-conj/commutators",
     ]
-    # the last column is the document's length in bytes
-    first = emit_machine(run_verification(next(digest.configs()))).encode()
-    assert lines[0][1:] == [hashlib.sha256(first).hexdigest(), str(len(first))]
+    # the sha256 of the values in stdlib json's canonical spelling, then the
+    # length in bytes of the text as the encoder wrote it
+    first = emit_machine(run_verification(next(digest.configs())))
+    canonical = json.dumps(json.loads(first), sort_keys=True, separators=(",", ":"))
+    assert lines[0][1:] == [hashlib.sha256(canonical.encode()).hexdigest(), str(len(first.encode()))]
     assert all(size.isdigit() for _, _, size in lines)
 
 
@@ -59,5 +62,6 @@ def test_report_digest_reads_the_command_lines_machine_stdout(capsys):
     digest = load_script("report_digest")
     lines = {key: (sha, int(size)) for key, sha, size in digest.digests()}
     assert main(["commutators", "--group", "su2-tr", "--format", "machine"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert lines["su2-tr/commutators"] == (hashlib.sha256(out).hexdigest(), len(out))
+    out = capsys.readouterr().out
+    canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    assert lines["su2-tr/commutators"] == (hashlib.sha256(canonical.encode()).hexdigest(), len(out.encode()))
