@@ -7,10 +7,13 @@ The inputs are the builtin catalog, su(2..5) with N = E, and spin
 perfbench/inputs.py). Each gives four reports, in exact and fd mode at
 (xi, delta_alpha0) = (0, 0) and (0.7, -1.3), then the machine stdout of
 `classify`, `generators --mode exact`, `generators --mode fd` and
-`commutators`: 120 lines of the form
+`commutators`, then the human stdout of `verify --mode exact`,
+`verify --mode fd` (each without its `wall time:` line), `generators` and
+`commutators`: 180 lines of the form
 
     <input>/<mode>/<xi>,<delta_alpha0> <sha256> <bytes>
     <input>/<command>[/<mode>] <sha256> <bytes>
+    <input>/<command>[/<mode>]/human <sha256> <bytes>
 
 The phases are echoed, never applied: a report at (0.7, -1.3) differs from
 its (0, 0) report only in the fields xi and delta_alpha0, so each phased
@@ -20,6 +23,8 @@ json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")), followed
 by the newline a command prints after it, so it digests the values, not the
 encoder's spelling of them; where stdlib json wrote the documents, that is
 their sha256. The byte length is that of the text as the encoder wrote it.
+A human listing is digested as printed, so every output the command line
+prints on stdout is covered.
 Documents are deterministic for a fixed BLAS thread count; compare digests
 made with the same OPENBLAS_NUM_THREADS (1 is the reference).
 
@@ -51,6 +56,7 @@ SPIN_TWO_J = (1, 2, 3, 15, 16, 47, 48)
 MODES = ("exact", "fd")
 PHASES = ((0.0, 0.0), (0.7, -1.3))
 COMMANDS = (("classify",), ("generators", "--mode", "exact"), ("generators", "--mode", "fd"), ("commutators",))
+HUMAN_COMMANDS = (("verify", "--mode", "exact"), ("verify", "--mode", "fd"), ("generators",), ("commutators",))
 
 
 def documents():
@@ -71,11 +77,17 @@ def digest(text: str) -> tuple:
     return hashlib.sha256(canonical.encode()).hexdigest(), len(text.encode())
 
 
-def command_stdout(command: tuple, path: str) -> str:
-    """The machine stdout of one command-line call on a config file."""
+def human_digest(text: str) -> tuple:
+    """(sha256 hex digest, byte length) of a human listing without its wall time line."""
+    kept = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("wall time: "))
+    return hashlib.sha256(kept.encode()).hexdigest(), len(kept.encode())
+
+
+def command_stdout(command: tuple, path: str, format: str = "machine") -> str:
+    """The stdout of one command-line call on a config file."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        cli_main([*command, "--config", path, "--format", "machine"])
+        cli_main([*command, "--config", path, "--format", format])
     return out.getvalue()
 
 
@@ -93,6 +105,9 @@ def digests():
             for command in COMMANDS:
                 key = "/".join([cfg.spec.name, command[0], *command[2:]])
                 yield key, *digest(command_stdout(command, str(path)))
+            for command in HUMAN_COMMANDS:
+                key = "/".join([cfg.spec.name, command[0], *command[2:], "human"])
+                yield key, *human_digest(command_stdout(command, str(path), "human"))
 
 
 def main() -> int:

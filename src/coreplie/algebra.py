@@ -81,14 +81,23 @@ class ClosureReport:
 def _closure_report(family, lefts, rights, index_pairs, span, tol, scale) -> ClosureReport:
     """Report of one family: the brackets of lefts[i] with rights[j], one per
     index pair (i, j), expanded over the RealSpan and stored column by column;
-    the failing pairs, those not below tol, are the rows of the fallback."""
+    the failing pairs, those not below tol, are the rows of the fallback.
+    Raises ValueError naming the first pair whose bracket or its norm is beyond
+    float range, which leaves a residual that is not finite."""
     left, right = np.array(list(index_pairs), dtype=np.intp).reshape(-1, 2).T
     m = len(span.stack)
     pairs, fallback = np.empty(len(left), _pair_dtype(m)), np.empty(0, _fallback_dtype(m))
     pairs["left"], pairs["right"] = left, right
     if len(pairs):
-        brackets = field_bracket(lefts[left], rights[right])
-        pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned of
+            brackets = field_bracket(lefts[left], rights[right])
+            pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
+        finite = np.isfinite(pairs["residual"])
+        finite[solved[0]] &= np.isfinite(solved[2])
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"family {family}, pair ({left[k]},{right[k]}): "
+                             "the bracket or its norm is beyond float range")
         fallback = np.empty(len(solved[0]), fallback.dtype)
         fallback["pair"], fallback["complex_coeffs"], fallback["complex_residual"] = solved
     pairs.flags.writeable = fallback.flags.writeable = False

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: classify, generators, commutators, verify, report. Exit codes:
-0 success, 1 malformed configuration or command line, 2 inconsistent
+0 success, 1 malformed configuration or command line (or a bracket beyond
+float range), 2 inconsistent
 extension, 3 closure failure (verify and report then name each failing
 family's worst pair on stderr), 4 numerical-differentiation failure.
 """
@@ -16,9 +17,8 @@ from .config import GroupConfig, config_for_catalog, load_config, with_overrides
 from .group_core import InconsistentExtensionError, classify_coirrep
 from .infinitesimal import DifferentiationError, generator_basis
 from .report import (
-    SCHEMA_VERSION,
     _closure_to_dict,
-    emit_document,
+    emit_command,
     emit_machine,
     format_failures,
     format_human,
@@ -84,14 +84,7 @@ def cmd_classify(cfg: GroupConfig, args, out) -> int:
     ext = cfg.require_extension()
     ctype = classify_coirrep(cfg.spec, ext)
     if args.format == "machine":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "classify",
-            "group": cfg.spec.name,
-            "classification": ctype.value,
-            "a0_sign": ext.a0_sign,
-        }
-        print(emit_document(doc), file=out)
+        print(emit_command("classify", cfg.spec.name, classification=ctype.value, a0_sign=ext.a0_sign), file=out)
     else:
         print(f"group {cfg.spec.name}: {ctype.value}-type coirrep, a0^2 sign {ext.a0_sign:+d}", file=out)
     return EXIT_OK
@@ -102,16 +95,10 @@ def cmd_generators(cfg: GroupConfig, args, out) -> int:
     basis = generator_basis(cfg.spec, cfg.extension, mode=args.mode, step=tol.fd_step, agree=tol.fd_agree)
     absent = cfg.extension is None
     if args.format == "machine":  # upper blocks, as in the report's generators
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "generators",
-            "group": cfg.spec.name,
-            "mode": args.mode,
-            "classification": None if absent else basis.ctype.value,
-            "subgroup": json_numbers(basis.subgroup_blocks),
-            "coset": None if absent else json_numbers(basis.coset_blocks),
-        }
-        print(emit_document(doc), file=out)
+        print(emit_command("generators", cfg.spec.name, mode=args.mode,
+                           classification=None if absent else basis.ctype.value,
+                           subgroup=json_numbers(basis.subgroup_blocks),
+                           coset=None if absent else json_numbers(basis.coset_blocks)), file=out)
     else:
         print(f"group {cfg.spec.name} generators (mode {args.mode})", file=out)
         for i, m in enumerate(basis.subgroup, start=1):
@@ -130,13 +117,7 @@ def cmd_commutators(cfg: GroupConfig, args, out) -> int:
     # the structure constants are the report's sub-sub family, over the basis generators and verify build
     rep = sub_sub_closure_report(generator_basis(cfg.spec, cfg.extension), tol=cfg.tolerances.closure)
     if args.format == "machine":
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "commutators",
-            "group": cfg.spec.name,
-            "closures": {"sub-sub": _closure_to_dict(rep)},
-        }
-        print(emit_document(doc), file=out)
+        print(emit_command("commutators", cfg.spec.name, closures={"sub-sub": _closure_to_dict(rep)}), file=out)
     else:
         print(f"group {cfg.spec.name} structure constants", file=out)
         for p in rep.pairs:

@@ -13,7 +13,9 @@ nested arrays are row-major:
 "group" is either a catalog name or an explicit
 {"name", "n", "d", "generators"} object. The extension block is optional;
 without it only subgroup-side operations are available. Parse errors carry
-the JSON path of the offending field. Each matrix stack is flattened to its
+the JSON path of the offending field. Scalars reach the types as they stand:
+each type checks its own fields (group_core.check_real) and config maps the
+FieldError of one to its path. Each matrix stack is flattened to its
 numbers by one scan per nesting level and read by one np.array call; it is
 walked cell by cell only to name a failing cell.
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from .algebra import CLOSURE_TOL, RANK_REL_TOL
 from .catalog import CATALOG_NAMES, catalog_entry
-from .group_core import AntilinearExtension, ExtensionFieldError, LieGroupSpec
+from .group_core import AntilinearExtension, FieldError, LieGroupSpec, check_real
 from .infinitesimal import FD_AGREE, FD_STEP
 
 
@@ -44,13 +46,10 @@ class Tolerances:
     fd_agree: float = FD_AGREE
 
     def __post_init__(self):
-        # every construction, from a config file or a --tol override, lands here
-        for key, value in self.as_dict().items():
-            _expect(
-                np.isfinite(_as_float(value, f"tolerances.{key}")) and value > 0.0,
-                f"tolerances.{key}",
-                f"expected a finite positive number, got {value}",
-            )
+        # every value, from a config file, a --tol flag or a caller, is checked here, once
+        for f in fields(self):
+            value = _build("tolerances", check_real, f.name, getattr(self, f.name), positive=True)
+            object.__setattr__(self, f.name, value)
 
     def as_dict(self) -> dict:
         return {key: getattr(self, name) for key, name in _TOL_KEYS.items()}
@@ -78,6 +77,18 @@ class GroupConfig:
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(f"{path}: {message}")
+
+
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs). The FieldError of a field the type rejects is a ConfigError
+    under path.<field> (dashes for underscores), any other ValueError one under path."""
+    try:
+        return make(*args, **kwargs)
+    except FieldError as exc:
+        name, message = exc.args
+        raise ConfigError(f"{path}.{name.replace('_', '-')}: {message}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_complex(value, path: str):
@@ -129,13 +140,6 @@ def _parse_matrices(value, path: str, shape: tuple) -> np.ndarray:
     return a.view(complex).reshape(shape)
 
 
-def _parse_real(value, path: str, default=None) -> float:
-    if value is None and default is not None:
-        return default
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a real number")
-    return _as_float(value, path)
-
-
 def _parse_group(value):
     """(spec, catalog extension) for a catalog name, (spec, None) for an object."""
     if isinstance(value, str):
@@ -154,54 +158,28 @@ def _parse_group(value):
     _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "group.n", "expected a positive integer")
     _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 1, "group.d", "expected a positive integer")
     gens = _parse_matrices(value["generators"], "group.generators", (n, d, d))
-    name = value.get("name", "custom")
-    _expect(isinstance(name, str), "group.name", "expected a string")
-    try:  # a lone surrogate (a \ud800 escape) has no UTF-8 form, so no document could name it
-        name.encode()
-    except UnicodeEncodeError as exc:
-        raise ConfigError(f"group.name: expected valid UTF-8 text, got {exc.reason} at index {exc.start}") from None
-    try:
-        return LieGroupSpec(gens, name), None
-    except ValueError as exc:
-        raise ConfigError(f"group: {exc}") from exc
+    return _build("group", LieGroupSpec, gens, value.get("name", "custom")), None
 
 
 _EXTENSION_KEYS = ("N", "s", "xi", "delta-alpha0")
-
-
-def _extension(base: AntilinearExtension | None = None, **fields) -> AntilinearExtension:
-    """AntilinearExtension(**fields), or base with its phases replaced. A field the
-    type rejects, from a file or a flag, is a ConfigError under its config path."""
-    try:
-        return AntilinearExtension(**fields) if base is None else base.with_phases(**fields)
-    except ExtensionFieldError as exc:
-        name, message = exc.args
-        raise ConfigError(f"extension.{name.replace('_', '-')}: {message}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"extension: {exc}") from exc
 
 
 def _parse_extension(value, d: int) -> AntilinearExtension:
     for key in value:
         _expect(key in _EXTENSION_KEYS, f"extension.{key}", "unknown field")
     _expect("N" in value, "extension.N", "missing required field")
-    return _extension(
-        N=_parse_matrices(value["N"], "extension.N", (d, d)),
-        s=value.get("s", 1),
-        xi=_parse_real(value.get("xi"), "extension.xi", default=0.0),
-        delta_alpha0=_parse_real(value.get("delta-alpha0"), "extension.delta-alpha0", default=0.0),
-    )
+    xi, delta_alpha0 = (0.0 if value.get(key) is None else value[key] for key in ("xi", "delta-alpha0"))
+    N = _parse_matrices(value["N"], "extension.N", (d, d))
+    return _build("extension", AntilinearExtension, N, value.get("s", 1), xi, delta_alpha0)
 
 
 def _parse_tolerances(value) -> Tolerances:
     if value is None:
         return Tolerances()
     _expect(isinstance(value, dict), "tolerances", "expected an object")
-    overrides = {}
-    for key, raw in value.items():
+    for key in value:
         _expect(key in _TOL_KEYS, f"tolerances.{key}", "unknown tolerance name")
-        overrides[_TOL_KEYS[key]] = _parse_real(raw, f"tolerances.{key}")
-    return Tolerances(**overrides)
+    return Tolerances(**{_TOL_KEYS[key]: raw for key, raw in value.items()})
 
 
 def parse_config(document: dict) -> GroupConfig:
@@ -255,17 +233,13 @@ def with_overrides(
     spec, ext = cfg.spec, cfg.extension
     for path, value in (("extension.xi", xi), ("extension.delta-alpha0", delta_alpha0)):
         _expect(value is None or ext is not None, path, "cannot be set: the config has no extension block")
-    _expect(perturb is None or np.isfinite(perturb), "--perturb", f"expected a finite number, got {perturb}")
     if xi is not None or delta_alpha0 is not None:
-        ext = _extension(ext, xi=xi, delta_alpha0=delta_alpha0)
+        ext = _build("extension", ext.with_phases, xi=xi, delta_alpha0=delta_alpha0)
     if perturb:
         gens = spec.generators.copy()
         gens[0, 0, 0] += perturb
-        try:  # a value that swamps every other entry leaves the generators dependent
-            spec = replace(spec, generators=gens)
-        except ValueError as exc:
-            raise ConfigError(f"--perturb: {exc}") from exc
-    tolerances = cfg.tolerances
-    if tol is not None:
-        tolerances = replace(tolerances, closure=_as_float(tol, "tolerances.closure"))
+        # LieGroupSpec rejects a non-finite value, and one that swamps every other entry
+        # (the generators are then dependent)
+        spec = _build("--perturb", replace, spec, generators=gens)
+    tolerances = cfg.tolerances if tol is None else replace(cfg.tolerances, closure=tol)
     return GroupConfig(spec=spec, extension=ext, tolerances=tolerances, source=cfg.source)

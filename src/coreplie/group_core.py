@@ -41,11 +41,23 @@ class InconsistentExtensionError(ValueError):
     """The antilinear extension does not square to plus or minus identity."""
 
 
-class ExtensionFieldError(ValueError):
-    """An invalid field of AntilinearExtension; args are (field name, what was expected)."""
+class FieldError(ValueError):
+    """An invalid field of an input type; args are (field name, what was expected)."""
 
     def __str__(self):
         return "{}: {}".format(*self.args)
+
+
+def check_real(name: str, value, positive: bool = False) -> float:
+    """value as a float if it is a finite real number that is not a bool and fits a
+    float, and above 0 when positive; otherwise FieldError(name, what was expected)."""
+    try:
+        ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        raise FieldError(name, "expected a real number within float range") from None
+    if not (ok and (value > 0 or not positive)):
+        raise FieldError(name, f"expected a finite {'positive ' * positive}number, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,13 +112,20 @@ class LieGroupSpec:
     d, are a real basis of the algebra of the d-dimensional irrep of G; the
     one-parameter family is g(alpha) = exp(sum_sigma alpha_sigma X_sigma).
     .span, set from the generators, is their RealSpan, factored by the
-    independence test; exact-mode generator_basis expands over it.
+    independence test; exact-mode generator_basis expands over it. name must
+    be a str that UTF-8 can encode, since every machine document carries it.
     """
 
     generators: np.ndarray
     name: str = "custom"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise FieldError("name", "expected a string")
+        try:  # a lone surrogate (a \ud800 escape) has no UTF-8 form
+            self.name.encode()
+        except UnicodeEncodeError as exc:
+            raise FieldError("name", f"expected valid UTF-8 text, got {exc.reason} at index {exc.start}") from None
         gens = as_square_complex(self.generators, "generators", ndim=3)
         if not gens.size:
             raise ValueError(f"generators must be a nonempty stack of nonempty matrices, got shape {gens.shape}")
@@ -137,7 +156,8 @@ class AntilinearExtension:
     """The antilinear operation a0 of the extension block: its matrix N, the
     declared sign s of a0 squared, the phase xi with mu/lambda = exp(i*xi)
     (read by coirrep_matrix) and the coset phase delta_alpha0; the verify
-    path only echoes the phases. Each field is checked here, once."""
+    path only echoes the phases. Each field is checked here, once: the phases
+    by check_real, and stored as floats."""
 
     N: np.ndarray
     s: int = 1
@@ -150,18 +170,12 @@ class AntilinearExtension:
             raise ValueError("N must be invertible")
         object.__setattr__(self, "N", n)
         if not (isinstance(self.s, int) and not isinstance(self.s, bool) and self.s in (1, -1)):
-            raise ExtensionFieldError("s", "expected +1 or -1")
+            raise FieldError("s", "expected +1 or -1")
         self._set_phases(xi=self.xi, delta_alpha0=self.delta_alpha0)
 
     def _set_phases(self, **phases):
         for name, value in phases.items():
-            try:
-                ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-            except OverflowError:  # an integer beyond float range
-                raise ExtensionFieldError(name, "expected a real number within float range") from None
-            if not ok:
-                raise ExtensionFieldError(name, f"expected a finite number, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_real(name, value))
 
     def with_phases(self, xi: float | None = None, delta_alpha0: float | None = None):
         """This extension with the phases given replaced. Only they are checked:

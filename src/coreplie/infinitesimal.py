@@ -131,12 +131,13 @@ def central_derivative(curve, step: float = FD_STEP, names=None) -> np.ndarray:
     if 1.0 + step == 1.0:
         raise DifferentiationError(f"differentiation step underflow: {step}")
     half = step / 2
-    m2, m1, mh, ph, p1, p2 = (
-        np.asarray(curve(t)) for t in (-2 * step, -step, -half, half, step, 2 * step)
-    )
-    d1 = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * step)
-    d2 = (-p1 + 8 * ph - 8 * mh + m1) / (12 * half)
-    richardson = (16.0 * d2 - d1) / 15.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a sample beyond float range is named below
+        m2, m1, mh, ph, p1, p2 = (
+            np.asarray(curve(t)) for t in (-2 * step, -step, -half, half, step, 2 * step)
+        )
+        d1 = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * step)
+        d2 = (-p1 + 8 * ph - 8 * mh + m1) / (12 * half)
+        richardson = (16.0 * d2 - d1) / 15.0
     if not np.isfinite(richardson).all():
         raise DifferentiationError("non-finite values in numerical differentiation")
     scale = np.maximum(1.0, np.abs(richardson).max(axis=(-2, -1), initial=0.0))

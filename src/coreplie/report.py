@@ -205,6 +205,12 @@ def emit_document(doc: dict) -> str:
     return text.decode()
 
 
+def emit_command(command: str, group: str, **blocks) -> str:
+    """The machine document of one CLI command: the schema, command and group
+    header, then the command's blocks."""
+    return emit_document({"schema": SCHEMA_VERSION, "command": command, "group": group, **blocks})
+
+
 def emit_machine(report: RunReport) -> str:
     """Byte-deterministic single-line JSON document for a report."""
     return emit_document(report.to_dict())

@@ -216,3 +216,13 @@ def test_group_core_has_no_literal_rank_tolerance():
     tree = ast.parse((ROOT / "src" / "coreplie" / "group_core.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Constant) and node.value == 1e-10]
+
+
+def test_only_report_refers_to_schema_version():
+    """report.py owns the schema number and writes the header of every machine document."""
+    users = set()
+    for path in (ROOT / "src" / "coreplie").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "SCHEMA_VERSION" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                users.add(path.stem)
+    assert users == {"report"}

@@ -25,7 +25,7 @@ from coreplie.cli import _build_parser, _load, main
 from coreplie.report import dense, emit_document
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from inputs import spin_document, su_document  # noqa: E402
+from inputs import config_document, spin_document, su_document  # noqa: E402
 
 SO2_GEN = [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]]
 EYE2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -473,6 +473,37 @@ class TestMachineDocuments:
         code, out, err = run(capsys, command, "--config", str(path))
         assert (code, out) == (1, "")
         assert err == "config error: group.name: expected valid UTF-8 text, got surrogates not allowed at index 0\n"
+
+
+class TestOverflow:
+    """so3 generators times 1e100 have brackets whose norm overflows; times 1e160
+    the brackets themselves do. Either is one ValueError, decided where the
+    brackets are made, so every command exits 1 in both formats."""
+
+    @pytest.fixture(params=[100, 160], ids=["1e100", "1e160"])
+    def path(self, request, tmp_path):
+        spec, ext = catalog_entry("so3")
+        doc = config_document("so3-big", spec.generators * 10.0**request.param, ext.N)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    @pytest.mark.parametrize("command", ["verify", "report", "commutators"])
+    def test_exact_mode_exits_1_in_both_formats(self, capsys, path, command, fmt):
+        argv = [command, "--config", path] + ([] if command == "report" else ["--format", fmt])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("config error: family sub-sub, pair (0,1): "
+                       "the bracket or its norm is beyond float range\n")
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    @pytest.mark.parametrize("command", ["verify", "report", "generators"])
+    def test_fd_mode_exits_4_in_both_formats(self, capsys, path, command, fmt):
+        argv = [command, "--config", path, "--mode", "fd"] + ([] if command == "report" else ["--format", fmt])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("numerical differentiation error: ") and err.count("\n") == 1
 
 
 class TestReportCommand:

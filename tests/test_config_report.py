@@ -168,6 +168,46 @@ class TestParseConfig:
         assert captured.out == ""
         assert f"extension.{key}" in captured.err
 
+    @pytest.mark.parametrize("key, value", [("closure", True), ("rank", "1e-9"), ("fd_step", None),
+                                            ("fd_agree", [1e-6])])
+    def test_tolerances_check_every_value_a_caller_gives(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            Tolerances(**{key: value})
+        assert str(info.value) == f"tolerances.{key.replace('_', '-')}: expected a finite positive number, got {value}"
+
+    def test_tol_override_is_checked_by_tolerances(self):
+        with pytest.raises(ConfigError) as info:
+            with_overrides(config_for_catalog("so3"), tol=True)
+        assert str(info.value) == "tolerances.closure: expected a finite positive number, got True"
+
+    def test_null_phase_means_zero(self):
+        doc = so2_document()
+        doc["extension"].update({"xi": None, "delta-alpha0": None})
+        ext = parse_config(doc).extension
+        assert (ext.xi, ext.delta_alpha0) == (0.0, 0.0)
+
+    def test_null_tolerance_is_a_config_error(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(so2_document(tolerances={"closure": None}))
+        assert str(info.value) == "tolerances.closure: expected a finite positive number, got None"
+
+    @pytest.mark.parametrize("block, key, value, expected", [
+        ("extension", "xi", "0.5", "expected a finite number, got 0.5"),
+        ("extension", "delta-alpha0", True, "expected a finite number, got True"),
+        ("tolerances", "rank", "x", "expected a finite positive number, got x"),
+        ("tolerances", "fd-agree", [1], "expected a finite positive number, got [1]"),
+    ])
+    def test_a_scalar_that_is_not_a_number_is_named(self, block, key, value, expected, tmp_path, capsys):
+        doc = so2_document()
+        doc.setdefault(block, {})[key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == f"{block}.{key}: {expected}"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {block}.{key}: {expected}\n"
+
     @pytest.mark.parametrize(
         "field, via",
         [(f"tolerances.{key}", "file") for key in ("closure", "rank", "fd-step", "fd-agree")]

@@ -178,6 +178,17 @@ class TestLieGroupSpec:
         with pytest.raises(ValueError, match=rf"\(rank {spec.n} < {spec.n + 1}\)"):
             LieGroupSpec(np.concatenate([gens, gens[-1:]]))
 
+    @pytest.mark.parametrize("name, message", [
+        (5, "name: expected a string"),
+        (None, "name: expected a string"),
+        ("\ud800", "name: expected valid UTF-8 text, got surrogates not allowed at index 0"),
+    ])
+    def test_name_is_checked_by_the_type(self, name, message):
+        # every machine document carries the name, so one that UTF-8 cannot encode is rejected here
+        with pytest.raises(group_core.FieldError) as info:
+            LieGroupSpec(ISY[None], name=name)
+        assert str(info.value) == message
+
 
 class TestAntilinearExtension:
     @pytest.mark.parametrize("field, value, message", [
@@ -192,6 +203,11 @@ class TestAntilinearExtension:
         with pytest.raises(ValueError) as info:
             AntilinearExtension(E2, **{field: value})
         assert str(info.value) == message
+
+    def test_phases_are_stored_as_floats(self):
+        ext = AntilinearExtension(E2, xi=1, delta_alpha0=np.float32(0.5))
+        assert (type(ext.xi), type(ext.delta_alpha0)) == (float, float)
+        assert (ext.xi, ext.delta_alpha0) == (1.0, 0.5)
 
     def test_a0_sign_is_computed_once(self, monkeypatch):
         calls = []

@@ -44,11 +44,15 @@ def test_report_digest_prints_one_sha256_per_report(capsys):
     digest = load_script("report_digest")
     assert digest.main() == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert len({key for key, _, _ in lines}) == len(lines) == 120
+    assert len({key for key, _, _ in lines}) == len(lines) == 180
     assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for _, sha, _ in lines)
     assert [key for key, _, _ in lines[:8]] == [
         "so2-conj/exact/0,0", "so2-conj/exact/0.7,-1.3", "so2-conj/fd/0,0", "so2-conj/fd/0.7,-1.3",
         "so2-conj/classify", "so2-conj/generators/exact", "so2-conj/generators/fd", "so2-conj/commutators",
+    ]
+    assert [key for key, _, _ in lines[8:12]] == [
+        "so2-conj/verify/exact/human", "so2-conj/verify/fd/human", "so2-conj/generators/human",
+        "so2-conj/commutators/human",
     ]
     # the sha256 of the values in stdlib json's canonical spelling, then the
     # length in bytes of the text as the encoder wrote it
@@ -65,3 +69,16 @@ def test_report_digest_reads_the_command_lines_machine_stdout(capsys):
     out = capsys.readouterr().out
     canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
     assert lines["su2-tr/commutators"] == (hashlib.sha256(canonical.encode()).hexdigest(), len(out.encode()))
+
+
+def test_report_digest_reads_the_human_stdout_without_its_wall_time(capsys):
+    digest = load_script("report_digest")
+    lines = {key: (sha, int(size)) for key, sha, size in digest.digests()}
+    assert main(["verify", "--group", "su2-tr", "--mode", "fd"]) == 3
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].startswith("wall time: ")
+    kept = out[:out.rindex("wall time: ")]
+    assert lines["su2-tr/verify/fd/human"] == (hashlib.sha256(kept.encode()).hexdigest(), len(kept.encode()))
+    assert main(["commutators", "--group", "su2-tr"]) == 0
+    out = capsys.readouterr().out
+    assert lines["su2-tr/commutators/human"] == (hashlib.sha256(out.encode()).hexdigest(), len(out.encode()))
