@@ -9,9 +9,10 @@ results; the pass verdicts always refer to the real residuals. A passing
 pair needs none: the complex span contains the real one, so its complex
 residual is at most its real one.
 
-Every bracket family goes through one kernel: its brackets are formed by one
-broadcast field_bracket and expanded over a RealSpan of the basis (sub-sub and
-coset-coset share one) by one real pseudo-inverse matmul, and its failing
+Every bracket family goes through one kernel: its brackets are read off one
+product table per operand order (or, for d above TABLE_MAX_D, formed pair by pair
+by one broadcast field_bracket) and expanded over a RealSpan of the basis (sub-sub
+and coset-coset share one) by one real pseudo-inverse matmul, and its failing
 pairs by one complex one. Type b
 runs on the d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of
 the same signs have the blocks' coefficients and sqrt(2) times their remainders.
@@ -19,7 +20,6 @@ the same signs have the blocks' coefficients and sqrt(2) times their remainders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
@@ -31,6 +31,7 @@ CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
 # Frobenius norm of a generator over that of its upper block
 BLOCK_SCALE = {CoirrepType.A: 1.0, CoirrepType.B: 2.0**0.5}
+TABLE_MAX_D = 8  # largest d whose products are tabulated: a d x d product then costs less than a matmul call
 
 
 def field_bracket(a, b) -> np.ndarray:
@@ -78,19 +79,29 @@ class ClosureReport:
         return float(self.fallback["complex_residual"].max(initial=0.0))
 
 
-def _closure_report(family, lefts, rights, index_pairs, span, tol, scale) -> ClosureReport:
-    """Report of one family: the brackets of lefts[i] with rights[j], one per
-    index pair (i, j), expanded over the RealSpan and stored column by column;
-    the failing pairs, those not below tol, are the rows of the fallback.
-    Raises ValueError naming the first pair whose bracket or its norm is beyond
-    float range, which leaves a residual that is not finite."""
-    left, right = np.array(list(index_pairs), dtype=np.intp).reshape(-1, 2).T
+def _bracket_table(lefts, rights, mask) -> np.ndarray:
+    """field_bracket(lefts[i], rights[j]) of each pair (i, j) where the (n, m) mask is true, row-major:
+    every L_i R_j is one matmul, every R_j L_i one more unless rights is lefts, and one subtraction
+    of the two tables, each seen transposed, writes every bracket in C order."""
+    (n, d), m = lefts.shape[:2], len(rights)
+    lr = (lefts.reshape(-1, d) @ rights.transpose(1, 0, 2).reshape(d, -1)).reshape(n, d, m, d)
+    rl = lr if rights is lefts else (rights.reshape(-1, d) @ lefts.transpose(1, 0, 2).reshape(d, -1))
+    return np.subtract(rl.reshape(m, d, n, d).transpose(2, 0, 1, 3), lr.transpose(0, 2, 1, 3), order="C")[mask]
+
+
+def _closure_report(family, lefts, rights, mask, span, tol, scale) -> ClosureReport:
+    """Report of one family: the brackets of lefts[i] with rights[j] for each pair (i, j) where the
+    (n, m) mask is true, expanded over the RealSpan and stored column by column; the failing pairs,
+    those not below tol, are the rows of the fallback. Raises ValueError naming the first pair whose
+    bracket or its norm is beyond float range, which leaves a residual that is not finite."""
+    left, right = mask.nonzero()
     m = len(span.stack)
     pairs, fallback = np.empty(len(left), _pair_dtype(m)), np.empty(0, _fallback_dtype(m))
     pairs["left"], pairs["right"] = left, right
     if len(pairs):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned of
-            brackets = field_bracket(lefts[left], rights[right])
+            brackets = (_bracket_table(lefts, rights, mask) if lefts.shape[-1] <= TABLE_MAX_D
+                        else field_bracket(lefts[left], rights[right]))
             pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
         finite = np.isfinite(pairs["residual"])
         finite[solved[0]] &= np.isfinite(solved[2])
@@ -112,16 +123,16 @@ def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> C
     c[rho, sigma] = -c[sigma, rho]. generator_basis(spec, None) gives those of
     spec.generators as supplied."""
     gens = basis.subgroup_blocks
-    pairs = combinations(range(basis.n), 2)
-    return _closure_report("sub-sub", gens, gens, pairs, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
+    upper = np.arange(basis.n)[:, None] < np.arange(basis.n)
+    return _closure_report("sub-sub", gens, gens, upper, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 def verify_coset_coset_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
     """Coset-coset family: brackets, transported to the x frame, expand over
     the real span of the subgroup generators."""
     coset = basis.coset_x
-    pairs = combinations(range(len(coset)), 2)
-    return _closure_report("coset-coset", coset, coset, pairs, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
+    upper = np.arange(len(coset))[:, None] < np.arange(len(coset))
+    return _closure_report("coset-coset", coset, coset, upper, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 def verify_mixed_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
@@ -130,8 +141,8 @@ def verify_mixed_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> Clo
     of the coset generators."""
     moved = basis.to_x_inverse @ basis.subgroup_blocks @ basis.to_x
     coset = basis.coset_blocks
-    pairs = product(range(basis.n), range(len(coset)))
-    return _closure_report("sub-coset", moved, coset, pairs, basis.coset_span, tol, BLOCK_SCALE[basis.ctype])
+    every = np.ones((basis.n, len(coset)), bool)
+    return _closure_report("sub-coset", moved, coset, every, basis.coset_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 @dataclass(frozen=True, eq=False)

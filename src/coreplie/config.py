@@ -235,6 +235,10 @@ def with_overrides(
         _expect(value is None or ext is not None, path, "cannot be set: the config has no extension block")
     if xi is not None or delta_alpha0 is not None:
         ext = _build("extension", ext.with_phases, xi=xi, delta_alpha0=delta_alpha0)
+    try:
+        perturb = 0.0 if perturb is None else check_real("--perturb", perturb)
+    except FieldError as exc:
+        raise ConfigError(str(exc)) from exc
     if perturb:
         gens = spec.generators.copy()
         gens[0, 0, 0] += perturb

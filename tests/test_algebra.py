@@ -21,6 +21,7 @@ from coreplie import (
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
+from coreplie import algebra
 from coreplie.algebra import RANK_REL_TOL
 from coreplie.config import with_overrides
 from coreplie.matrices import RealSpan, block_diag2
@@ -311,6 +312,22 @@ class TestKernelAgainstPerPairOracle:
         got_c, got_residuals = structure_tensor(sub_sub_closure_report(basis))
         assert got_c.shape == (n, n, n)
         assert close(got_c, c) and close(got_residuals, residuals)
+
+    @pytest.mark.parametrize("two_j", [3, 15])  # d = 4 and 16, either side of TABLE_MAX_D
+    def test_table_and_pairs_agree(self, monkeypatch, two_j):
+        cfg = parse_config(spin_document(two_j))
+        basis = generator_basis(cfg.spec, cfg.extension)
+        tabled, table = [], algebra._bracket_table
+        monkeypatch.setattr(algebra, "_bracket_table", lambda *args: tabled.append(1) or table(*args))
+        families = (sub_sub_closure_report, verify_coset_coset_closure, verify_mixed_closure)
+        default = [family(basis) for family in families]
+        assert len(tabled) == 3 * (basis.subgroup_blocks.shape[-1] <= algebra.TABLE_MAX_D)
+        for table_max_d in (0, 10**6):  # every family by pairs, then every family by the table
+            monkeypatch.setattr(algebra, "TABLE_MAX_D", table_max_d)
+            for rep, base in zip((family(basis) for family in families), default):
+                assert close(rep.pairs["coeffs"], base.pairs["coeffs"])
+                assert close(rep.pairs["residual"], base.pairs["residual"])
+                assert rep.fallback["pair"].tolist() == base.fallback["pair"].tolist()
 
     def test_empty_families(self):
         basis = kernel_case("u1")

@@ -392,6 +392,22 @@ class TestOverrides:
         assert abs(diff[0, 0] - 0.01) < 1e-15
         assert np.abs(diff).sum() == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("value, expected", [
+        (10**400, "expected a real number within float range"),
+        ("x", "expected a finite number, got x"),
+        (True, "expected a finite number, got True"),
+        (float("nan"), "expected a finite number, got nan"),
+    ])
+    def test_perturb_is_checked_once_and_named(self, value, expected):
+        with pytest.raises(ConfigError) as info:
+            with_overrides(config_for_catalog("so3"), perturb=value)
+        assert str(info.value) == f"--perturb: {expected}"
+
+    @pytest.mark.parametrize("value", [None, 0])
+    def test_no_perturbation_leaves_the_generators(self, value):
+        base = config_for_catalog("so3")
+        assert with_overrides(base, perturb=value).spec is base.spec
+
     def test_tol_override(self):
         cfg = with_overrides(config_for_catalog("so2-conj"), tol=1e-5)
         assert cfg.tolerances.closure == 1e-5

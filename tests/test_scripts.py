@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
 from coreplie import CATALOG_NAMES, emit_machine, run_verification
@@ -82,3 +83,86 @@ def test_report_digest_reads_the_human_stdout_without_its_wall_time(capsys):
     assert main(["commutators", "--group", "su2-tr"]) == 0
     out = capsys.readouterr().out
     assert lines["su2-tr/commutators/human"] == (hashlib.sha256(out.encode()).hexdigest(), len(out.encode()))
+
+
+def result_line(job_ms: float, failed: int = 0) -> str:
+    """A perfbench result line (its last stdout line) with the four end-to-end metrics."""
+    metrics = {"job_ms.p50": (job_ms, "ms"), "setup_s": (0.2, "s"), "report_kb": (66.9, "KB"), "peak_rss_mb": (43.4, "MB")}
+    return json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}})
+
+
+def paired_runs(bench, parent: list, change: list) -> list:
+    """The run records of canned result lines, pair k being (parent[k], change[k])."""
+    runs = []
+    for pair, lines in enumerate(zip(parent, change)):
+        for tree, line in zip(bench.TREES, lines):
+            runs.append(bench.record(json.loads(line), pair, 1000 + pair, tree, "parent"))
+    return runs
+
+
+END_TO_END = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def test_bench_pairs_summary_judges_each_metric():
+    bench = load_script("bench_pairs")
+    parent = [12.4, 12.6, 12.5, 12.3, 12.7, 12.5, 12.4, 12.6, 12.5, 12.2]
+    change = [11.3, 11.4, 11.2, 11.5, 11.3, 11.1, 11.4, 11.3, 11.2, 12.4]  # the last pair lost
+    runs = paired_runs(bench, [result_line(v) for v in parent], [result_line(v) for v in change])
+    header, *rows = bench.summary_rows(runs, END_TO_END)
+    assert header.split()[:2] == ["metric", "unit"]
+    assert [row.split()[0] for row in rows] == ["job_ms.p50", "setup_s", "report_kb", "peak_rss_mb"]
+    job = rows[0].split()
+    assert job[1] == "ms" and job[-2:] == ["9/10", "gain"]
+    assert job[2] == "12.5" and job[5] == "11.3" and job[-3] == "-9.60%"
+    assert all(row.endswith("0/10  within bound") for row in rows[1:])  # equal runs: ties win nothing
+
+
+def test_bench_pairs_verdicts_follow_the_pair_rule():
+    judge = load_script("bench_pairs").judge
+    parent = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.0]
+    # 8 of 10 pairs won is not a gain, however large the median gap
+    assert judge(parent, [9.0] * 8 + [11.0] * 2, "lower", 0.25)["verdict"] == "within bound"
+    # 10 of 10 won by less than the parent's interquartile range is not a gain either
+    assert judge(parent, [p - 0.05 for p in parent], "lower", 0.25)["verdict"] == "within bound"
+    assert judge(parent, [p - 0.5 for p in parent], "lower", 0.25)["verdict"] == "gain"
+    assert judge(parent, [p + 3.0 for p in parent], "lower", 0.25)["verdict"] == "worse"
+    assert judge(parent, [p - 0.5 for p in parent], "higher", 0.25)["verdict"] == "within bound"
+    # a parent spread wider than the bound leaves the comparison open
+    wide = [1.0, 2.0, 1.0, 2.0, 1.5, 1.0, 2.0, 1.0, 2.0, 1.5]
+    assert judge(wide, [v + 0.01 for v in wide], "lower", 0.25)["verdict"] == "unresolved"
+    # unless every change run is better than every parent run
+    assert judge(wide, [0.5] * 10, "lower", 0.25)["verdict"] == "within bound"
+    assert judge(parent[:3], [p - 0.5 for p in parent[:3]], "lower", 0.25)["verdict"] == "gain (<10 pairs)"
+
+
+def test_bench_pairs_alternates_the_first_side_with_a_fresh_seed_per_pair(tmp_path, capsys):
+    # each checkout's benchmark command is a stand-in that logs its arguments
+    # and prints a canned result line: the change is 1 ms faster
+    log = tmp_path / "calls.txt"
+    benchmark = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    for tree, job_ms in (("parent", 12.5), ("change", 11.5)):
+        root = tmp_path / tree
+        root.mkdir()
+        (root / "fake_run.py").write_text(
+            "import sys\n"
+            f"open({str(log)!r}, 'a').write({tree!r} + ' ' + ' '.join(sys.argv[1:]) + '\\n')\n"
+            f"print('summary {{}}')\nprint({result_line(job_ms)!r})\n")
+        (root / "BENCHMARK.json").write_text(json.dumps(benchmark | {"command": [sys.executable, "fake_run.py"]}))
+    bench = load_script("bench_pairs")
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "su-ladder",
+            "--pairs", "3", "--seconds", "2"]
+    assert bench.main(args) == 0
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert [call[0] for call in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert all(call[1:3] == ["--workload", "su-ladder"] and call[5:] == ["--seconds", "2.0", "--trace", "0"]
+               for call in calls)
+    seeds = [int(call[4]) for call in calls]
+    assert seeds[0] == seeds[1] != seeds[2] == seeds[3] != seeds[4] == seeds[5] != seeds[0]
+    out = capsys.readouterr().out.splitlines()
+    runs = [json.loads(line.removeprefix("run ")) for line in out if line.startswith("run ")]
+    assert [(r["pair"], r["tree"], r["first"]) for r in runs[:3]] == [
+        (0, "parent", "parent"), (0, "change", "parent"), (1, "change", "change")]
+    assert out[-4].split()[0] == "job_ms.p50" and out[-4].endswith("3/3  gain (<10 pairs)")
+    (tmp_path / "change" / "fake_run.py").write_text(f"print({result_line(11.5, failed=1)!r})\n")
+    assert bench.main(args) == 1  # a failed operation
