@@ -9,13 +9,13 @@ results; the pass verdicts always refer to the real residuals. A passing
 pair needs none: the complex span contains the real one, so its complex
 residual is at most its real one.
 
-Every bracket family goes through one kernel: its brackets are read off one
-product table per operand order (or, for d above TABLE_MAX_D, formed pair by pair
-by one broadcast field_bracket) and expanded over a RealSpan of the basis (sub-sub
-and coset-coset share one) by one real pseudo-inverse matmul, and its failing
-pairs by one complex one. Type b
-runs on the d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of
-the same signs have the blocks' coefficients and sqrt(2) times their remainders.
+Every bracket family goes through one kernel: its brackets are one product table
+per operand order, both in pair order, subtracted in place (a full mask keeps the
+table, any other gathers its pairs; above TABLE_MAX_D field_bracket of the pairs),
+expanded over a RealSpan of the basis (sub-sub and coset-coset share one) by one
+real pseudo-inverse matmul, failing pairs by one complex one. Type b runs on the
+d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of the same
+signs have the blocks' coefficients and sqrt(2) times their remainders.
 """
 from __future__ import annotations
 
@@ -80,13 +80,18 @@ class ClosureReport:
 
 
 def _bracket_table(lefts, rights, mask) -> np.ndarray:
-    """field_bracket(lefts[i], rights[j]) of each pair (i, j) where the (n, m) mask is true, row-major:
-    every L_i R_j is one matmul, every R_j L_i one more unless rights is lefts, and one subtraction
-    of the two tables, each seen transposed, writes every bracket in C order."""
+    """field_bracket(lefts[i], rights[j]) of each pair (i, j) where the (n, m) mask is true, row-major: one
+    batched matmul writes every R_j L_i at [i, j], one more every L_i R_j at [j, i] (none if rights is lefts),
+    read with its pair axes swapped; a full mask subtracts in place and returns that table, any other gathers."""
     (n, d), m = lefts.shape[:2], len(rights)
-    lr = (lefts.reshape(-1, d) @ rights.transpose(1, 0, 2).reshape(d, -1)).reshape(n, d, m, d)
-    rl = lr if rights is lefts else (rights.reshape(-1, d) @ lefts.transpose(1, 0, 2).reshape(d, -1))
-    return np.subtract(rl.reshape(m, d, n, d).transpose(2, 0, 1, 3), lr.transpose(0, 2, 1, 3), order="C")[mask]
+    out = np.empty((n * m, d, d), complex)
+    rl = np.matmul(rights.reshape(-1, d), lefts, out=out.reshape(n, m * d, d)).reshape(n, m, d, d)
+    lr = (rl if rights is lefts else (lefts.reshape(-1, d) @ rights).reshape(m, n, d, d)).transpose(1, 0, 2, 3)
+    if not mask.all():
+        out = rl = rl[mask]
+        lr = lr[mask]
+    np.subtract(rl, lr, out=rl)
+    return out
 
 
 def _closure_report(family, lefts, rights, mask, span, tol, scale) -> ClosureReport:

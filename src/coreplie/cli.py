@@ -43,6 +43,8 @@ _OPTIONS = {
     "format": dict(choices=("human", "machine"), default="human", help="output format"),
     "perturb": dict(type=float, help="testing aid: add this value to one generator entry"),
 }
+# argparse takes -4.7e-06 or -inf for an option (only -123 or -1.5 for a number); main writes them --xi=-4.7e-06
+_FLOAT_OPTIONS = [f"--{name}" for name, option in _OPTIONS.items() if option.get("type") is float]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,6 +154,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):  # backwards: a join moves only the tokens already seen
+        option, value = argv[k - 1:k + 1]
+        named = len(option) > 2 and any(o.startswith(option) for o in _FLOAT_OPTIONS)  # or a prefix argparse expands
+        if named and value[:1] == "-" and value[:2] != "--":
+            argv[k - 1:k + 1] = [f"{option}={value}"]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help

@@ -139,7 +139,8 @@ def _solve(rows: np.ndarray, size: np.ndarray, factor: tuple, scale: float) -> t
     coeffs = rows @ pinv
     parts = coeffs.view(float)  # complex: real and imaginary parts side by side
     parts[np.abs(parts) <= resolution * size] = 0.0
-    rest = (rows - coeffs @ span).view(float)
+    rest = coeffs @ span
+    rest = np.subtract(rows, rest, out=rest).view(float)
     return coeffs, scale * np.sqrt(np.einsum("ij,ij->i", rest, rest))
 
 

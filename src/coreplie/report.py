@@ -11,12 +11,13 @@ on the same configuration at one BLAS thread count (OPENBLAS_NUM_THREADS) produc
 byte-identical documents, so wall time is never part of the machine report;
 the CLI prints it separately in human mode.
 
-orjson writes and reads every machine document. It spells floats as 1e-9
-and 0.000015 where stdlib json writes 1e-09 and 1.5e-05, and strings as raw
-UTF-8 without \\u escapes; the values are the ones stdlib json writes.
-Config input stays on stdlib json (config.load_config): its parser accepts
-the literals NaN, Infinity and 1e400, so the field checks can name the field
-that holds one, where orjson would reject the whole file.
+orjson writes and reads every machine document, and spells floats as 1e-9 and
+0.000015 where stdlib json writes 1e-09 and 1.5e-05, strings as raw UTF-8 without
+\\u escapes; the values are the ones stdlib json writes. A written text is read
+back only when it has more nulls than the document has None dict values, the
+one case where a null may be a non-finite float. Config input stays on stdlib
+json (config.load_config): its parser accepts NaN, Infinity and 1e400, so the
+field checks can name the field that holds one, where orjson rejects the file.
 """
 from __future__ import annotations
 
@@ -188,19 +189,24 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
 # --- machine serialization (sorted keys, shortest round-trip floats) -------
 
 
+def _dict_nones(value) -> int:
+    """The Nones held as dict values in value, nested dicts entered, lists not."""
+    return sum(1 if v is None else _dict_nones(v) for v in value.values()) if isinstance(value, dict) else 0
+
+
 def emit_document(doc: dict) -> str:
     """Byte-deterministic single-line JSON for any machine document: dicts with
     str keys, lists, str, int, float, bool and None.
 
     Raises ValueError rather than writing a non-finite float (orjson writes it
-    as null, so a text with a null is read back and must equal doc), an int
-    beyond 64 bits or a string that is not valid UTF-8.
+    as null, so a text with more nulls than doc's dicts hold Nones is read back
+    and must equal doc), an int beyond 64 bits or a string that is not valid UTF-8.
     """
     try:
         text = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS)
     except orjson.JSONEncodeError as exc:
         raise ValueError(f"cannot write machine document: {exc}") from None
-    if b"null" in text and orjson.loads(text) != doc:
+    if text.count(b"null") != _dict_nones(doc) and orjson.loads(text) != doc:
         raise ValueError("cannot write machine document: a non-finite float")
     return text.decode()
 

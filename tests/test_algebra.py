@@ -1,5 +1,6 @@
 import json
 import sys
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from coreplie import (
     algebra_dimension,
     catalog_entry,
     emit_machine,
+    field_bracket,
     generator_basis,
     parse_config,
     run_verification,
@@ -336,6 +338,49 @@ class TestKernelAgainstPerPairOracle:
         basis = kernel_case("so3-no-coset")
         for rep in (verify_coset_coset_closure(basis), verify_mixed_closure(basis)):
             assert len(rep.pairs) == 0 and rep.passed
+
+
+class TestBracketLayout:
+    """_bracket_table hands back an array of its own in pair order, and above TABLE_MAX_D
+    a family hands its span field_bracket of its pairs in the same order."""
+
+    @staticmethod
+    def family(d, n, m, combination):
+        """(lefts, rights, mask, pairs) of random complex stacks: a combination family
+        (rights is lefts, the strict upper triangle) or a product family (every pair)."""
+        rng = np.random.default_rng(d)
+        lefts, rights = (rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)) for k in (n, m))
+        if combination:
+            return lefts, lefts, np.triu(np.ones((n, n), bool), 1), list(combinations(range(n), 2))
+        return lefts, rights, np.ones((n, m), bool), list(product(range(n), range(m)))
+
+    @staticmethod
+    def assert_pairs_brackets(got, lefts, rights, pairs):
+        want = np.array([field_bracket(lefts[i], rights[j]) for i, j in pairs])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("combination", [False, True], ids=["full", "triangular"])
+    def test_table_is_c_contiguous_and_owns_its_data(self, combination):
+        lefts, rights, mask, pairs = self.family(5, 4, 3, combination)
+        got = algebra._bracket_table(lefts, rights, mask)
+        assert got.flags.c_contiguous and got.flags.owndata
+        self.assert_pairs_brackets(got, lefts, rights, pairs)
+
+    @pytest.mark.parametrize("d", [16, 17])
+    @pytest.mark.parametrize("combination", [False, True], ids=["full", "triangular"])
+    def test_large_d_brackets_are_field_bracket_over_the_pairs(self, d, combination):
+        assert d > algebra.TABLE_MAX_D
+        lefts, rights, mask, pairs = self.family(d, 3, 4, combination)
+        seen = []
+
+        class Captured(RealSpan):  # the brackets the family hands to its span
+            def expand(self, targets, *args):
+                seen.append(targets.copy())
+                return super().expand(targets, *args)
+
+        algebra._closure_report("product", lefts, rights, mask, Captured(rights), 1e-9, 1.0)
+        self.assert_pairs_brackets(seen[0], lefts, rights, pairs)
 
 
 ZERO_CASES = ("so3", "su2-tr", "su2", "su3", "su4")

@@ -568,6 +568,35 @@ class TestCommandLine:
         assert "error: " in err and message in err
         assert err.startswith("usage: coreplie")
 
+    # argparse alone reads a negative number in exponent notation, or -inf, as an option
+    # ("expected one argument"); each is the option's value, as in the --option=value form
+    @pytest.mark.parametrize("head, option, value, code", [
+        (("classify", "--group", "so3", "--format", "machine"), "--xi", "-4.7e-06", 0),
+        (("generators", "--group", "so3", "--format", "machine"), "--perturb", "-1E+00", 0),
+        (("commutators", "--group", "so3", "--format", "machine"), "--perturb", "-4.7e-06", 3),
+        (("verify", "--group", "su2-tr", "--format", "machine"), "--xi", "-1E+00", 3),
+        (("report", "--group", "su2-tr", "--xi", "2.824213010618929"), "--delta-alpha0", "-4.712069400003571e-06", 3),
+        (("report", "--group", "so3"), "--perturb", "-1e-05", 3),
+        (("verify", "--group", "so3", "--format", "machine"), "--pert", "-1e-05", 3),  # abbreviated, as argparse allows
+        (("report", "--group", "su2-tr", "--xi", "2.824213010618929"), "--delta", "-4.712069400003571e-06", 3),
+    ])
+    def test_negative_exponent_values_are_values(self, capsys, head, option, value, code):
+        got = run(capsys, *head, option, value)
+        assert got[0] == code and "expected one argument" not in got[2]
+        assert run(capsys, *head, f"{option}={value}") == got
+        if head[0] == "report" and option.startswith("--delta"):
+            assert json.loads(got[1])["delta_alpha0"] == float(value)
+
+    @pytest.mark.parametrize("command", ["classify", "verify", "report"])
+    def test_minus_inf_phase_is_the_config_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--group", "so3", "--xi", "-inf")
+        assert (code, out) == (1, "")
+        assert err == "config error: extension.xi: expected a finite number, got -inf\n"
+
+    def test_a_dashed_word_after_a_number_option_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--group", "so3", "--tol", "-x")
+        assert (code, out) == (1, "") and "argument --tol: invalid float value: '-x'" in err
+
     @pytest.mark.parametrize("argv", [("--help",), ("report", "--help")])
     def test_help_exits_0(self, capsys, argv):
         code, out, _ = run(capsys, *argv)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from coreplie import catalog_entry, exp_curve
-from coreplie.matrices import expm, pade_branch
+from coreplie.matrices import RealSpan, expm, pade_branch
 
 # 1-norms that reach every Padé degree and, from 6 on, the squaring branch.
 NORMS = (1e-6, 1e-3, 0.1, 0.5, 1.5, 3.0, 6.0, 20.0, 50.0)
@@ -66,3 +66,32 @@ class TestExpm:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="alpha"):
                 exp_curve(spec, [bad, 0.0, 0.0])
+
+
+class TestRealSpanExpand:
+    """The remainders are written into the product's own buffer; the targets stay as given."""
+
+    def case(self, seed=3):
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        # two real combinations of the members, then three generic targets, which fall back
+        inside = np.einsum("pk,kij->pij", rng.standard_normal((2, 3)), stack)
+        outside = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        return RealSpan(stack), np.concatenate([inside, outside])
+
+    def test_leaves_its_targets_unchanged(self):
+        span, targets = self.case()
+        given = targets.copy()
+        targets.setflags(write=False)  # a write in place would raise
+        span.expand(targets, scale=2.0, tol=1e-9)
+        assert np.array_equal(targets, given)
+
+    def test_fallback_rows_equal_a_fresh_complex_lstsq_per_row(self):
+        span, targets = self.case()
+        coeffs, residual, rows, ccoeffs, cresidual = span.expand(targets, scale=2.0, tol=1e-9)
+        assert rows.tolist() == [2, 3, 4] and np.all(residual[:2] < 1e-9)
+        basis = span.stack.reshape(len(span.stack), -1).T
+        for row, got, got_residual in zip(rows, ccoeffs, cresidual):
+            want, *_ = np.linalg.lstsq(basis, targets[row].ravel(), rcond=None)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.isclose(got_residual, 2.0 * np.linalg.norm(targets[row].ravel() - basis @ want), rtol=1e-12)

@@ -1,11 +1,14 @@
 """Property-based checks of the algebraic invariants, of the config reader and
-of the machine format's array encoding."""
+of the machine format's array encoding and document writer."""
 import json
+import math
 import sys
 from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
+import orjson
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -32,7 +35,7 @@ from coreplie import (
 from coreplie.algebra import _bracket_table
 from coreplie.config import _parse_matrices, config_for_catalog, with_overrides
 from coreplie.matrices import RealSpan
-from coreplie.report import dense, json_numbers
+from coreplie.report import dense, emit_document, emit_machine, json_numbers
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import spin_document, su_document  # noqa: E402
@@ -332,3 +335,56 @@ def test_array_encoding_is_the_dense_form_or_its_sparse_half(a):
     assert json.dumps(oracle.densified(encoded)) == json.dumps(oracle.dense_numbers(a))
     text = json.dumps(encoded)
     assert json.loads(text) == encoded and json.dumps(json.loads(text)) == text
+
+
+# strings that spell a null next to the characters that surround one in the text
+null_spellings = st.sampled_from([":null", "[null", ",null", "null", '":null', "x:null,", "[null]", "{:null}"])
+json_strings = st.text(max_size=6) | null_spellings
+json_leaves = (st.none() | st.booleans() | st.integers(-(2**63), 2**63 - 1) | json_strings
+               | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([math.inf, -math.inf, math.nan]))
+json_documents = st.recursive(
+    json_leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=12)
+
+
+def holds_non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(holds_non_finite, value))
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_documents | st.dictionaries(json_strings, json_documents, max_size=4))
+def test_emit_document_refuses_exactly_the_non_finite_floats(doc):
+    # None and +-inf/NaN as dict values, list elements, nested and at the top level, beside
+    # strings and keys that spell :null, [null or ,null: the read-back is skipped only when
+    # no null can be a non-finite float
+    if holds_non_finite(doc):
+        with pytest.raises(ValueError, match="a non-finite float"):
+            emit_document(doc)
+    else:
+        text = emit_document(doc)
+        assert orjson.loads(text) == doc and json.loads(text) == doc
+
+
+def zero_read_back_reports():
+    """The catalog in both modes, su(2..5) and spin 2j in {1, 2, 15} with time reversal."""
+    for name in CATALOG_NAMES:
+        yield from ((config_for_catalog(name), mode) for mode in ("exact", "fd"))
+    yield from ((parse_config(su_document(n)), "exact") for n in (2, 3, 4, 5))
+    yield from ((parse_config(spin_document(two_j)), "exact") for two_j in (1, 2, 15))
+
+
+def test_reports_are_written_without_a_read_back(monkeypatch):
+    # their nulls are dict values (fd_max_abs_diff in exact mode, a certificate, a margin),
+    # so the text is never parsed back
+    reads = []
+    loads = orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda text: reads.append(text) or loads(text))
+    texts = {mode: [] for mode in ("exact", "fd")}
+    for cfg, mode in zero_read_back_reports():
+        texts[mode].append(emit_machine(run_verification(cfg, mode=mode)))
+    assert reads == []
+    assert all('"fd_max_abs_diff":null' in text for text in texts["exact"])
