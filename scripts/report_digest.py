@@ -35,13 +35,27 @@ used, so two source trees can be compared byte for byte:
     PYTHONPATH=src python scripts/report_digest.py > after.txt
     PYTHONPATH=/path/to/other/src python scripts/report_digest.py > before.txt
     diff before.txt after.txt
+
+With --against SRC the script prints no digests. It makes every document
+again in a child process with SRC first on PYTHONPATH and prints one line for
+each document that differs from its own: the key, the largest absolute
+difference over the numeric leaves, and the JSON paths of the discrete leaves
+that differ (verdicts, classifications, dimensions, pairs, the set of failing
+pairs); for a human listing only that its text differs. It exits 1 when a
+discrete leaf differs:
+
+    PYTHONPATH=src python scripts/report_digest.py --against /path/to/other/src
 """
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
+from numbers import Number
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -91,30 +105,86 @@ def command_stdout(command: tuple, path: str, format: str = "machine") -> str:
     return out.getvalue()
 
 
-def digests():
-    """(key, sha256 hex digest, byte length) of each document."""
+def texts():
+    """(key, text, human) of each document, as written; human is true for a listing."""
     with tempfile.TemporaryDirectory() as tmp:
         for k, document in enumerate(documents()):
             cfg = parse_config(document)
             for mode in MODES:
                 for xi, delta_alpha0 in PHASES:
                     report = run_verification(with_overrides(cfg, xi=xi, delta_alpha0=delta_alpha0), mode=mode)
-                    yield f"{cfg.spec.name}/{mode}/{xi:g},{delta_alpha0:g}", *digest(emit_machine(report))
+                    yield f"{cfg.spec.name}/{mode}/{xi:g},{delta_alpha0:g}", emit_machine(report), False
             path = Path(tmp) / f"{k}.json"
             path.write_text(json.dumps(document))
             for command in COMMANDS:
-                key = "/".join([cfg.spec.name, command[0], *command[2:]])
-                yield key, *digest(command_stdout(command, str(path)))
+                yield "/".join([cfg.spec.name, command[0], *command[2:]]), command_stdout(command, str(path)), False
             for command in HUMAN_COMMANDS:
                 key = "/".join([cfg.spec.name, command[0], *command[2:], "human"])
-                yield key, *human_digest(command_stdout(command, str(path), "human"))
+                yield key, command_stdout(command, str(path), "human"), True
 
 
-def main() -> int:
+def digests():
+    """(key, sha256 hex digest, byte length) of each document."""
+    for key, text, human in texts():
+        yield key, *(human_digest if human else digest)(text)
+
+
+# numbers that name a discrete outcome (a count, an index, a sign): a change in one counts as a verdict's does
+DISCRETE_KEYS = frozenset({"a0_sign", "computed", "expected", "pairs", "schema"})
+
+
+def compare(a, b, path: str = "") -> tuple:
+    """(largest absolute difference over the numeric leaves, JSON paths of the discrete
+    leaves that differ) of two parsed documents. A leaf is numeric if it is a number on
+    both sides and no key on its path is in DISCRETE_KEYS; a difference in keys, list
+    lengths or types is a discrete difference at the path where it shows."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        parts = [compare(a[k], b[k], f"{path}.{k}" if path else k) for k in sorted(a)]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [compare(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif (all(isinstance(v, Number) and not isinstance(v, bool) for v in (a, b))
+          and not DISCRETE_KEYS.intersection(path.replace("[", ".").split("."))):
+        return abs(a - b), []
+    else:
+        return 0.0, [] if a == b else [path]
+    return max((p[0] for p in parts), default=0.0), [q for p in parts for q in p[1]]
+
+
+def other_texts(src: str) -> list:
+    """texts() made by a child process with src first on PYTHONPATH, as [key, text, human] lists."""
+    code = f"import json, runpy\nfor t in runpy.run_path({__file__!r})['texts'](): print(json.dumps(t))"
+    path = os.pathsep.join(filter(None, (str(Path(src).resolve()), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": path},
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def against(src: str) -> int:
+    """Print each document that differs from src's; 1 if a discrete leaf differs."""
+    discrete = False
+    for (key, text, human), (_, other, _) in zip(texts(), other_texts(src), strict=True):
+        if human:
+            if human_digest(text) != human_digest(other):
+                print(key, "text differs")
+            continue
+        if text == other:
+            continue
+        diff, paths = compare(json.loads(other), json.loads(text))
+        discrete |= bool(paths)
+        print(key, f"max-abs-diff {diff:.3g}", *paths)
+    return int(discrete)
+
+
+def main(argv=()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="SRC", help="compare every document with those made from SRC")
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against)
     for key, digest, size in digests():
         print(key, digest, size)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,9 +9,10 @@ results; the pass verdicts always refer to the real residuals. A passing
 pair needs none: the complex span contains the real one, so its complex
 residual is at most its real one.
 
-Every bracket family goes through one kernel: its brackets are one product table
-per operand order, both in pair order, subtracted in place (a full mask keeps the
-table, any other gathers its pairs; above TABLE_MAX_D field_bracket of the pairs),
+Every generator enters in the x frame: the subgroup blocks as given, the coset
+blocks as GeneratorBasis.coset_x. Every bracket family goes through one kernel:
+its brackets are one product table per operand order, both in pair order,
+subtracted in place (a full mask keeps the table, any other gathers its pairs),
 expanded over a RealSpan of the basis (sub-sub and coset-coset share one) by one
 real pseudo-inverse matmul, failing pairs by one complex one. Type b runs on the
 d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of the same
@@ -31,7 +32,6 @@ CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
 # Frobenius norm of a generator over that of its upper block
 BLOCK_SCALE = {CoirrepType.A: 1.0, CoirrepType.B: 2.0**0.5}
-TABLE_MAX_D = 8  # largest d whose products are tabulated: a d x d product then costs less than a matmul call
 
 
 def field_bracket(a, b) -> np.ndarray:
@@ -105,8 +105,7 @@ def _closure_report(family, lefts, rights, mask, span, tol, scale) -> ClosureRep
     pairs["left"], pairs["right"] = left, right
     if len(pairs):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned of
-            brackets = (_bracket_table(lefts, rights, mask) if lefts.shape[-1] <= TABLE_MAX_D
-                        else field_bracket(lefts[left], rights[right]))
+            brackets = _bracket_table(lefts, rights, mask)
             pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
         finite = np.isfinite(pairs["residual"])
         finite[solved[0]] &= np.isfinite(solved[2])
@@ -141,13 +140,12 @@ def verify_coset_coset_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) 
 
 
 def verify_mixed_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
-    """Subgroup-coset family: the subgroup field is transported to the x'
-    frame, bracketed with each coset field, and expanded over the real span
-    of the coset generators."""
-    moved = basis.to_x_inverse @ basis.subgroup_blocks @ basis.to_x
-    coset = basis.coset_blocks
-    every = np.ones((basis.n, len(coset)), bool)
-    return _closure_report("sub-coset", moved, coset, every, basis.coset_span, tol, BLOCK_SCALE[basis.ctype])
+    """Subgroup-coset family: each subgroup field, bracketed with each coset
+    field transported to the x frame, expands over the real span of the
+    transported coset generators."""
+    gens, coset = basis.subgroup_blocks, basis.coset_x
+    every = np.ones((len(gens), len(coset)), bool)
+    return _closure_report("sub-coset", gens, coset, every, basis.coset_span, tol, BLOCK_SCALE[basis.ctype])
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,6 +50,8 @@ class Tolerances:
         for f in fields(self):
             value = _build("tolerances", check_real, f.name, getattr(self, f.name), positive=True)
             object.__setattr__(self, f.name, value)
+        # a relative cut at or above sigma_max leaves every rank at 0
+        _expect(self.rank < 1.0, "tolerances.rank", f"expected a number below 1, got {self.rank}")
 
     def as_dict(self) -> dict:
         return {key: getattr(self, name) for key, name in _TOL_KEYS.items()}

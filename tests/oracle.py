@@ -89,8 +89,9 @@ def closure_families(subgroup, coset, to_x: np.ndarray) -> dict:
     """The three closure families, pair by pair: family -> {(i, j): expand}.
 
     to_x carries coefficients from the x' frame to the x frame. Coset-coset
-    brackets are moved to x after they are formed; subgroup fields are moved
-    to x' by the inverse before they meet a coset field.
+    brackets are moved to x after they are formed; each subgroup field meets
+    a coset field moved to x, and their bracket expands over the moved coset
+    fields.
     """
     out = {"sub-sub": {}, "coset-coset": {}, "sub-coset": {}}
     for s, r in combinations(range(len(subgroup)), 2):
@@ -98,10 +99,10 @@ def closure_families(subgroup, coset, to_x: np.ndarray) -> dict:
     for p, q in combinations(range(len(coset)), 2):
         moved = conjugate(to_x, bracket(coset[p], coset[q]))
         out["coset-coset"][(p, q)] = expand(moved, subgroup)
-    to_xprime = np.linalg.inv(to_x)
+    coset_x = [conjugate(to_x, c) for c in coset]
     for s, x in enumerate(subgroup):
-        for p, c in enumerate(coset):
-            out["sub-coset"][(s, p)] = expand(bracket(conjugate(to_xprime, x), c), coset)
+        for p, c in enumerate(coset_x):
+            out["sub-coset"][(s, p)] = expand(bracket(x, c), coset_x)
     return out
 
 

@@ -150,6 +150,24 @@ class TestParseConfig:
         assert main(["verify", "--config", str(path)]) == 1
         assert f"tolerances.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [1.0, 2.0, 1])
+    def test_a_rank_cut_at_or_above_the_largest_singular_value_is_rejected(self, value, tmp_path, capsys):
+        # a cut of rank * sigma_max at or above sigma_max would leave every rank at 0
+        expected = f"tolerances.rank: expected a number below 1, got {float(value)}"
+        with pytest.raises(ConfigError) as info:
+            Tolerances(rank=value)
+        assert str(info.value) == expected
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"group": "so3", "tolerances": {"rank": value}}))
+        assert main(["verify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {expected}\n"
+
+    def test_a_rank_cut_below_one_is_kept(self):
+        cfg = parse_config({"group": "so3", "tolerances": {"rank": 0.5}})
+        assert cfg.tolerances.rank == 0.5
+        assert run_verification(cfg).dimension["computed"] == 4
+
     @pytest.mark.parametrize("command", ["verify", "report"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["xi", "delta-alpha0"])

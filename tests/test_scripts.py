@@ -85,6 +85,50 @@ def test_report_digest_reads_the_human_stdout_without_its_wall_time(capsys):
     assert lines["su2-tr/commutators/human"] == (hashlib.sha256(out.encode()).hexdigest(), len(out.encode()))
 
 
+def test_report_digest_against_its_own_source_prints_nothing(capsys):
+    digest = load_script("report_digest")
+    assert digest.main(["--against", str(SCRIPTS.parent / "src")]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_report_digest_compare_separates_values_from_discrete_leaves():
+    compare = load_script("report_digest").compare
+    doc = {"closures": {"sub-coset": {"pairs": [[0, 0], [0, 1]], "residuals": [2.0, 1e-16], "passed": False,
+                                      "complex_residuals": [1e-16]}},
+           "dimension": {"computed": 7, "classification": "b-full"}}
+    assert compare(doc, json.loads(json.dumps(doc))) == (0.0, [])
+    moved = json.loads(json.dumps(doc))
+    moved["closures"]["sub-coset"]["residuals"] = [2.0 + 4e-13, 0]
+    diff, paths = compare(doc, moved)
+    assert abs(diff - 4e-13) < 1e-15 and paths == []
+    flipped = json.loads(json.dumps(moved))
+    flipped["closures"]["sub-coset"].update(passed=True, complex_residuals=[])
+    flipped["dimension"].update(computed=6, classification="other")
+    flipped["closures"]["sub-coset"]["pairs"][1] = [0, 2]
+    diff, paths = compare(doc, flipped)
+    assert abs(diff - 4e-13) < 1e-15
+    assert paths == ["closures.sub-coset.complex_residuals", "closures.sub-coset.pairs[1][1]",
+                     "closures.sub-coset.passed", "dimension.classification", "dimension.computed"]
+
+
+def test_report_digest_against_lists_each_differing_document(monkeypatch, capsys):
+    # both trees' documents stand in for texts(): a value moves, then a verdict flips
+    digest = load_script("report_digest")
+    mine = [["g/exact/0,0", '{"passed":true,"residual":0.5}', False],
+            ["g/verify/exact/human", "PASS\nwall time: 1.0 ms\n", True],
+            ["g/verify/fd/human", "PASS\nwall time: 1.0 ms\n", True]]
+    theirs = [["g/exact/0,0", '{"passed":true,"residual":0.25}', False],
+              ["g/verify/exact/human", "PASS\nwall time: 2.0 ms\n", True],
+              ["g/verify/fd/human", "FAIL\nwall time: 1.0 ms\n", True]]
+    monkeypatch.setattr(digest, "texts", lambda: iter(mine))
+    monkeypatch.setattr(digest, "other_texts", lambda src: theirs)
+    assert digest.main(["--against", "other"]) == 0
+    assert capsys.readouterr().out == "g/exact/0,0 max-abs-diff 0.25\ng/verify/fd/human text differs\n"
+    theirs[0][1] = '{"passed":false,"residual":0.5}'
+    assert digest.main(["--against", "other"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "g/exact/0,0 max-abs-diff 0 passed"
+
+
 def result_line(job_ms: float, failed: int = 0) -> str:
     """A perfbench result line (its last stdout line) with the four end-to-end metrics."""
     metrics = {"job_ms.p50": (job_ms, "ms"), "setup_s": (0.2, "s"), "report_kb": (66.9, "KB"), "peak_rss_mb": (43.4, "MB")}
