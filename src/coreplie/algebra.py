@@ -16,7 +16,8 @@ subtracted in place (a full mask keeps the table, any other gathers its pairs),
 expanded over a RealSpan of the basis (sub-sub and coset-coset share one) by one
 real pseudo-inverse matmul, failing pairs by one complex one. Type b runs on the
 d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of the same
-signs have the blocks' coefficients and sqrt(2) times their remainders.
+signs have the blocks' coefficients and sqrt(2) times their remainders, and the
+doubled dimension is read from the SVDs of the two spans.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .group_core import CoirrepType
 from .infinitesimal import GeneratorBasis
-from .matrices import RealSpan
+from .matrices import RealSpan, workspace
 
 CLOSURE_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -82,14 +83,22 @@ class ClosureReport:
 def _bracket_table(lefts, rights, mask) -> np.ndarray:
     """field_bracket(lefts[i], rights[j]) of each pair (i, j) where the (n, m) mask is true, row-major: one
     batched matmul writes every R_j L_i at [i, j], one more every L_i R_j at [j, i] (none if rights is lefts),
-    read with its pair axes swapped; a full mask subtracts in place and returns that table, any other gathers."""
+    read with its pair axes swapped; a full mask subtracts in place and returns that table, any other gathers
+    its pairs from both. Each of these arrays is the matrices workspace's above its size gate, its own below."""
     (n, d), m = lefts.shape[:2], len(rights)
-    out = np.empty((n * m, d, d), complex)
+    table = workspace("table", (n * m, d, d), complex)
+    out = np.empty((n * m, d, d), complex) if table is None else table
     rl = np.matmul(rights.reshape(-1, d), lefts, out=out.reshape(n, m * d, d)).reshape(n, m, d, d)
-    lr = (rl if rights is lefts else (lefts.reshape(-1, d) @ rights).reshape(m, n, d, d)).transpose(1, 0, 2, 3)
-    if not mask.all():
+    lr = rl if rights is lefts else np.matmul(
+        lefts.reshape(-1, d), rights, out=workspace("product", (m, n * d, d), complex)).reshape(m, n, d, d)
+    if mask.all():
+        lr = lr.transpose(1, 0, 2, 3)
+    elif table is None or (out := workspace("pairs-rl", (int(mask.sum()), d, d), complex)) is None:  # under the gate
         out = rl = rl[mask]
-        lr = lr[mask]
+        lr = lr.transpose(1, 0, 2, 3)[mask]
+    else:  # pair (i, j) is rl[i, j] and lr[j, i]; take's default mode would buffer its out
+        (i, j), rl = mask.nonzero(), np.take(rl.reshape(-1, d, d), np.flatnonzero(mask), 0, out, "clip")
+        lr = np.take(lr.reshape(-1, d, d), j * n + i, 0, workspace("pairs-lr", out.shape, complex), "clip")
     np.subtract(rl, lr, out=rl)
     return out
 
@@ -155,7 +164,8 @@ class AlgebraDimension:
     classification is 'a-degenerate' when the rank is n+1, 'b-full' when it
     is 2n+1, and 'other' otherwise; 'other' comes with the dependency
     certificate (the combination of generators realizing the near
-    dependency, signed so that its largest-magnitude entry is positive).
+    dependency, signed so that its largest-magnitude entry is positive;
+    for type b it involves the subgroup or the coset generators alone).
     """
 
     computed: int
@@ -171,17 +181,22 @@ def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> 
     """Dimension of the real span of all generators in one common frame.
 
     Coset generators are transported to the x frame; the real rank is the
-    count of the RealSpan's singular values above rank_tol * sigma_max.
+    count of the RealSpan's singular values above rank_tol * sigma_max, for
+    type b those of subgroup_span and coset_span merged.
     """
-    stack = np.concatenate([basis.subgroup_blocks, basis.coset_x])
+    m = basis.n + len(basis.coset_x)
     expected = basis.n + 1 if basis.ctype is CoirrepType.A else 2 * basis.n + 1
-    if not len(stack):
+    if not m:
         return AlgebraDimension(0, expected, "other", np.zeros(0), 0.0, 0.0)
-    if basis.ctype is CoirrepType.B:  # (X, X) is orthogonal to (X', -X'): one half each
-        halves = np.zeros((len(stack), 2, *stack.shape[1:]), complex)
-        halves[:basis.n, 0], halves[basis.n:, 1] = stack[:basis.n], stack[basis.n:]
-        stack = halves
-    _, svals, uh = RealSpan(stack).svd
+    if basis.ctype is CoirrepType.A:
+        _, svals, uh = RealSpan(np.concatenate([basis.subgroup_blocks, basis.coset_x])).svd
+    else:  # (X, X) is orthogonal to (X', -X'): the doubled SVD is the two spans' SVDs, merged
+        sub, coset = (span.svd[1:] if len(span.stack) else (np.zeros(0), np.zeros((0, 0)))
+                      for span in (basis.subgroup_span, basis.coset_span))
+        svals, uh = np.concatenate([sub[0], coset[0]]), np.zeros((len(sub[0]) + len(coset[0]), m))
+        uh[:len(sub[0]), :basis.n], uh[len(sub[0]):, basis.n:] = sub[1], coset[1]
+        order = np.argsort(-svals, kind="stable")
+        svals, uh = svals[order], uh[order]
     svals = svals * BLOCK_SCALE[basis.ctype]
     threshold = rank_tol * float(svals[0])
     rank = int(np.sum(svals > threshold))

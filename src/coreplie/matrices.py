@@ -3,10 +3,16 @@
 All matrices are plain numpy arrays with dtype complex128. Equality is
 always approximate: absolute tolerance ENTRY_TOL scaled by the largest
 entry magnitude involved (dimensions stay small, conditioning is benign).
+
+The verify path writes its large temporaries with out= into a workspace of
+grow-only arrays, so a run reuses the pages the last one touched. It is module
+state (threading.local), as run_verification receives no object that outlives
+a run: each thread has its own, and no value in it outlives the call writing it.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +22,21 @@ import numpy as np
 ENTRY_TOL = 1e-10
 # Relative singular-value threshold of is_invertible and LieGroupSpec's rank test.
 RANK_TOL = 1e-10
+# Arrays smaller than this are allocated as usual, not taken from the workspace.
+WORKSPACE_MIN_BYTES = 64 * 1024
+_workspace = threading.local()
+
+
+def workspace(slot: str, shape: tuple, dtype) -> np.ndarray | None:
+    """This thread's C-contiguous array for slot, shaped and typed as asked, its contents
+    undefined; None, for out= to allocate as usual, when it would be under WORKSPACE_MIN_BYTES."""
+    size, dtype = math.prod(shape), np.dtype(dtype)
+    if size * dtype.itemsize < WORKSPACE_MIN_BYTES:
+        return None
+    held = vars(_workspace).get(slot)
+    if held is None or held.size < size or held.dtype != dtype:
+        vars(_workspace)[slot] = held = np.empty(size, dtype)
+    return held[:size].reshape(shape)
 
 
 def as_square_complex(m, name: str = "matrix", ndim: int = 2) -> np.ndarray:
@@ -116,11 +137,12 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def real_vectorization(a: np.ndarray) -> np.ndarray:
-    """One real row per member of a stack (m, ...): the stacked real and imaginary
-    parts of vec of each matrix in the member's last two axes, in order."""
+def real_vectorization(a: np.ndarray, slot: str | None = None) -> np.ndarray:
+    """One real row per member of a stack (m, ...): the stacked real and imaginary parts of
+    vec of each matrix in the member's last two axes, in order, in the workspace slot if named."""
     flat = np.asarray(a, dtype=complex).reshape(*np.shape(a)[:-2], -1)
-    return np.concatenate([flat.real, flat.imag], axis=-1).reshape(len(a), -1)
+    out = workspace(slot, (*flat.shape[:-1], 2 * flat.shape[-1]), float) if slot else None
+    return np.concatenate([flat.real, flat.imag], axis=-1, out=out).reshape(len(a), -1)
 
 
 def _factor(rows: np.ndarray, svd: tuple | None = None) -> tuple:
@@ -139,7 +161,7 @@ def _solve(rows: np.ndarray, size: np.ndarray, factor: tuple, scale: float) -> t
     coeffs = rows @ pinv
     parts = coeffs.view(float)  # complex: real and imaginary parts side by side
     parts[np.abs(parts) <= resolution * size] = 0.0
-    rest = coeffs @ span
+    rest = np.matmul(coeffs, span, out=workspace(f"rest-{rows.dtype.kind}", rows.shape, rows.dtype))
     rest = np.subtract(rows, rest, out=rest).view(float)
     return coeffs, scale * np.sqrt(np.einsum("ij,ij->i", rest, rest))
 
@@ -168,7 +190,7 @@ class RealSpan:
         complex coefficients (q, m) and remainder norms (q,) times scale; tol = 0 solves every row."""
         if not len(self.stack):
             raise ValueError("basis must be nonempty")
-        real = real_vectorization(targets)
+        real = real_vectorization(targets, "rows")
         size = np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]  # ||C||_F
         coeffs, residual = _solve(real, size, self._real, scale)
         rows = np.flatnonzero(~(residual < tol))

@@ -23,7 +23,7 @@ from coreplie import (
     verify_coset_coset_closure,
     verify_mixed_closure,
 )
-from coreplie import algebra
+from coreplie import algebra, matrices
 from coreplie.algebra import RANK_REL_TOL
 from coreplie.config import with_overrides
 from coreplie.matrices import RealSpan, block_diag2
@@ -340,7 +340,9 @@ class TestKernelAgainstPerPairOracle:
 
 
 class TestBracketLayout:
-    """_bracket_table hands back an array of its own in pair order, at every d."""
+    """_bracket_table hands back its table in pair order, at every d: below the
+    workspace's size gate an array of its own, above it a C-contiguous one that
+    shares no memory with its operands."""
 
     @staticmethod
     def family(d, n, m, combination):
@@ -358,6 +360,18 @@ class TestBracketLayout:
         lefts, rights, mask, pairs = self.family(d, 4, 3, combination)
         got = algebra._bracket_table(lefts, rights, mask)
         assert got.flags.c_contiguous and got.flags.owndata
+        want = np.array([field_bracket(lefts[i], rights[j]) for i, j in pairs])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("combination", [False, True], ids=["full", "triangular"])
+    def test_table_above_the_gate_is_c_contiguous_and_apart_from_its_operands(self, combination):
+        lefts, rights, mask, pairs = self.family(24, 5, 4, combination)
+        assert len(pairs) * lefts[0].nbytes >= matrices.WORKSPACE_MIN_BYTES  # 10 or 20 pairs
+        got = algebra._bracket_table(lefts, rights, mask)
+        assert got.flags.c_contiguous
+        assert any(np.shares_memory(got, held) for held in vars(matrices._workspace).values())
+        assert not np.shares_memory(got, lefts) and not np.shares_memory(got, rights)
         want = np.array([field_bracket(lefts[i], rights[j]) for i, j in pairs])
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -423,9 +437,10 @@ class TestAlgebraDimension:
             dim = algebra_dimension(basis)
             assert dim.margin >= 1e6
 
-    def test_empty_coset_reports_other(self):
+    @pytest.mark.parametrize("ctype", [CoirrepType.A, CoirrepType.B])
+    def test_empty_coset_reports_other(self, ctype):
         spec, ext = catalog_entry("so2-conj")
-        basis = GeneratorBasis(spec.generators, np.zeros((0, 2, 2)), CoirrepType.A, ext.N)
+        basis = GeneratorBasis(spec.generators, np.zeros((0, 2, 2)), ctype, ext.N)
         dim = algebra_dimension(basis)
         assert dim.computed == spec.n
         assert dim.classification == "other"

@@ -19,6 +19,7 @@ from coreplie import (
     exp_curve,
     field_bracket,
     generator_basis,
+    parse_config,
     sub_sub_closure_report,
     verify_coset_coset_closure,
     verify_mixed_closure,
@@ -32,7 +33,7 @@ from coreplie.report import run_verification
 
 from oracle import commutator_on_coordinates, operator_apply
 from oracle import conjugate as _conjugate
-from test_algebra import su3_gell_mann
+from test_algebra import spin_document, su3_gell_mann
 
 
 class TestCentralDerivative:
@@ -485,19 +486,22 @@ class TestStackedExtraction:
     # the SVDs of one run by dtype: one real SVD per span, sub-sub and
     # coset-coset sharing the subgroup span, whose real SVD the spec's
     # independence test already took when the config was parsed, a complex one
-    # per span only where some family over it has a failing pair (su2-tr fails
-    # over both), and the dimension's; N was checked where it entered, so the
-    # x' -> x map is inverted without an invertibility SVD
+    # per span only where some family over it has a failing pair (su2-tr and
+    # spin 2j = 15 fail over both), and for type a the dimension's; type b
+    # (su2-tr, spin 2j = 15) reads its dimension from the two spans' real SVDs.
+    # N was checked where it entered, so the x' -> x map is inverted without
+    # an invertibility SVD
     SVDS = {
         "so2-conj": ["f", "f"],
         "so3": ["f", "f"],
-        "su2-tr": ["c", "c", "f", "f"],
+        "su2-tr": ["c", "c", "f"],
         "u1": ["f", "f"],
+        "spin15-2": ["c", "c", "f"],
     }
 
     @pytest.mark.parametrize("name", sorted(SVDS))
     def test_run_verification_factors_each_span_once(self, name, monkeypatch):
-        cfg = config_for_catalog(name)
+        cfg = parse_config(spin_document(15)) if name == "spin15-2" else config_for_catalog(name)
         svds, spans = [], {}
         real_svd, closure_report = np.linalg.svd, algebra._closure_report
         monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: svds.append(a.dtype.kind) or real_svd(a, *r, **k))

@@ -129,6 +129,14 @@ def test_report_digest_against_lists_each_differing_document(monkeypatch, capsys
     assert capsys.readouterr().out.splitlines()[0] == "g/exact/0,0 max-abs-diff 0 passed"
 
 
+def test_pass_faults_prints_one_line_per_workload(capsys):
+    # the counts depend on the C library and the machine; only the format is pinned
+    assert load_script("pass_faults").main(["--passes", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["catalog-sweep", "su-ladder", "spin-ladder"]
+    assert all(re.fullmatch(r"\S+ minflt/pass p50 \d+ max \d+ pass_ms p50 \d+\.\d\d", line) for line in lines)
+
+
 def result_line(job_ms: float, failed: int = 0) -> str:
     """A perfbench result line (its last stdout line) with the four end-to-end metrics."""
     metrics = {"job_ms.p50": (job_ms, "ms"), "setup_s": (0.2, "s"), "report_kb": (66.9, "KB"), "peak_rss_mb": (43.4, "MB")}
