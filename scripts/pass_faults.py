@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Count the minor page faults of each in-process benchmark pass.
 
-    python scripts/pass_faults.py [--workload spin-ladder] [--passes 30] [--seed 0]
+    python scripts/pass_faults.py [--workload spin-ladder] [--passes 30]
 
 For catalog-sweep, su-ladder and spin-ladder (or the workloads named), a
 child process with one BLAS thread builds perfbench's shuffled passes from
-the seed (perfbench/workloads.py: generated_inputs, build_pass and
+the fixed seed 0 (perfbench/workloads.py: generated_inputs, build_pass and
 run_in_process, read as they are), runs one warm-up pass and then the
 given number of passes, and reads resource.getrusage's ru_minflt around
 each pass. One line per workload:
@@ -33,12 +33,12 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog-sweep", "su-ladder", "spin-ladder")
 
 
-def measure(workload: str, passes: int, seed: int) -> str:
+def measure(workload: str, passes: int) -> str:
     """The result line of one workload, measured in this process; raises when a run does."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import build_pass, generated_inputs, run_in_process
 
-    rng, docs = random.Random(seed), generated_inputs(workload)
+    rng, docs = random.Random(0), generated_inputs(workload)
     faults, times = [], []
     for _ in range(passes + 1):  # the first pass warms up and is not counted
         jobs = build_pass(workload, rng, docs, {})
@@ -58,17 +58,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; all three if absent")
     parser.add_argument("--passes", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)  # measure here, one workload
     args = parser.parse_args(argv)
     if args.child:
-        print(measure(args.workload[0], args.passes, args.seed), flush=True)
+        print(measure(args.workload[0], args.passes), flush=True)
         return 0
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     status = 0
     for workload in args.workload or WORKLOADS:  # one process each, so no workload inherits another's heap
         done = subprocess.run([sys.executable, __file__, "--child", "--workload", workload, "--passes",
-                               str(args.passes), "--seed", str(args.seed)], env=env, capture_output=True, text=True)
+                               str(args.passes)], env=env, capture_output=True, text=True)
         print(done.stdout, end="", flush=True)
         if done.returncode:
             print(f"pass_faults: {workload} failed (exit {done.returncode}):\n{done.stderr[-2000:]}", file=sys.stderr)

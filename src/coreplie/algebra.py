@@ -83,22 +83,18 @@ class ClosureReport:
 def _bracket_table(lefts, rights, mask) -> np.ndarray:
     """field_bracket(lefts[i], rights[j]) of each pair (i, j) where the (n, m) mask is true, row-major: one
     batched matmul writes every R_j L_i at [i, j], one more every L_i R_j at [j, i] (none if rights is lefts),
-    read with its pair axes swapped; a full mask subtracts in place and returns that table, any other gathers
-    its pairs from both. Each of these arrays is the matrices workspace's above its size gate, its own below."""
+    read with its pair axes swapped; a full mask subtracts in place and returns that table, any other gathers.
+    Both products are the matrices workspace's above its size gate, arrays of their own below it; the
+    gathered pairs are always an array of their own."""
     (n, d), m = lefts.shape[:2], len(rights)
-    table = workspace("table", (n * m, d, d), complex)
-    out = np.empty((n * m, d, d), complex) if table is None else table
+    out = workspace("table", (n * m, d, d), complex)
+    out = np.empty((n * m, d, d), complex) if out is None else out
     rl = np.matmul(rights.reshape(-1, d), lefts, out=out.reshape(n, m * d, d)).reshape(n, m, d, d)
-    lr = rl if rights is lefts else np.matmul(
-        lefts.reshape(-1, d), rights, out=workspace("product", (m, n * d, d), complex)).reshape(m, n, d, d)
-    if mask.all():
-        lr = lr.transpose(1, 0, 2, 3)
-    elif table is None or (out := workspace("pairs-rl", (int(mask.sum()), d, d), complex)) is None:  # under the gate
+    lr = (rl if rights is lefts else np.matmul(lefts.reshape(-1, d), rights, out=workspace(
+        "product", (m, n * d, d), complex)).reshape(m, n, d, d)).transpose(1, 0, 2, 3)
+    if not mask.all():
         out = rl = rl[mask]
-        lr = lr.transpose(1, 0, 2, 3)[mask]
-    else:  # pair (i, j) is rl[i, j] and lr[j, i]; take's default mode would buffer its out
-        (i, j), rl = mask.nonzero(), np.take(rl.reshape(-1, d, d), np.flatnonzero(mask), 0, out, "clip")
-        lr = np.take(lr.reshape(-1, d, d), j * n + i, 0, workspace("pairs-lr", out.shape, complex), "clip")
+        lr = lr[mask]
     np.subtract(rl, lr, out=rl)
     return out
 

@@ -342,7 +342,8 @@ class TestKernelAgainstPerPairOracle:
 class TestBracketLayout:
     """_bracket_table hands back its table in pair order, at every d: below the
     workspace's size gate an array of its own, above it a C-contiguous one that
-    shares no memory with its operands."""
+    shares no memory with its operands (a full mask's is the workspace's table,
+    gathered pairs are an array of their own)."""
 
     @staticmethod
     def family(d, n, m, combination):
@@ -370,7 +371,8 @@ class TestBracketLayout:
         assert len(pairs) * lefts[0].nbytes >= matrices.WORKSPACE_MIN_BYTES  # 10 or 20 pairs
         got = algebra._bracket_table(lefts, rights, mask)
         assert got.flags.c_contiguous
-        assert any(np.shares_memory(got, held) for held in vars(matrices._workspace).values())
+        in_workspace = any(np.shares_memory(got, held) for held in vars(matrices._workspace).values())
+        assert (got.flags.owndata and not in_workspace) if combination else in_workspace
         assert not np.shares_memory(got, lefts) and not np.shares_memory(got, rights)
         want = np.array([field_bracket(lefts[i], rights[j]) for i, j in pairs])
         assert got.shape == want.shape

@@ -23,7 +23,7 @@ from coreplie import matrices
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import spin_document, su_document  # noqa: E402
 
-SLOTS = {"table", "product", "pairs-rl", "pairs-lr", "rows", "rest-f", "rest-c"}
+SLOTS = {"table", "product", "rows", "rest-f", "rest-c"}
 
 
 def config(name):
