@@ -11,6 +11,7 @@ from .algebra import (
     AlgebraDimension,
     ClosureReport,
     algebra_dimension,
+    closure_reports,
     field_bracket,
     sub_sub_closure_report,
     verify_coset_coset_closure,
@@ -63,6 +64,7 @@ __all__ = [
     "catalog_entry",
     "central_derivative",
     "classify_coirrep",
+    "closure_reports",
     "coirrep_matrix",
     "compose",
     "emit_machine",

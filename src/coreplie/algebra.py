@@ -9,19 +9,19 @@ results; the pass verdicts always refer to the real residuals. A passing
 pair needs none: the complex span contains the real one, so its complex
 residual is at most its real one.
 
-Every generator enters in the x frame: the subgroup blocks as given, the coset
-blocks as GeneratorBasis.coset_x. Every bracket family goes through one kernel:
-its brackets are one product table per operand order, both in pair order,
-subtracted in place (a full mask keeps the table, any other gathers its pairs),
-expanded over a RealSpan of the basis (sub-sub and coset-coset share one) by one
-real pseudo-inverse matmul, failing pairs by one complex one. Type b runs on the
+Every generator enters in the x frame, as one stack GeneratorBasis.x_stack: the
+subgroup blocks as given, then the coset blocks transported. One batched matmul
+forms the products of every ordered pair of it; each family is a mask of that
+table, its brackets gathered in pair order and expanded over a RealSpan of the
+basis (sub-sub and coset-coset share one) by one real pseudo-inverse matmul,
+failing pairs by one complex one. Type b runs on the
 d x d upper blocks: doubled brackets blockdiag(C, +-C) over a span of the same
 signs have the blocks' coefficients and sqrt(2) times their remainders, and the
 doubled dimension is read from the SVDs of the two spans.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,48 +80,57 @@ class ClosureReport:
         return float(self.fallback["complex_residual"].max(initial=0.0))
 
 
-def _bracket_table(lefts, rights, mask) -> np.ndarray:
-    """field_bracket(lefts[i], rights[j]) of each pair (i, j) where the (n, m) mask is true, row-major: one
-    batched matmul writes every R_j L_i at [i, j], one more every L_i R_j at [j, i] (none if rights is lefts),
-    read with its pair axes swapped; a full mask subtracts in place and returns that table, any other gathers.
-    Both products are the matrices workspace's above its size gate, arrays of their own below it; the
-    gathered pairs are always an array of their own."""
-    (n, d), m = lefts.shape[:2], len(rights)
-    out = workspace("table", (n * m, d, d), complex)
-    out = np.empty((n * m, d, d), complex) if out is None else out
-    rl = np.matmul(rights.reshape(-1, d), lefts, out=out.reshape(n, m * d, d)).reshape(n, m, d, d)
-    lr = (rl if rights is lefts else np.matmul(lefts.reshape(-1, d), rights, out=workspace(
-        "product", (m, n * d, d), complex)).reshape(m, n, d, d)).transpose(1, 0, 2, 3)
-    if not mask.all():
-        out = rl = rl[mask]
-        lr = lr[mask]
-    np.subtract(rl, lr, out=rl)
-    return out
+def _bracket_table(gens) -> np.ndarray:
+    """Every product G_j G_i of a stack (k, d, d) at [i, j] of a (k, k, d, d) table, from one batched
+    matmul: field_bracket(gens[i], gens[j]) is table[i, j] - table[j, i]. The table is the matrices
+    workspace's above its size gate, an array of its own below it."""
+    k, d = gens.shape[:2]
+    table = workspace("table", (k, k, d, d), complex)
+    table = np.empty((k, k, d, d), complex) if table is None else table
+    np.matmul(gens.reshape(-1, d), gens, out=table.reshape(k, k * d, d))
+    return table
 
 
-def _closure_report(family, lefts, rights, mask, span, tol, scale) -> ClosureReport:
-    """Report of one family: the brackets of lefts[i] with rights[j] for each pair (i, j) where the
-    (n, m) mask is true, expanded over the RealSpan and stored column by column; the failing pairs,
-    those not below tol, are the rows of the fallback. Raises ValueError naming the first pair whose
-    bracket or its norm is beyond float range, which leaves a residual that is not finite."""
+def _closure_report(family, table, mask, n, span, tol, scale) -> ClosureReport:
+    """Report of one family: the brackets table[i, j] - table[j, i] of the pairs (i, j) where the mask is
+    true, gathered, expanded over the RealSpan and stored column by column, i and j numbered within the
+    subgroup (below n) or the coset stack; the failing pairs, those not below tol, are the rows of the
+    fallback. Raises ValueError naming the first pair whose bracket or its norm is beyond float range,
+    which leaves a residual that is not finite."""
     left, right = mask.nonzero()
     m = len(span.stack)
     pairs, fallback = np.empty(len(left), _pair_dtype(m)), np.empty(0, _fallback_dtype(m))
-    pairs["left"], pairs["right"] = left, right
+    pairs["left"], pairs["right"] = left - n * (left >= n), right - n * (right >= n)
     if len(pairs):
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below, not warned of
-            brackets = _bracket_table(lefts, rights, mask)
-            pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
+        brackets = table[left, right]
+        np.subtract(brackets, table[right, left], out=brackets)
+        pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
         finite = np.isfinite(pairs["residual"])
         finite[solved[0]] &= np.isfinite(solved[2])
         if not finite.all():
             k = int(np.argmin(finite))
-            raise ValueError(f"family {family}, pair ({left[k]},{right[k]}): "
+            raise ValueError(f"family {family}, pair ({pairs['left'][k]},{pairs['right'][k]}): "
                              "the bracket or its norm is beyond float range")
         fallback = np.empty(len(solved[0]), fallback.dtype)
         fallback["pair"], fallback["complex_coeffs"], fallback["complex_residual"] = solved
     pairs.flags.writeable = fallback.flags.writeable = False
     return ClosureReport(family, pairs, fallback, tol, not len(fallback))
+
+
+def closure_reports(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> dict:
+    """The three commutator families by name, masks of one bracket table over basis.x_stack:
+    sub-sub and coset-coset the pairs i < j within the subgroup and the coset block, expanded over
+    the subgroup span; sub-coset every (subgroup, coset) pair, over the coset span. Raises
+    ValueError naming the first family, in that order, and pair whose bracket is beyond float range."""
+    n, scale = basis.n, BLOCK_SCALE[basis.ctype]
+    i, j = np.ogrid[:len(basis.x_stack), :len(basis.x_stack)]
+    families = {"sub-sub": ((i < j) & (j < n), basis.subgroup_span),
+                "coset-coset": ((n <= i) & (i < j), basis.subgroup_span),
+                "sub-coset": ((i < n) & (n <= j), basis.coset_span)}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named, not warned of
+        table = _bracket_table(basis.x_stack)
+        return {family: _closure_report(family, table, mask, n, span, tol, scale)
+                for family, (mask, span) in families.items()}
 
 
 def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
@@ -130,27 +139,18 @@ def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> C
     Its coeffs are the structure constants: the row of pair (sigma, rho),
     sigma < rho, holds c[sigma, rho, :] of [J_sigma, J_rho] = c^tau J_tau, and
     c[rho, sigma] = -c[sigma, rho]. generator_basis(spec, None) gives those of
-    spec.generators as supplied."""
-    gens = basis.subgroup_blocks
-    upper = np.arange(basis.n)[:, None] < np.arange(basis.n)
-    return _closure_report("sub-sub", gens, gens, upper, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
+    spec.generators as supplied. The coset stack is dropped: no coset bracket is formed."""
+    return closure_reports(replace(basis, coset_blocks=basis.coset_blocks[:0]), tol)["sub-sub"]
 
 
 def verify_coset_coset_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
-    """Coset-coset family: brackets, transported to the x frame, expand over
-    the real span of the subgroup generators."""
-    coset = basis.coset_x
-    upper = np.arange(len(coset))[:, None] < np.arange(len(coset))
-    return _closure_report("coset-coset", coset, coset, upper, basis.subgroup_span, tol, BLOCK_SCALE[basis.ctype])
+    """Coset-coset family of closure_reports: x-frame brackets over the subgroup span."""
+    return closure_reports(basis, tol)["coset-coset"]
 
 
 def verify_mixed_closure(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:
-    """Subgroup-coset family: each subgroup field, bracketed with each coset
-    field transported to the x frame, expands over the real span of the
-    transported coset generators."""
-    gens, coset = basis.subgroup_blocks, basis.coset_x
-    every = np.ones((len(gens), len(coset)), bool)
-    return _closure_report("sub-coset", gens, coset, every, basis.coset_span, tol, BLOCK_SCALE[basis.ctype])
+    """Subgroup-coset family of closure_reports: x-frame brackets over the coset span."""
+    return closure_reports(basis, tol)["sub-coset"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,12 +180,12 @@ def algebra_dimension(basis: GeneratorBasis, rank_tol: float = RANK_REL_TOL) -> 
     count of the RealSpan's singular values above rank_tol * sigma_max, for
     type b those of subgroup_span and coset_span merged.
     """
-    m = basis.n + len(basis.coset_x)
+    m = len(basis.x_stack)
     expected = basis.n + 1 if basis.ctype is CoirrepType.A else 2 * basis.n + 1
     if not m:
         return AlgebraDimension(0, expected, "other", np.zeros(0), 0.0, 0.0)
     if basis.ctype is CoirrepType.A:
-        _, svals, uh = RealSpan(np.concatenate([basis.subgroup_blocks, basis.coset_x])).svd
+        _, svals, uh = RealSpan(basis.x_stack).svd
     else:  # (X, X) is orthogonal to (X', -X'): the doubled SVD is the two spans' SVDs, merged
         sub, coset = (span.svd[1:] if len(span.stack) else (np.zeros(0), np.zeros((0, 0)))
                       for span in (basis.subgroup_span, basis.coset_span))

@@ -4,11 +4,11 @@ A generator with coefficient matrix A stands for the linear vector field
 J = A_ij x_j d/dx_i. Subgroup generators live at the base point x, coset
 generators at the coset base point x' = N^{-1} x. A GeneratorBasis carries
 the x' -> x map M = N on its d x d blocks (type b: blockdiag(M, -M)) and
-conjugates the coset coefficients into the x frame once: every bracket is
-formed in that one frame. The phases xi and delta_alpha0 reach no number
-here. Generators stay complex stacks of d x d upper blocks from extraction
-to emission (type b doubles them on request); their bracket is
-algebra.field_bracket.
+conjugates the coset coefficients into the x frame once, into one stack of
+all 2n+1 generators (x_stack): every bracket is formed in that one frame. The
+phases xi and delta_alpha0 reach no number here. Generators stay complex stacks
+of d x d upper blocks from extraction to emission (type b doubles them on
+request); their bracket is algebra.field_bracket.
 """
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ def _gate(values: np.ndarray, limits, names, head: str, tail: str) -> None:
 class GeneratorBasis:
     """Upper blocks of the subgroup (n, d, d) and coset (n+1, d, d) generators
     of one coirrep, and the d x d block to_x of the x' -> x map, all read-only
-    complex copies of the input. The closure families and the dimension read
-    the subgroup blocks and coset_x, the coset blocks in the x frame, alone.
+    complex copies of the input. The closure families and the dimension read x_stack
+    alone: the subgroup blocks, then coset_x, the coset blocks in the x frame.
     .subgroup and .coset are the generators, for type b a new
     blockdiag(X, X) and blockdiag(X', -X'). fd_max_abs_diff is set (to
     generator_basis's fd-vs-exact gap) in mode 'fd' only. subgroup_span is
@@ -88,13 +88,16 @@ class GeneratorBasis:
         return len(self.subgroup_blocks)
 
     @cached_property
-    def coset_x(self) -> np.ndarray:
-        """Coset blocks transported to the x frame, M X' M^-1, M inverted once per
-        basis. Conjugation is an automorphism, so transporting the generators
-        transports their brackets."""
-        out = self.to_x @ self.coset_blocks @ np.linalg.inv(self.to_x)
+    def x_stack(self) -> np.ndarray:
+        """The 2n+1 generators in the x frame: the subgroup blocks, then the coset
+        blocks transported, M X' M^-1 with M inverted once per basis. Conjugation
+        is an automorphism, so transporting the generators transports their brackets."""
+        out = np.concatenate([self.subgroup_blocks, self.to_x @ self.coset_blocks @ np.linalg.inv(self.to_x)])
         out.setflags(write=False)
         return out
+
+    # the coset blocks in the x frame, a view of x_stack
+    coset_x = cached_property(lambda self: self.x_stack[self.n:])
 
     # the span of coset_x the sub-coset family expands over, factored once per basis
     coset_span = cached_property(lambda self: RealSpan(self.coset_x))

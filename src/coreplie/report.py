@@ -30,9 +30,7 @@ from .algebra import (
     AlgebraDimension,
     ClosureReport,
     algebra_dimension,
-    sub_sub_closure_report,
-    verify_coset_coset_closure,
-    verify_mixed_closure,
+    closure_reports,
 )
 from .config import GroupConfig
 from .infinitesimal import generator_basis
@@ -154,13 +152,8 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
 
     basis = generator_basis(spec, ext, mode=mode, step=tol.fd_step, agree=tol.fd_agree)
 
-    sub_sub = sub_sub_closure_report(basis, tol=tol.closure)
-    coset_coset = verify_coset_coset_closure(basis, tol=tol.closure)
-    mixed = verify_mixed_closure(basis, tol=tol.closure)
-
+    closures = closure_reports(basis, tol=tol.closure)
     dim = algebra_dimension(basis, rank_tol=tol.rank)
-
-    passed = sub_sub.passed and coset_coset.passed and mixed.passed
 
     return RunReport(
         schema=SCHEMA_VERSION,
@@ -176,13 +169,9 @@ def run_verification(cfg: GroupConfig, mode: str = "exact") -> RunReport:
             "coset": json_numbers(basis.coset_blocks),
             "fd_max_abs_diff": None if basis.fd_max_abs_diff is None else json_numbers(basis.fd_max_abs_diff),
         },
-        closures={
-            "sub-sub": _closure_to_dict(sub_sub),
-            "coset-coset": _closure_to_dict(coset_coset),
-            "sub-coset": _closure_to_dict(mixed),
-        },
+        closures={family: _closure_to_dict(rep) for family, rep in closures.items()},
         dimension=_dimension_to_dict(dim),
-        passed=passed,
+        passed=all(rep.passed for rep in closures.values()),
     )
 
 

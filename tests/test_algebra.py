@@ -1,6 +1,5 @@
 import json
 import sys
-from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,7 @@ from coreplie import (
     LieGroupSpec,
     algebra_dimension,
     catalog_entry,
+    closure_reports,
     emit_machine,
     field_bracket,
     generator_basis,
@@ -340,43 +340,73 @@ class TestKernelAgainstPerPairOracle:
 
 
 class TestBracketLayout:
-    """_bracket_table hands back its table in pair order, at every d: below the
-    workspace's size gate an array of its own, above it a C-contiguous one that
-    shares no memory with its operands (a full mask's is the workspace's table,
-    gathered pairs are an array of their own)."""
+    """_bracket_table hands back the products of every ordered pair of its stack, at
+    every d: below the workspace's size gate an array of its own, above it the
+    workspace's C-contiguous table, which shares no memory with its operands. The
+    bracket of pair (i, j) is table[i, j] - table[j, i]."""
 
     @staticmethod
-    def family(d, n, m, combination):
-        """(lefts, rights, mask, pairs) of random complex stacks: a combination family
-        (rights is lefts, the strict upper triangle) or a product family (every pair)."""
+    def stack(d, k):
         rng = np.random.default_rng(d)
-        lefts, rights = (rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)) for k in (n, m))
-        if combination:
-            return lefts, lefts, np.triu(np.ones((n, n), bool), 1), list(combinations(range(n), 2))
-        return lefts, rights, np.ones((n, m), bool), list(product(range(n), range(m)))
+        return rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+
+    @staticmethod
+    def assert_brackets(table, gens):
+        want = np.array([[field_bracket(a, b) for b in gens] for a in gens])
+        got = table - table.transpose(1, 0, 2, 3)
+        assert got.shape == want.shape == (len(gens), len(gens), *gens.shape[1:])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("d", [5, 16, 17])
-    @pytest.mark.parametrize("combination", [False, True], ids=["full", "triangular"])
-    def test_table_is_c_contiguous_and_owns_its_data(self, d, combination):
-        lefts, rights, mask, pairs = self.family(d, 4, 3, combination)
-        got = algebra._bracket_table(lefts, rights, mask)
+    def test_table_is_c_contiguous_and_owns_its_data(self, d):
+        gens = self.stack(d, 3)
+        assert 9 * gens[0].nbytes < matrices.WORKSPACE_MIN_BYTES
+        got = algebra._bracket_table(gens)
         assert got.flags.c_contiguous and got.flags.owndata
-        want = np.array([field_bracket(lefts[i], rights[j]) for i, j in pairs])
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        self.assert_brackets(got, gens)
 
-    @pytest.mark.parametrize("combination", [False, True], ids=["full", "triangular"])
-    def test_table_above_the_gate_is_c_contiguous_and_apart_from_its_operands(self, combination):
-        lefts, rights, mask, pairs = self.family(24, 5, 4, combination)
-        assert len(pairs) * lefts[0].nbytes >= matrices.WORKSPACE_MIN_BYTES  # 10 or 20 pairs
-        got = algebra._bracket_table(lefts, rights, mask)
+    def test_table_above_the_gate_is_c_contiguous_and_apart_from_its_operands(self):
+        gens = self.stack(24, 5)
+        assert 25 * gens[0].nbytes >= matrices.WORKSPACE_MIN_BYTES
+        got = algebra._bracket_table(gens)
         assert got.flags.c_contiguous
-        in_workspace = any(np.shares_memory(got, held) for held in vars(matrices._workspace).values())
-        assert (got.flags.owndata and not in_workspace) if combination else in_workspace
-        assert not np.shares_memory(got, lefts) and not np.shares_memory(got, rights)
-        want = np.array([field_bracket(lefts[i], rights[j]) for i, j in pairs])
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert any(np.shares_memory(got, held) for held in vars(matrices._workspace).values())
+        assert not np.shares_memory(got, gens)
+        self.assert_brackets(got, gens)
+
+
+ENTRY_POINTS = {"sub-sub": sub_sub_closure_report, "coset-coset": verify_coset_coset_closure,
+                "sub-coset": verify_mixed_closure}
+
+
+class TestClosureReports:
+    """The three families are masks of one bracket table; each named entry point
+    selects its family from closure_reports."""
+
+    @pytest.mark.parametrize("name", [*CATALOG_NAMES, "su3", "spin-3"])
+    def test_entry_points_select_their_family(self, name):
+        basis = kernel_case(name)
+        reports = closure_reports(basis)
+        assert list(reports) == list(ENTRY_POINTS)
+        for family, entry_point in ENTRY_POINTS.items():
+            rep, want = entry_point(basis), reports[family]
+            assert rep.family == want.family == family and rep.passed == want.passed
+            assert rep.pairs.tobytes() == want.pairs.tobytes() and rep.pairs.dtype == want.pairs.dtype
+            assert rep.fallback.tobytes() == want.fallback.tobytes() and rep.fallback.dtype == want.fallback.dtype
+
+    def test_run_verification_forms_one_bracket_table(self, monkeypatch):
+        tables = []
+        bracket_table = algebra._bracket_table
+        monkeypatch.setattr(algebra, "_bracket_table", lambda gens: tables.append(len(gens)) or bracket_table(gens))
+        run_verification(parse_config({"group": "so3"}))
+        assert tables == [7]  # the 2n+1 x-frame generators
+
+    def test_sub_sub_forms_no_coset_bracket(self, monkeypatch):
+        tables = []
+        bracket_table = algebra._bracket_table
+        monkeypatch.setattr(algebra, "_bracket_table", lambda gens: tables.append(len(gens)) or bracket_table(gens))
+        sub_sub_closure_report(kernel_case("so3"))
+        assert tables == [3]
 
 
 ZERO_CASES = ("so3", "su2-tr", "su2", "su3", "su4")

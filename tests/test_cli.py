@@ -498,6 +498,22 @@ class TestOverflow:
                        "the bracket or its norm is beyond float range\n")
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_commutators_forms_no_coset_bracket(self, capsys, tmp_path, fmt):
+        # so3 times 1e76 with a badly scaled N: the subgroup brackets stay in
+        # float range and the coset-coset ones do not, so commutators, which
+        # prints the sub-sub family alone, keeps its closure verdict
+        spec, _ = catalog_entry("so3")
+        n_matrix = np.array([[0, 3e4, 0], [1 / 3e4, 0, 0], [0, 0, 1]])
+        path = tmp_path / "so3-1e76.json"
+        path.write_text(json.dumps(config_document("so3-1e76", spec.generators * 1e76, n_matrix)))
+        code, out, err = run(capsys, "commutators", "--config", str(path), "--format", fmt)
+        assert (code, err) == (3, "") and out
+        code, out, err = run(capsys, "verify", "--config", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("config error: family coset-coset, pair (1,2): "
+                       "the bracket or its norm is beyond float range\n")
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
     @pytest.mark.parametrize("command", ["verify", "report", "generators"])
     def test_fd_mode_exits_4_in_both_formats(self, capsys, path, command, fmt):
         argv = [command, "--config", path, "--mode", "fd"] + ([] if command == "report" else ["--format", fmt])

@@ -15,6 +15,7 @@ from coreplie import (
     catalog_entry,
     central_derivative,
     classify_coirrep,
+    closure_reports,
     coirrep_matrix,
     exp_curve,
     field_bracket,
@@ -268,9 +269,12 @@ class TestTransport:
         assert basis.to_x.shape == (2, 2) and np.array_equal(basis.to_x, ext.N)
         coset_x = [_conjugate(ext.N, y) for y in basis.coset_blocks]
         assert np.abs(basis.coset_x - coset_x).max() < 1e-12
-        for cached in (basis.to_x, basis.coset_x):
+        for cached in (basis.to_x, basis.x_stack, basis.coset_x):
             assert not cached.flags.writeable
-        assert basis.coset_x is basis.coset_x
+        assert basis.coset_x is basis.coset_x and basis.x_stack is basis.x_stack
+        # one stack of the 2n+1 x-frame generators, coset_x its tail
+        assert np.array_equal(basis.x_stack[:basis.n], basis.subgroup_blocks)
+        assert basis.coset_x.base is basis.x_stack and basis.x_stack.flags.c_contiguous
 
     def test_bracket_morphism(self, rng):
         spec, ext = catalog_entry("su2-tr")
@@ -506,9 +510,9 @@ class TestStackedExtraction:
         real_svd, closure_report = np.linalg.svd, algebra._closure_report
         monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: svds.append(a.dtype.kind) or real_svd(a, *r, **k))
 
-        def recording(family, lefts, rights, pairs, span, *rest):
+        def recording(family, table, mask, n, span, *rest):
             spans[family] = span
-            return closure_report(family, lefts, rights, pairs, span, *rest)
+            return closure_report(family, table, mask, n, span, *rest)
 
         monkeypatch.setattr(algebra, "_closure_report", recording)
         run_verification(cfg)
@@ -525,12 +529,15 @@ class TestStackedExtraction:
         span = basis.subgroup_span
         assert span is basis.subgroup_span is spec.span and basis.coset_span is basis.coset_span
         assert np.array_equal(span.stack, basis.subgroup_blocks) and not svds
+        # the sub-sub family forms no coset bracket, and the span was factored with the spec
         sub_sub_closure_report(basis)
-        verify_coset_coset_closure(basis)
-        # the shared span was factored with the spec; no pair fails, so it needs no complex SVD
         assert not svds
+        # the coset span's real SVD, taken on its first expand; no pair fails, so
+        # neither span needs a complex SVD
+        closure_reports(basis)
+        assert len(svds) == 1
+        verify_coset_coset_closure(basis)
         verify_mixed_closure(basis)
-        # the coset span's real SVD, taken on its first expand
         assert len(svds) == 1
 
     @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])

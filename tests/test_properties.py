@@ -3,7 +3,7 @@ of the machine format's array encoding and document writer."""
 import json
 import math
 import sys
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -130,38 +130,28 @@ def complex_stacks(count, d):
 
 
 @st.composite
-def bracket_families(draw):
-    """(lefts, rights, mask, pairs): a combination family (rights is lefts, the strict
-    upper triangle, as sub-sub and coset-coset) or a product family (all pairs, as
-    sub-coset) of n, m in 0..6 generators of size d in 1..6, the empty ones included."""
-    d, n = draw(st.integers(1, 6)), draw(st.integers(0, 6))
-    lefts = draw(complex_stacks(n, d))
-    if draw(st.booleans()):
-        return lefts, lefts, np.triu(np.ones((n, n), bool), 1), list(combinations(range(n), 2))
-    m = draw(st.integers(0, 6))
-    return lefts, draw(complex_stacks(m, d)), np.ones((n, m), bool), list(product(range(n), range(m)))
+def bracket_stacks(draw):
+    """A stack of k in 0..13 generators of size d in 1..6, the empty one included:
+    as many as the x-frame stack of n = 6 holds."""
+    return draw(complex_stacks(draw(st.integers(0, 13)), draw(st.integers(1, 6))))
 
 
 @settings(max_examples=200, deadline=None)
-@given(bracket_families())
-def test_bracket_table_rows_are_the_pairs_brackets(family):
-    # row k is field_bracket of the k-th pair in itertools order, to within a few
-    # ulps of ||L_i|| ||R_j|| d: the products are summed in another order than
+@given(bracket_stacks())
+def test_bracket_table_rows_are_the_pairs_brackets(gens):
+    # table[i, j] - table[j, i] is field_bracket of pair (i, j), to within a few
+    # ulps of ||G_i|| ||G_j|| d: the products are summed in another order than
     # the per-pair matmuls, so bit-equality would depend on the BLAS build. The
     # norm is d times the largest entry, which bounds the Frobenius norm without
     # squaring tiny entries to 0, and a few subnormals allow for underflow.
-    lefts, rights, mask, pairs = family
-    d = lefts.shape[-1]
-    got = _bracket_table(lefts, rights, mask)
-    assert got.shape == (len(pairs), d, d)
-    norms = [d * np.abs(stack).max(axis=(1, 2), initial=0.0) for stack in (lefts, rights)]
+    k, d = len(gens), gens.shape[-1]
+    table = _bracket_table(gens)
+    assert table.shape == (k, k, d, d)
+    norms = d * np.abs(gens).max(axis=(1, 2), initial=0.0)
     info = np.finfo(float)
-    for row, (i, j) in zip(got, pairs):
-        tol = 8 * (info.eps * norms[0][i] * norms[1][j] + info.smallest_subnormal) * d
-        assert np.abs(row - field_bracket(lefts[i], rights[j])).max() <= tol
-    if rights is lefts:  # one table serves both orders; an equal copy takes two
-        tol = 8 * (info.eps * max(norms[0], default=0.0) ** 2 + info.smallest_subnormal) * d
-        assert np.abs(_bracket_table(lefts, lefts.copy(), mask) - got).max(initial=0.0) <= tol
+    for i, j in product(range(k), repeat=2):
+        tol = 8 * (info.eps * norms[i] * norms[j] + info.smallest_subnormal) * d
+        assert np.abs(table[i, j] - table[j, i] - field_bracket(gens[i], gens[j])).max() <= tol
 
 
 @given(st.lists(finite_reals, min_size=3, max_size=3))

@@ -10,20 +10,18 @@ import pytest
 
 from coreplie import (
     algebra_dimension,
+    closure_reports,
     emit_machine,
     generator_basis,
     parse_config,
     run_verification,
-    sub_sub_closure_report,
-    verify_coset_coset_closure,
-    verify_mixed_closure,
 )
 from coreplie import matrices
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import spin_document, su_document  # noqa: E402
 
-SLOTS = {"table", "product", "rows", "rest-f", "rest-c"}
+SLOTS = {"table", "rows", "rest-f", "rest-c"}
 
 
 def config(name):
@@ -36,13 +34,9 @@ def slots() -> dict:
     return dict(vars(matrices._workspace))
 
 
-def closure_reports(basis):
-    return [sub_sub_closure_report(basis), verify_coset_coset_closure(basis), verify_mixed_closure(basis)]
-
-
 def returned_arrays(basis, reports, dim):
-    """Every array a verification handed back or cached on its spans."""
-    arrays = [dim.singular_values] + ([] if dim.certificate is None else [dim.certificate])
+    """Every array a verification handed back or cached on its basis and spans."""
+    arrays = [basis.x_stack, dim.singular_values] + ([] if dim.certificate is None else [dim.certificate])
     for rep in reports:
         arrays += [rep.pairs, rep.fallback]
     for span in (basis.subgroup_span, basis.coset_span):
@@ -68,7 +62,7 @@ def test_no_returned_or_cached_array_is_a_workspace_view(name, written):
     def verify():
         cfg = config(name)
         basis = generator_basis(cfg.spec, cfg.extension)
-        return returned_arrays(basis, closure_reports(basis), algebra_dimension(basis))
+        return returned_arrays(basis, closure_reports(basis).values(), algebra_dimension(basis))
 
     arrays, held = in_new_thread(verify)
     assert set(held) == written  # every slot used is above the size gate on these inputs
@@ -80,7 +74,7 @@ def test_later_runs_leave_earlier_results_unchanged():
     for name in ("su5", "spin47-2"):
         cfg = config(name)
         basis = generator_basis(cfg.spec, cfg.extension)
-        reports = closure_reports(basis)
+        reports = list(closure_reports(basis).values())
         report = run_verification(cfg)
         kept.append((report, emit_machine(report), reports, [(r.pairs.copy(), r.fallback.copy()) for r in reports]))
     for name in ("spin48-2", "su2"):  # a larger input, then a smaller one
