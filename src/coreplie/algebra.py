@@ -22,6 +22,7 @@ doubled dimension is read from the SVDs of the two spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,25 +92,36 @@ def _bracket_table(gens) -> np.ndarray:
     return table
 
 
-def _closure_report(family, table, mask, n, span, tol, scale) -> ClosureReport:
-    """Report of one family: the brackets table[i, j] - table[j, i] of the pairs (i, j) where the mask is
-    true, gathered, expanded over the RealSpan and stored column by column, i and j numbered within the
-    subgroup (below n) or the coset stack; the failing pairs, those not below tol, are the rows of the
-    fallback. Raises ValueError naming the first pair whose bracket or its norm is beyond float range,
-    which leaves a residual that is not finite."""
-    left, right = mask.nonzero()
+@lru_cache(maxsize=64)
+def _family_pairs(n: int, k: int) -> tuple:
+    """(family, left, right, rows) of each family in report order, for k x-frame generators, the first n
+    the subgroup's: the pairs (i, j) of its mask of the (k, k) table, row-major, numbered within their
+    stacks, and the rows of table[i, j], then of table[j, i], in the table read as a (k * k, d, d) stack."""
+    r, c = np.ogrid[:k, :k]
+    masks = {"sub-sub": (r < c) & (c < n), "coset-coset": (n <= r) & (r < c), "sub-coset": (r < n) & (n <= c)}
+    out = []
+    for family, mask in masks.items():
+        i, j = mask.nonzero()
+        out.append((family, i - n * (i >= n), j - n * (j >= n), np.concatenate([i * k + j, j * k + i])))
+    return tuple(out)
+
+
+def _closure_report(family, left, right, rows, span, table, tol, scale) -> ClosureReport:
+    """Report of one family of _family_pairs: its brackets table[i, j] - table[j, i] expanded over the RealSpan,
+    stored column by column, the pairs not below tol the rows of the fallback. Raises ValueError naming the
+    first pair whose bracket or its norm is beyond float range, which leaves a residual that is not finite."""
     m = len(span.stack)
     pairs, fallback = np.empty(len(left), _pair_dtype(m)), np.empty(0, _fallback_dtype(m))
-    pairs["left"], pairs["right"] = left - n * (left >= n), right - n * (right >= n)
+    pairs["left"], pairs["right"] = left, right
     if len(pairs):
-        brackets = table[left, right]
-        np.subtract(brackets, table[right, left], out=brackets)
+        both = table.reshape(-1, *table.shape[2:]).take(rows, axis=0)
+        brackets = np.subtract(both[:len(pairs)], both[len(pairs):], out=both[:len(pairs)])
         pairs["coeffs"], pairs["residual"], *solved = span.expand(brackets, scale, tol)
         finite = np.isfinite(pairs["residual"])
         finite[solved[0]] &= np.isfinite(solved[2])
         if not finite.all():
             k = int(np.argmin(finite))
-            raise ValueError(f"family {family}, pair ({pairs['left'][k]},{pairs['right'][k]}): "
+            raise ValueError(f"family {family}, pair ({left[k]},{right[k]}): "
                              "the bracket or its norm is beyond float range")
         fallback = np.empty(len(solved[0]), fallback.dtype)
         fallback["pair"], fallback["complex_coeffs"], fallback["complex_residual"] = solved
@@ -118,19 +130,13 @@ def _closure_report(family, table, mask, n, span, tol, scale) -> ClosureReport:
 
 
 def closure_reports(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> dict:
-    """The three commutator families by name, masks of one bracket table over basis.x_stack:
-    sub-sub and coset-coset the pairs i < j within the subgroup and the coset block, expanded over
-    the subgroup span; sub-coset every (subgroup, coset) pair, over the coset span. Raises
-    ValueError naming the first family, in that order, and pair whose bracket is beyond float range."""
-    n, scale = basis.n, BLOCK_SCALE[basis.ctype]
-    i, j = np.ogrid[:len(basis.x_stack), :len(basis.x_stack)]
-    families = {"sub-sub": ((i < j) & (j < n), basis.subgroup_span),
-                "coset-coset": ((n <= i) & (i < j), basis.subgroup_span),
-                "sub-coset": ((i < n) & (n <= j), basis.coset_span)}
+    """The three commutator families by name, masks of one bracket table over basis.x_stack: sub-sub and
+    coset-coset over the subgroup span, sub-coset over the coset span (raises as _closure_report does)."""
+    spans = {"sub-sub": basis.subgroup_span, "coset-coset": basis.subgroup_span, "sub-coset": basis.coset_span}
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named, not warned of
         table = _bracket_table(basis.x_stack)
-        return {family: _closure_report(family, table, mask, n, span, tol, scale)
-                for family, (mask, span) in families.items()}
+        return {family: _closure_report(family, left, right, rows, spans[family], table, tol, BLOCK_SCALE[basis.ctype])
+                for family, left, right, rows in _family_pairs(basis.n, len(basis.x_stack))}
 
 
 def sub_sub_closure_report(basis: GeneratorBasis, tol: float = CLOSURE_TOL) -> ClosureReport:

@@ -96,10 +96,9 @@ class GeneratorBasis:
         out.setflags(write=False)
         return out
 
-    # the coset blocks in the x frame, a view of x_stack
+    # the coset blocks in the x frame, a view of x_stack, and their span, which the
+    # sub-coset family expands over, factored once per basis
     coset_x = cached_property(lambda self: self.x_stack[self.n:])
-
-    # the span of coset_x the sub-coset family expands over, factored once per basis
     coset_span = cached_property(lambda self: RealSpan(self.coset_x))
 
     @property

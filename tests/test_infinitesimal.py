@@ -510,9 +510,9 @@ class TestStackedExtraction:
         real_svd, closure_report = np.linalg.svd, algebra._closure_report
         monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **k: svds.append(a.dtype.kind) or real_svd(a, *r, **k))
 
-        def recording(family, table, mask, n, span, *rest):
+        def recording(family, left, right, rows, span, *rest):
             spans[family] = span
-            return closure_report(family, table, mask, n, span, *rest)
+            return closure_report(family, left, right, rows, span, *rest)
 
         monkeypatch.setattr(algebra, "_closure_report", recording)
         run_verification(cfg)
