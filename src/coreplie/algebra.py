@@ -83,11 +83,9 @@ class ClosureReport:
 
 def _bracket_table(gens) -> np.ndarray:
     """Every product G_j G_i of a stack (k, d, d) at [i, j] of a (k, k, d, d) table, from one batched
-    matmul: field_bracket(gens[i], gens[j]) is table[i, j] - table[j, i]. The table is the matrices
-    workspace's above its size gate, an array of its own below it."""
+    matmul: field_bracket(gens[i], gens[j]) is table[i, j] - table[j, i], in the matrices workspace."""
     k, d = gens.shape[:2]
     table = workspace("table", (k, k, d, d), complex)
-    table = np.empty((k, k, d, d), complex) if table is None else table
     np.matmul(gens.reshape(-1, d), gens, out=table.reshape(k, k * d, d))
     return table
 

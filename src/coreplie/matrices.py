@@ -4,10 +4,11 @@ All matrices are plain numpy arrays with dtype complex128. Equality is
 always approximate: absolute tolerance ENTRY_TOL scaled by the largest
 entry magnitude involved (dimensions stay small, conditioning is benign).
 
-The verify path writes its large temporaries with out= into a workspace of
-grow-only arrays, so a run reuses the pages the last one touched. It is module
-state (threading.local), as run_verification receives no object that outlives
-a run: each thread has its own, and no value in it outlives the call writing it.
+The verify path writes its temporaries with out= into a workspace of grow-only
+arrays, one per slot at every size, so a run reuses the pages the last one touched.
+It is module state (threading.local), as run_verification receives no object that
+outlives a run: each thread has its own, and no value in it outlives the call writing
+it, so nothing a call returns or caches is a view into it.
 """
 from __future__ import annotations
 
@@ -22,17 +23,12 @@ import numpy as np
 ENTRY_TOL = 1e-10
 # Relative singular-value threshold of is_invertible and LieGroupSpec's rank test.
 RANK_TOL = 1e-10
-# Arrays smaller than this are allocated as usual, not taken from the workspace.
-WORKSPACE_MIN_BYTES = 64 * 1024
 _workspace = threading.local()
 
 
-def workspace(slot: str, shape: tuple, dtype) -> np.ndarray | None:
-    """This thread's C-contiguous array for slot, shaped and typed as asked, its contents
-    undefined; None, for out= to allocate as usual, when it would be under WORKSPACE_MIN_BYTES."""
+def workspace(slot: str, shape: tuple, dtype) -> np.ndarray:
+    """This thread's C-contiguous array for slot, shaped and typed as asked, its contents undefined."""
     size, dtype = math.prod(shape), np.dtype(dtype)
-    if size * dtype.itemsize < WORKSPACE_MIN_BYTES:
-        return None
     held = vars(_workspace).get(slot)
     if held is None or held.size < size or held.dtype != dtype:
         vars(_workspace)[slot] = held = np.empty(size, dtype)

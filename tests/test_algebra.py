@@ -341,38 +341,25 @@ class TestKernelAgainstPerPairOracle:
 
 class TestBracketLayout:
     """_bracket_table hands back the products of every ordered pair of its stack, at
-    every d: below the workspace's size gate an array of its own, above it the
-    workspace's C-contiguous table, which shares no memory with its operands. The
-    bracket of pair (i, j) is table[i, j] - table[j, i]."""
+    every d in the workspace's C-contiguous table, which shares no memory with its
+    operands. The bracket of pair (i, j) is table[i, j] - table[j, i]."""
 
     @staticmethod
     def stack(d, k):
         rng = np.random.default_rng(d)
         return rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
 
-    @staticmethod
-    def assert_brackets(table, gens):
-        want = np.array([[field_bracket(a, b) for b in gens] for a in gens])
-        got = table - table.transpose(1, 0, 2, 3)
-        assert got.shape == want.shape == (len(gens), len(gens), *gens.shape[1:])
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    @pytest.mark.parametrize("d", [5, 16, 17])
-    def test_table_is_c_contiguous_and_owns_its_data(self, d):
+    @pytest.mark.parametrize("d", [5, 16, 17, 24])
+    def test_table_is_a_c_contiguous_workspace_array_apart_from_its_operands(self, d):
         gens = self.stack(d, 3)
-        assert 9 * gens[0].nbytes < matrices.WORKSPACE_MIN_BYTES
-        got = algebra._bracket_table(gens)
-        assert got.flags.c_contiguous and got.flags.owndata
-        self.assert_brackets(got, gens)
-
-    def test_table_above_the_gate_is_c_contiguous_and_apart_from_its_operands(self):
-        gens = self.stack(24, 5)
-        assert 25 * gens[0].nbytes >= matrices.WORKSPACE_MIN_BYTES
         got = algebra._bracket_table(gens)
         assert got.flags.c_contiguous
         assert any(np.shares_memory(got, held) for held in vars(matrices._workspace).values())
         assert not np.shares_memory(got, gens)
-        self.assert_brackets(got, gens)
+        want = np.array([[field_bracket(a, b) for b in gens] for a in gens])
+        brackets = got - got.transpose(1, 0, 2, 3)
+        assert brackets.shape == want.shape == (3, 3, d, d)
+        assert np.abs(brackets - want).max() <= 1e-13 * np.abs(want).max()
 
 
 ENTRY_POINTS = {"sub-sub": sub_sub_closure_report, "coset-coset": verify_coset_coset_closure,

@@ -158,15 +158,33 @@ def test_readme_library_sketch_runs():
     assert (dim.computed, dim.classification) == (int(computed), classification) == (7, "b-full")
 
 
-def readme_spin_rows() -> dict:
-    """The README's spin table under "A genuine finding": 2j -> its other cells."""
-    section = (ROOT / "README.md").read_text().split("## A genuine finding", 1)[1]
+def readme_finding_rows(first) -> dict:
+    """The rows of the tables under "A genuine finding" whose first cell passes first: that cell -> the others."""
+    section = (ROOT / "README.md").read_text().split("## A genuine finding", 1)[1].split("\n## ", 1)[0]
     rows = {}
     for line in section.splitlines():
         cells = [cell.strip() for cell in line.strip("|").split("|")]
-        if line.startswith("|") and cells[0].isdigit():
-            rows[int(cells[0])] = cells[1:]
+        if line.startswith("|") and first(cells[0]):
+            rows[cells[0]] = cells[1:]
     return rows
+
+
+def readme_spin_rows() -> dict:
+    """The README's spin table under "A genuine finding": 2j -> its other cells."""
+    return {int(two_j): cells for two_j, cells in readme_finding_rows(str.isdigit).items()}
+
+
+def test_readme_catalog_dimensions_are_what_the_code_computes():
+    """Each catalog row: n, the type and the dimension with its expected value and class, recomputed;
+    u1 spans 1, not n+1 = 2, and still passes closure."""
+    rows = readme_finding_rows(lambda cell: cell in coreplie.CATALOG_NAMES)
+    assert sorted(rows) == sorted(coreplie.CATALOG_NAMES)
+    reports = {name: coreplie.run_verification(coreplie.parse_config({"group": name})) for name in rows}
+    for name, (n, ctype, dimension) in rows.items():
+        report, dim = reports[name], reports[name].dimension
+        assert (int(n), ctype) == (report.group["n"], report.classification)
+        assert dimension == f"{dim['computed']} ({dim['expected']}) {dim['classification']}"
+    assert rows["u1"][2] == "1 (2) other" and reports["u1"].passed
 
 
 def assert_cell_matches(printed: str, value: float):

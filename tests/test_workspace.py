@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coreplie import (
+    CATALOG_NAMES,
     algebra_dimension,
     closure_reports,
     emit_machine,
@@ -16,7 +17,7 @@ from coreplie import (
     parse_config,
     run_verification,
 )
-from coreplie import matrices
+from coreplie import algebra, matrices
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import spin_document, su_document  # noqa: E402
@@ -25,7 +26,9 @@ SLOTS = {"table", "rows", "rest-f", "rest-c"}
 
 
 def config(name):
-    """The config of su<n> or spin<2j>-2, named as perfbench names them."""
+    """The config of a catalog group, or of su<n> or spin<2j>-2, named as perfbench names them."""
+    if name in CATALOG_NAMES:
+        return parse_config({"group": name})
     return parse_config(su_document(int(name[2:])) if name.startswith("su") else spin_document(int(name[4:-2])))
 
 
@@ -56,26 +59,43 @@ def in_new_thread(fn):
     return out["result"], out["slots"]
 
 
-# su(5) closes, so no failing pair has a complex remainder to write
-@pytest.mark.parametrize("name, written", [("su5", SLOTS - {"rest-c"}), ("spin47-2", SLOTS)])
-def test_no_returned_or_cached_array_is_a_workspace_view(name, written):
+# the inputs that close have no failing pair, so no complex remainder to write
+WRITTEN = {"so2-conj": SLOTS - {"rest-c"}, "su2-tr": SLOTS, "u1": SLOTS - {"rest-c"}, "su5": SLOTS - {"rest-c"},
+           "spin47-2": SLOTS}
+INPUTS = [("so2-conj", "exact"), ("so2-conj", "fd"), ("su2-tr", "exact"), ("su2-tr", "fd"), ("u1", "exact"),
+          ("u1", "fd"), ("su5", "exact"), ("spin47-2", "exact")]
+
+
+@pytest.mark.parametrize("name, mode", INPUTS)
+def test_no_returned_or_cached_array_is_a_workspace_view(name, mode, monkeypatch):
+    # every array the workspace hands out, also from a slot that later grew, kept
+    # alive so that no other array can take over its memory
+    handed, original = [], matrices.workspace
+
+    def recording(*args):
+        handed.append(original(*args))
+        return handed[-1]
+
+    for module in (matrices, algebra):
+        monkeypatch.setattr(module, "workspace", recording)
+
     def verify():
         cfg = config(name)
-        basis = generator_basis(cfg.spec, cfg.extension)
+        basis = generator_basis(cfg.spec, cfg.extension, mode)
         return returned_arrays(basis, closure_reports(basis).values(), algebra_dimension(basis))
 
     arrays, held = in_new_thread(verify)
-    assert set(held) == written  # every slot used is above the size gate on these inputs
-    assert not [(slot, k) for slot, a in held.items() for k, b in enumerate(arrays) if np.shares_memory(a, b)]
+    assert set(held) == WRITTEN[name]  # every temporary is in the workspace, at every size
+    assert not [(k, j) for k, a in enumerate(handed) for j, b in enumerate(arrays) if np.shares_memory(a, b)]
 
 
 def test_later_runs_leave_earlier_results_unchanged():
     kept = []
-    for name in ("su5", "spin47-2"):
+    for name, mode in INPUTS:
         cfg = config(name)
-        basis = generator_basis(cfg.spec, cfg.extension)
+        basis = generator_basis(cfg.spec, cfg.extension, mode)
         reports = list(closure_reports(basis).values())
-        report = run_verification(cfg)
+        report = run_verification(cfg, mode)
         kept.append((report, emit_machine(report), reports, [(r.pairs.copy(), r.fallback.copy()) for r in reports]))
     for name in ("spin48-2", "su2"):  # a larger input, then a smaller one
         run_verification(config(name))
