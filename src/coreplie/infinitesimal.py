@@ -13,7 +13,7 @@ request); their bracket is algebra.field_bracket.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -55,16 +55,15 @@ class GeneratorBasis:
     alone: the subgroup blocks, then coset_x, the coset blocks in the x frame.
     .subgroup and .coset are the generators, for type b a new
     blockdiag(X, X) and blockdiag(X', -X'). fd_max_abs_diff is set (to
-    generator_basis's fd-vs-exact gap) in mode 'fd' only. subgroup_span is
-    the RealSpan of the subgroup blocks, a new one unless given (exact-mode
-    generator_basis hands in the spec's); coset_span that of coset_x."""
+    generator_basis's fd-vs-exact gap) in mode 'fd' only. subgroup_span and
+    coset_span, the RealSpans that the families expand over, are built and
+    factored on first use, each once per basis."""
 
     subgroup_blocks: np.ndarray
     coset_blocks: np.ndarray
     ctype: CoirrepType
     to_x: np.ndarray
     fd_max_abs_diff: float | None = None
-    subgroup_span: RealSpan | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("subgroup", "coset"):
@@ -78,10 +77,6 @@ class GeneratorBasis:
             raise ValueError(f"x' -> x map {to_x.shape} and generator blocks "
                              f"{self.subgroup_blocks.shape[1:]} differ in size")
         object.__setattr__(self, "to_x", to_x)
-        if self.subgroup_span is None:
-            object.__setattr__(self, "subgroup_span", RealSpan(self.subgroup_blocks))
-        elif not np.array_equal(self.subgroup_span.stack, self.subgroup_blocks):
-            raise ValueError("subgroup_span is not the span of the subgroup generators")
 
     @property
     def n(self) -> int:
@@ -96,9 +91,11 @@ class GeneratorBasis:
         out.setflags(write=False)
         return out
 
-    # the coset blocks in the x frame, a view of x_stack, and their span, which the
-    # sub-coset family expands over, factored once per basis
+    # the coset blocks in the x frame, a view of x_stack; the span of the subgroup
+    # blocks, which sub-sub and coset-coset expand over, and that of coset_x, which
+    # sub-coset expands over
     coset_x = cached_property(lambda self: self.x_stack[self.n:])
+    subgroup_span = cached_property(lambda self: RealSpan(self.subgroup_blocks))
     coset_span = cached_property(lambda self: RealSpan(self.coset_x))
 
     @property
@@ -159,8 +156,7 @@ def generator_basis(
     by (alpha0, alpha_1, ..., alpha_n), have upper blocks X'_0 = i N and
     X'_sigma = X_sigma N; type b doubles every generator (see GeneratorBasis).
     The x' -> x map is N; a phase on it would cancel from every conjugation.
-    Without an extension: type a, an empty coset stack, x' = x. The exact
-    subgroup span is spec.span, already factored by the spec's rank test.
+    Without an extension: type a, an empty coset stack, x' = x.
 
     Mode 'fd' differentiates the curves exp(t X_sigma), e^{it} N and
     exp(t X_sigma) N instead, each sample one expm of the generator stack,
@@ -180,7 +176,7 @@ def generator_basis(
             return e
         return np.concatenate([e, (phase * n_matrix)[None], e @ n_matrix])
 
-    out, fd_diff, span = blocks(spec.generators, 1j), None, spec.span
+    out, fd_diff = blocks(spec.generators, 1j), None
     if mode == "fd":
         if not (np.isfinite(agree) and agree > 0.0):
             raise ValueError(f"fd-agree tolerance must be finite and positive, got {agree}")
@@ -189,5 +185,5 @@ def generator_basis(
         diff = np.abs(fd - out).max(axis=(-2, -1))
         _gate(diff, agree, names, "finite-difference and exact generators disagree by",
               f"tolerances.fd-agree {agree:g}")
-        out, fd_diff, span = fd, float(diff.max()), None
-    return GeneratorBasis(out[:spec.n], out[spec.n:], ctype, to_x, fd_diff, span)
+        out, fd_diff = fd, float(diff.max())
+    return GeneratorBasis(out[:spec.n], out[spec.n:], ctype, to_x, fd_diff)

@@ -227,11 +227,11 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.6g}{z.imag:+.6g}j"
 
 
-def format_matrix(m, indent: str = "    ") -> str:
+def format_matrix(m) -> str:
     a = np.asarray(m, dtype=complex)
     lines = []
     for row in a:
-        lines.append(indent + "[" + ", ".join(_fmt_complex(z) for z in row) + "]")
+        lines.append("    [" + ", ".join(_fmt_complex(z) for z in row) + "]")
     return "\n".join(lines)
 
 

@@ -22,6 +22,7 @@ from coreplie import (
 )
 from coreplie import group_core
 from coreplie.config import parse_config
+from coreplie.matrices import RANK_TOL
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from inputs import su_document  # noqa: E402
@@ -177,6 +178,22 @@ class TestLieGroupSpec:
         assert np.array_equal(LieGroupSpec(gens).generators, gens)
         with pytest.raises(ValueError, match=rf"\(rank {spec.n} < {spec.n + 1}\)"):
             LieGroupSpec(np.concatenate([gens, gens[-1:]]))
+
+    @pytest.mark.parametrize("factor, rank", [(0.5, 2), (2.0, 3)])
+    def test_rank_cut_sits_at_rank_tol(self, factor, rank):
+        # i sigma_k / sqrt(2) are orthonormal in the real Frobenius product, so the
+        # mixed stack's real singular values are 1, 0.5 and factor * RANK_TOL: the
+        # smallest falls below the cut at 0.5 and clears it at 2
+        pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        rng = np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+        mix = u @ np.diag([1.0, 0.5, factor * RANK_TOL]) @ v.T
+        gens = np.tensordot(mix, 1j * pauli / np.sqrt(2), axes=1)
+        if rank == 3:
+            assert np.array_equal(LieGroupSpec(gens).generators, gens)
+        else:
+            with pytest.raises(ValueError, match=r"\(rank 2 < 3\)"):
+                LieGroupSpec(gens)
 
     @pytest.mark.parametrize("name, message", [
         (5, "name: expected a string"),

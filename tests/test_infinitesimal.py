@@ -487,20 +487,20 @@ class TestStackedExtraction:
         assert len(composed) == 0
         assert len(svd_checks) == 1
 
-    # the SVDs of one run by dtype: one real SVD per span, sub-sub and
-    # coset-coset sharing the subgroup span, whose real SVD the spec's
-    # independence test already took when the config was parsed, a complex one
+    # the SVDs of one run by dtype: one real SVD per span, taken on its first
+    # expand, sub-sub and coset-coset sharing the subgroup span; a complex one
     # per span only where some family over it has a failing pair (su2-tr and
     # spin 2j = 15 fail over both), and for type a the dimension's; type b
     # (su2-tr, spin 2j = 15) reads its dimension from the two spans' real SVDs.
-    # N was checked where it entered, so the x' -> x map is inverted without
-    # an invertibility SVD
+    # The spec's independence test took only singular values, when the config
+    # was parsed. N was checked where it entered, so the x' -> x map is
+    # inverted without an invertibility SVD
     SVDS = {
-        "so2-conj": ["f", "f"],
-        "so3": ["f", "f"],
-        "su2-tr": ["c", "c", "f"],
-        "u1": ["f", "f"],
-        "spin15-2": ["c", "c", "f"],
+        "so2-conj": ["f", "f", "f"],
+        "so3": ["f", "f", "f"],
+        "su2-tr": ["c", "c", "f", "f"],
+        "u1": ["f", "f", "f"],
+        "spin15-2": ["c", "c", "f", "f"],
     }
 
     @pytest.mark.parametrize("name", sorted(SVDS))
@@ -518,44 +518,32 @@ class TestStackedExtraction:
         run_verification(cfg)
         assert all(isinstance(span, RealSpan) for span in spans.values())
         assert spans["sub-sub"] is spans["coset-coset"] is not spans["sub-coset"]
+        assert np.array_equal(spans["sub-sub"].stack, cfg.spec.generators)
         assert sorted(svds) == self.SVDS[name]
 
     def test_basis_spans_are_cached_and_factored_lazily(self, monkeypatch):
         spec, ext = catalog_entry("so3")
         basis = generator_basis(spec, ext)
-        svds = []
-        real_svd = np.linalg.svd
+        svds, expands = [], []
+        real_svd, real_expand = np.linalg.svd, RealSpan.expand
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a) or real_svd(*a, **k))
+        monkeypatch.setattr(RealSpan, "expand", lambda span, *a, **k: expands.append((span, len(svds)))
+                            or real_expand(span, *a, **k))
         span = basis.subgroup_span
-        assert span is basis.subgroup_span is spec.span and basis.coset_span is basis.coset_span
+        assert span is basis.subgroup_span and basis.coset_span is basis.coset_span
         assert np.array_equal(span.stack, basis.subgroup_blocks) and not svds
-        # the sub-sub family forms no coset bracket, and the span was factored with the spec
+        # the sub-sub family forms no coset bracket: it expands over a copy of the
+        # basis, whose own subgroup span it factors, and this basis's span stays unfactored
         sub_sub_closure_report(basis)
-        assert not svds
-        # the coset span's real SVD, taken on its first expand; no pair fails, so
-        # neither span needs a complex SVD
+        assert len(svds) == 1 and expands[0][0] is not span and "svd" not in vars(span)
+        # each span's real SVD, taken on its first expand: the subgroup span's on
+        # sub-sub, none on coset-coset, the coset span's on sub-coset; no pair
+        # fails, so neither span needs a complex SVD
         closure_reports(basis)
-        assert len(svds) == 1
+        assert expands[1:] == [(span, 1), (span, 2), (basis.coset_span, 2)] and len(svds) == 3
         verify_coset_coset_closure(basis)
         verify_mixed_closure(basis)
-        assert len(svds) == 1
-
-    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
-    def test_only_exact_mode_expands_over_the_spec_span(self, name):
-        spec, ext = catalog_entry(name)
-        assert generator_basis(spec, ext).subgroup_span is spec.span
-        assert generator_basis(spec, None).subgroup_span is spec.span
-        fd = generator_basis(spec, ext, mode="fd")
-        assert fd.subgroup_span is not spec.span
-        assert np.array_equal(fd.subgroup_span.stack, fd.subgroup_blocks)
-
-    def test_basis_rejects_the_span_of_other_generators(self):
-        spec, ext = catalog_entry("so3")
-        basis = generator_basis(spec, ext)
-        fields = (basis.subgroup_blocks, basis.coset_blocks, basis.ctype, basis.to_x)
-        assert GeneratorBasis(*fields, None, spec.span).subgroup_span is spec.span
-        with pytest.raises(ValueError, match="subgroup_span"):
-            GeneratorBasis(*fields, None, RealSpan(2 * spec.generators))
+        assert len(svds) == 3
 
 
 def count_calls(monkeypatch, original) -> list:
