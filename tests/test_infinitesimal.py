@@ -545,6 +545,24 @@ class TestStackedExtraction:
         verify_mixed_closure(basis)
         assert len(svds) == 3
 
+    @pytest.mark.parametrize("name", ["so2-conj", "su2-tr", "u1", "so3"])
+    def test_each_basis_expands_over_its_own_subgroup_blocks(self, name):
+        # exact, no-extension and fd bases each build their own span, over their
+        # own blocks: the exact ones are the spec's generators, the fd ones lie
+        # within fd_max_abs_diff of them and expand over the exact span
+        spec, ext = catalog_entry(name)
+        bases = [generator_basis(spec, ext), generator_basis(spec, None), generator_basis(spec, ext, mode="fd")]
+        spans = [basis.subgroup_span for basis in bases]
+        assert len({id(span) for span in spans}) == 3
+        for basis, span in zip(bases, spans):
+            assert basis.subgroup_span is span
+            assert np.array_equal(span.stack, basis.subgroup_blocks)
+        assert all(np.array_equal(basis.subgroup_blocks, spec.generators) for basis in bases[:2])
+        fd = bases[2]
+        assert 0 < np.abs(fd.subgroup_blocks - spec.generators).max() <= fd.fd_max_abs_diff
+        _, residual, *_ = spans[0].expand(fd.subgroup_blocks)
+        assert residual.max() <= 10 * fd.fd_max_abs_diff
+
 
 def count_calls(monkeypatch, original) -> list:
     """Rebind original in every coreplie module that holds it to a wrapper
